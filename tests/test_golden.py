@@ -6,6 +6,8 @@ pipeline (sampling order, tie-breaking, algorithm internals) and EXPERIMENTS
 numbers are stale.  Update deliberately, never casually.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,16 @@ from repro.core import (
     ptas_mwfs,
 )
 from repro.deployment import Scenario
+from repro.faults import FaultPlan, FaultPolicy, FlakyActivation, PermanentCrash
+from repro.obs import (
+    RunCollector,
+    SpanStart,
+    TeeRecorder,
+    TraceRecorder,
+    recording,
+)
+from repro.shard import ScaleDeployment, ShardSpec, run_scale_schedule
+from tests.conftest import make_random_system
 
 GOLDEN_SCENARIO = Scenario(
     num_readers=20,
@@ -88,3 +100,176 @@ class TestScheduleGolden:
         assert schedule.size == 3
         assert schedule.reads_per_slot() == [103, 30, 10]
         assert schedule.complete
+
+
+# ---------------------------------------------------------------------------
+# Driver pins: exact schedules of the fault-tolerant, sharded and array-first
+# configurations, which the property tests only check for coverage.
+
+
+#: Array-first deployment shared by the sparse driver pins.
+SCALE = ScaleDeployment(num_readers=120, num_tags=1500, side=160.0, seed=7)
+
+#: (per-slot (active readers, tags read), outcome, schedule digest,
+#: fault-trace digest) of the dense drivers.
+DENSE_SHARD_FAULTS = (
+    [(28, 37), (15, 14), (6, 5), (2, 2), (0, 0), (0, 0), (0, 0), (0, 0),
+     (0, 0)],
+    "stalled", "20e80136c3cc7294", "fd8ea467209a813f",
+)
+DENSE_SHARD_FAULTS_COUNTERS = {
+    "readers_failed": 2, "reads_missed": 24, "rrc_blocked": 0,
+    "rtc_silenced": 0, "schedule_degradations": 0, "sets_evaluated": 0,
+    "shard_boundary_repairs": 0, "shard_cells": 35, "slots": 9,
+    "tags_read": 58,
+}
+LADDER = (
+    [(6, 34), (5, 12), (1, 3), (1, 2), (1, 1), (0, 0), (1, 1), (1, 1),
+     (1, 1), (1, 1)],
+    "complete", "5be6adfd2d611620", "1ca81eed703e0496",
+)
+LADDER_RUNGS = [("centralized", None), ("ghc", "fallback")] + [
+    ("singleton", None)
+] * 8
+LADDER_COUNTERS = {
+    "readers_failed": 1, "reads_missed": 13, "rrc_blocked": 1,
+    "rtc_silenced": 0, "schedule_degradations": 2, "sets_evaluated": 27,
+    "slots": 10, "tags_read": 56,
+}
+SPARSE_SLOTS = [(52, 318), (29, 88), (9, 15), (2, 3)]
+SPARSE_COUNTERS = {
+    "rrc_blocked": 0, "rtc_silenced": 0, "sets_evaluated": 0,
+    "shard_boundary_repairs": 11, "shard_cells": 41, "slots": 4,
+    "tags_read": 424,
+}
+SPARSE_FAULT_SLOTS = [
+    (49, 265), (32, 108), (21, 33), (12, 15), (3, 1), (2, 1), (1, 1),
+]
+SPARSE_FAULT_COUNTERS = {
+    "readers_failed": 8, "reads_missed": 41, "rrc_blocked": 0,
+    "rtc_silenced": 0, "schedule_degradations": 0, "sets_evaluated": 0,
+    "shard_boundary_repairs": 12, "shard_cells": 62, "slots": 7,
+    "tags_read": 424,
+}
+
+
+def _digest(*parts):
+    """Short, stable hash of arrays and reprs."""
+    h = hashlib.sha1()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(np.ascontiguousarray(part, dtype=np.int64).tobytes())
+        else:
+            h.update(repr(part).encode())
+        h.update(b"|")
+    return h.hexdigest()[:16]
+
+
+#: Work counters of a run that must not drift (timings excluded).
+PINNED_COUNTERS = (
+    "slots",
+    "tags_read",
+    "sets_evaluated",
+    "rrc_blocked",
+    "rtc_silenced",
+    "readers_failed",
+    "reads_missed",
+    "schedule_degradations",
+    "shard_cells",
+    "shard_boundary_repairs",
+)
+
+
+def _collected(run):
+    """Run under a collector; returns (result, pinned counters, number of
+    partition refreshes)."""
+    collector, tracer = RunCollector(), TraceRecorder()
+    with recording(TeeRecorder(collector, tracer)):
+        result = run()
+    summary = collector.summary()
+    refreshes = sum(
+        isinstance(e, SpanStart) and e.name == "shard.refresh"
+        for e in tracer.events
+    )
+    counters = {k: summary[k] for k in PINNED_COUNTERS if k in summary}
+    return result, counters, refreshes
+
+
+def _dense_pin(result):
+    return (
+        [(len(s.active), s.num_read) for s in result.slots],
+        result.outcome.value,
+        _digest(*[a for s in result.slots for a in (s.active, s.tags_read)]),
+        _digest(result.fault_trace),
+    )
+
+
+class TestDriverGolden:
+    def test_dense_shard_faults_with_refresh(self):
+        system = Scenario(
+            num_readers=60, num_tags=600, side=200.0, seed=5
+        ).build()
+        plan = FaultPlan(
+            reader_faults=(PermanentCrash(reader=2, at_slot=0),)
+            + tuple(FlakyActivation(r, 0.1) for r in range(0, 60, 7)),
+            miss_rate=0.3,
+            seed=11,
+        )
+        result, counters, refreshes = _collected(
+            lambda: greedy_covering_schedule(
+                system, get_solver("ghc"), seed=9, faults=plan,
+                policy=FaultPolicy(max_stall_slots=5),
+                shard=ShardSpec(cells=16),
+            )
+        )
+        assert _dense_pin(result) == DENSE_SHARD_FAULTS
+        assert counters == DENSE_SHARD_FAULTS_COUNTERS
+        assert refreshes == 1
+
+    def test_sparse_fault_free(self):
+        result, counters, refreshes = _collected(
+            lambda: run_scale_schedule(SCALE, ShardSpec(cells=16), seed=11)
+        )
+        assert [(s.active_readers, s.tags_read) for s in result.slots] == (
+            SPARSE_SLOTS
+        )
+        assert result.outcome == "complete"
+        assert counters == SPARSE_COUNTERS
+
+    def test_sparse_flaky_with_refresh(self):
+        plan = FaultPlan(
+            reader_faults=tuple(FlakyActivation(r, 0.1) for r in range(120))
+            + (PermanentCrash(3, 2), PermanentCrash(60, 2)),
+            miss_rate=0.1,
+            seed=3,
+        )
+        result, counters, refreshes = _collected(
+            lambda: run_scale_schedule(
+                SCALE, ShardSpec(cells=16), seed=11, faults=plan
+            )
+        )
+        assert [(s.active_readers, s.tags_read) for s in result.slots] == (
+            SPARSE_FAULT_SLOTS
+        )
+        assert result.outcome == "complete"
+        assert counters == SPARSE_FAULT_COUNTERS
+        assert refreshes == 1
+
+    def test_dense_deadline_ladder_to_singleton(self):
+        system = make_random_system(10, 120, 40, 8, 5, seed=3)
+        plan = FaultPlan.uniform_flaky(10, 0.15, miss_rate=0.2, seed=4)
+        policy = FaultPolicy(
+            solver_deadline_s=0.0, deadline_retries=0, fallback_solver="ghc"
+        )
+        result, counters, refreshes = _collected(
+            lambda: greedy_covering_schedule(
+                system, get_solver("centralized"), seed=11, faults=plan,
+                policy=policy,
+            )
+        )
+        assert _dense_pin(result) == LADDER
+        assert [
+            (s.solver_meta.get("solver"), s.solver_meta.get("ladder"))
+            for s in result.slots
+        ] == LADDER_RUNGS
+        assert counters == LADDER_COUNTERS
