@@ -22,15 +22,28 @@ heuristic comparable on the same footing.
     ``"single"`` — each operational reader serves at most one tag per slot
                    (the strict "able to read at least one tag" slot sizing).
 
-Fault tolerance (``docs/robustness.md``): passing ``faults=FaultPlan(...)``
-(and optionally ``policy=FaultPolicy(...)``) hardens the loop against the
-non-ideal world — reader crashes and flaky activations applied at the slot
-boundary, false-negative reads retried via ACK-based retirement, heartbeat
-suspicion excluding down readers from candidate sets, per-slot solver
-deadlines degrading to cheaper policies instead of stalling, and a stall
-guard terminating with :attr:`ScheduleOutcome.stalled` when no progress is
-possible.  With ``faults=None`` the loop is bit-identical to the historical
-default path.
+One loop, two worlds: :func:`run_slot_loop` is the only implementation of
+this loop.  It reaches the deployment through a small *world* protocol
+(unread mask and count, solve, verify, best singleton, retire, refresh).
+``_DenseWorld`` here runs it over an :class:`~repro.model.system.RFIDSystem`
+— unsharded, or cell by cell through
+:class:`~repro.shard.runtime.ShardRuntime` — for
+:func:`greedy_covering_schedule`; the sparse-array world of
+:mod:`repro.shard.scale` runs it for
+:func:`~repro.shard.scale.run_scale_schedule`.  Both emit the same
+``mcs.*`` spans and stage timings.
+
+Fault tolerance (``docs/robustness.md``) is one layer around the loop,
+:class:`FaultLayer`: passing ``faults=FaultPlan(...)`` (and optionally
+``policy=FaultPolicy(...)``) hardens it against the non-ideal world —
+reader crashes and flaky activations applied at the slot boundary,
+false-negative reads retried via ACK-based retirement, heartbeat suspicion
+(:class:`~repro.faults.HeartbeatMonitor`) excluding down readers from
+candidate sets, and a stall guard terminating with
+:attr:`ScheduleOutcome.stalled` when no progress is possible.  The
+unsharded dense solve adds per-slot solver deadlines degrading to cheaper
+policies instead of stalling.  With ``faults=None`` the loop is
+bit-identical to the historical default path.
 
 Faults compose with the scale tier: passing both ``faults=`` and ``shard=``
 runs the fault world through the sharded engine — per-cell degraded
@@ -38,8 +51,8 @@ subsystems over unsuspected readers, suspicion masks shipped inside the
 deterministic per-cell payloads (worker count still cannot change results),
 and confirmed permanent crashes applied as an incremental partition refresh
 (``shard.refresh`` span) that re-buckets orphaned tags and rebuilds only
-the dirtied cells.  Trivial partitions route through the unsharded fault
-branch, keeping ``cells == 1`` bit-identical to ``shard=None``.
+the dirtied cells.  Trivial partitions run the unsharded world, keeping
+``cells == 1`` bit-identical to ``shard=None``.
 """
 
 from __future__ import annotations
@@ -53,8 +66,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.oneshot import OneShotResult, OneShotSolver
-from repro.faults import FaultInjector, FaultPlan, FaultPolicy
+from repro.core.oneshot import OneShotResult, OneShotSolver, get_solver
+from repro.faults import FaultInjector, FaultPlan, FaultPolicy, HeartbeatMonitor
 from repro.linklayer.session import InventoryResult, run_inventory_session
 from repro.model.collisions import rrc_blocked_tags, rtc_victims
 from repro.model.state import ReadState
@@ -167,169 +180,126 @@ class ScheduleResult:
         return [s.num_read for s in self.slots]
 
 
-def _best_singleton(
-    system: RFIDSystem,
-    unread: np.ndarray,
-    context: Optional[ScheduleContext] = None,
-) -> Optional[int]:
-    """Reader covering the most unread tags, or None if nothing is covered.
-    Popcounts over the packed coverage words replace the ``(m, n)`` mask
-    product; ties break to the lowest reader id, as before.  An incremental
-    context already maintains exactly these counts, so they are read off for
-    free.  The cold path goes through the ambient
-    :class:`~repro.perf.backends.WeightKernel` (both backends share the
-    same vectorised packed scan, so the counts are backend-invariant)."""
-    if context is not None:
-        counts = context.remaining_counts
-    else:
-        counts = kernel_for(system).covered_counts(unread)
-    if counts.size == 0 or counts.max() == 0:
-        return None
-    return int(np.argmax(counts))
+def accepts_context(solver: OneShotSolver) -> bool:
+    """Whether *solver* takes the incremental ``context`` keyword."""
+    try:
+        return "context" in inspect.signature(solver).parameters
+    except (TypeError, ValueError):  # builtins / exotic callables
+        return False
 
 
-class _FaultRuntime:
-    """Mutable per-schedule state of the fault-tolerant driver.
+class FaultLayer:
+    """The fault world wrapped around the slot loop.
 
     Owns the :class:`~repro.faults.FaultInjector` (the deterministic fault
-    world), heartbeat suspicion, the cached reduced candidate systems, and
-    the solver-deadline degradation ladder.  Lives entirely on the
-    ``faults is not None`` branch of :func:`greedy_covering_schedule`; the
-    default path never constructs one.
+    world) and a :class:`~repro.faults.HeartbeatMonitor` over it.  Each
+    slot the loop folds the failure draw into heartbeat suspicion
+    (:meth:`begin_slot`, emitting ``ReaderFailed`` on each rising edge),
+    drops readers whose activation failed (:meth:`drop_failed`) and keeps
+    only the confirmed reads for ACK-based retirement (:meth:`confirm`).
+    Both drivers share it; with ``faults=None`` none is built and the loop
+    makes no extra draws.
     """
 
     def __init__(
-        self,
-        system: RFIDSystem,
-        faults: FaultPlan,
-        policy: FaultPolicy,
-        solver: OneShotSolver,
+        self, plan: FaultPlan, policy: FaultPolicy, num_readers: int, num_tags: int
     ) -> None:
-        self.system = system
         self.policy = policy
-        self.injector = FaultInjector(faults, system.num_readers, system.num_tags)
-        self._consec = np.zeros(system.num_readers, dtype=np.int64)
-        self.suspected = np.zeros(system.num_readers, dtype=bool)
-        self._failed = np.zeros(system.num_readers, dtype=bool)
-        self._subsystems: dict = {}
-        # degradation ladder: primary -> optional fallback -> singleton
-        self._ladder = ["primary"]
-        if policy.fallback_solver is not None:
-            self._ladder.append("fallback")
-        self._ladder.append("singleton")
-        self._level = 0
-        self._deadline_misses = 0
-        self._fallback: Optional[OneShotSolver] = None
-        fb = policy.fallback_solver
-        self._names = {
-            "primary": getattr(solver, "__name__", "primary"),
-            "fallback": fb if isinstance(fb, str)
-            else getattr(fb, "__name__", "fallback"),
-            "singleton": "singleton",
-        }
+        self.injector = FaultInjector(plan, num_readers, num_tags)
+        self.monitor = HeartbeatMonitor(self.injector, policy.heartbeat_timeout)
 
-    # -- slot boundary -------------------------------------------------
+    @classmethod
+    def engage(
+        cls,
+        plan: Optional[FaultPlan],
+        policy: Optional[FaultPolicy],
+        num_readers: int,
+        num_tags: int,
+    ) -> Optional["FaultLayer"]:
+        """The layer for a driver's ``faults``/``policy`` arguments, or
+        ``None`` when neither is given.  A policy without a plan engages
+        the layer over an empty :class:`~repro.faults.FaultPlan`."""
+        if plan is None and policy is None:
+            return None
+        return cls(
+            plan if plan is not None else FaultPlan(),
+            policy if policy is not None else FaultPolicy(),
+            num_readers,
+            num_tags,
+        )
+
     def begin_slot(self, slot: int, rec) -> np.ndarray:
-        """Draw the slot's failure mask, advance heartbeat suspicion, emit
-        ``ReaderFailed`` on each rising edge; returns the failed mask."""
-        failed = self.injector.failed_mask(slot)
-        self._failed = failed
-        self._consec = np.where(failed, self._consec + 1, 0)
-        now = self._consec >= self.policy.heartbeat_timeout
+        """Advance heartbeat suspicion to *slot*; returns the suspicion
+        mask."""
+        _, newly = self.monitor.begin_slot(slot)
         if rec.enabled:
-            newly = now & ~self.suspected
-            if newly.any():
-                for r in np.flatnonzero(newly):
-                    rec.emit(
-                        ReaderFailed(
-                            slot=slot,
-                            reader=int(r),
-                            missed_heartbeats=int(self._consec[r]),
-                        )
+            for r in newly:
+                rec.emit(
+                    ReaderFailed(
+                        slot=slot,
+                        reader=int(r),
+                        missed_heartbeats=int(self.monitor.consecutive_misses[r]),
                     )
-        self.suspected = now
-        return failed
+                )
+        return self.monitor.suspected
 
-    def drop_failed(self, active: np.ndarray) -> np.ndarray:
-        """Remove readers whose activation failed this slot (crash or flaky
-        activation) from the proposed active set."""
+    def refresh(self, slot: int, world) -> bool:
+        """Retire this slot's confirmed permanent crashes from *world*'s
+        partition (``policy.partition_refresh``) under a ``shard.refresh``
+        span; returns whether the world is left without solvable work."""
+        if not self.policy.partition_refresh or world.retired_readers is None:
+            return False
+        dead = self.monitor.confirmed_permanent(
+            slot, exclude=world.retired_readers
+        )
+        if not len(dead):
+            return False
+        with span("shard.refresh", slot=slot, readers=int(len(dead))):
+            return world.refresh(dead)
+
+    def drop_failed(self, active) -> np.ndarray:
+        """*active* without the readers whose activation failed this slot
+        (crash or flaky activation)."""
         active = np.asarray(active, dtype=np.int64)
         if active.size == 0:
             return active
-        return active[~self._failed[active]]
+        return active[~self.monitor.failed[active]]
 
-    # -- candidate view ------------------------------------------------
-    def candidate_view(self):
-        """The system the solver should see: the full system when nothing
-        is suspected, else a reduced system rebuilt over the live readers
-        (cached per suspicion pattern).  Returns ``(system, live_ids)``
-        where ``live_ids`` is ``None`` for the full system and the reduced
-        system is ``None`` when every reader is suspected."""
-        if not self.suspected.any():
-            return self.system, None
-        key = self.suspected.tobytes()
-        entry = self._subsystems.get(key)
-        if entry is None:
-            live = np.flatnonzero(~self.suspected)
-            if live.size == 0:
-                entry = (None, live)
-            else:
-                sub = build_system(
-                    self.system.reader_positions[live],
-                    self.system.interference_radii[live],
-                    self.system.interrogation_radii[live],
-                    self.system.tag_positions,
-                )
-                entry = (sub, live)
-            self._subsystems[key] = entry
-        return entry
+    def confirm(self, slot: int, well: np.ndarray, rec):
+        """Split the slot's served tags into ``(confirmed, missed)``: a
+        missed read is not acknowledged, so its tag stays unread."""
+        missed = self.injector.missed_tags(slot, well)
+        if not len(missed):
+            return well, missed
+        if rec.enabled:
+            rec.emit(ReadMissed(slot=slot, tags_missed=int(len(missed))))
+        return well[~np.isin(well, missed)], missed
 
-    def best_singleton(self, unread, context) -> Optional[int]:
-        """Suspicion-aware singleton: the live reader covering the most
-        unread tags, or None when no live reader covers anything."""
-        if context is not None:
-            counts = np.array(context.remaining_counts, dtype=np.int64, copy=True)
-        else:
-            counts = np.asarray(
-                kernel_for(self.system).covered_counts(unread), dtype=np.int64
-            ).copy()
-        if counts.size == 0:
-            return None
-        counts[self.suspected] = 0
-        if counts.max() == 0:
-            return None
-        return int(np.argmax(counts))
 
-    def confirmed_permanent(
-        self, slot: int, exclude: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Ids of readers both heartbeat-*suspected* and inside a begun
-        :class:`~repro.faults.plan.PermanentCrash` — membership changes the
-        sharded driver may commit to a partition refresh.  *exclude* masks
-        readers an earlier refresh already retired."""
-        mask = self.injector.permanent_down_mask(slot) & self.suspected
-        if exclude is not None:
-            mask = mask & ~np.asarray(exclude, dtype=bool)
-        return np.flatnonzero(mask)
+class _DeadlineLadder:
+    """Per-slot solver deadlines of the unsharded fault path: the
+    primary → optional fallback → singleton degradation ladder with
+    exponential backoff (``docs/robustness.md``).  Each rung is a
+    ``(kind, name, solver)`` triple."""
 
-    # -- degradation ladder --------------------------------------------
+    def __init__(self, policy: FaultPolicy, solver: OneShotSolver) -> None:
+        self.policy = policy
+        self.rungs = [("primary", getattr(solver, "__name__", "primary"), solver)]
+        fb = policy.fallback_solver
+        if callable(fb):
+            self.rungs.append(("fallback", getattr(fb, "__name__", "fallback"), fb))
+        elif fb is not None:
+            self.rungs.append(("fallback", fb, get_solver(fb)))
+        self.rungs.append(("singleton", "singleton", None))
+        self._level = 0
+        self._misses = 0
+
     @property
-    def use_singleton(self) -> bool:
-        """True once the ladder has degraded to the greedy-singleton rung."""
-        return self._ladder[self._level] == "singleton"
+    def rung(self) -> Tuple[str, str, Optional[OneShotSolver]]:
+        """The rung slots currently solve on."""
+        return self.rungs[self._level]
 
-    def _resolve_fallback(self) -> OneShotSolver:
-        if self._fallback is None:
-            fb = self.policy.fallback_solver
-            if callable(fb):
-                self._fallback = fb
-            else:
-                from repro.core.oneshot import get_solver
-
-                self._fallback = get_solver(fb)
-        return self._fallback
-
-    def note_solver_time(self, slot: int, seconds: float, rec) -> None:
+    def note(self, slot: int, seconds: float, rec) -> None:
         """Check *seconds* against the current exponential-backoff budget;
         on a miss emit ``SolverDeadline``, and after ``deadline_retries``
         consecutive misses step one rung down the ladder (emitting
@@ -338,74 +308,356 @@ class _FaultRuntime:
         deadline = self.policy.solver_deadline_s
         if deadline is None:
             return
-        budget = deadline * (self.policy.backoff_factor ** self._deadline_misses)
+        budget = deadline * (self.policy.backoff_factor ** self._misses)
         if seconds <= budget:
-            self._deadline_misses = 0
+            self._misses = 0
             return
         if rec.enabled:
             rec.emit(
                 SolverDeadline(
                     slot=slot,
-                    solver=self._names[self._ladder[self._level]],
+                    solver=self.rung[1],
                     seconds=float(seconds),
                     budget_s=float(budget),
                 )
             )
-        self._deadline_misses += 1
+        self._misses += 1
         if (
-            self._deadline_misses > self.policy.deadline_retries
-            and self._level < len(self._ladder) - 1
+            self._misses > self.policy.deadline_retries
+            and self._level < len(self.rungs) - 1
         ):
-            frm = self._ladder[self._level]
+            frm = self.rung[1]
             self._level += 1
-            self._deadline_misses = 0
+            self._misses = 0
             if rec.enabled:
                 rec.emit(
                     ScheduleDegraded(
-                        slot=slot,
-                        from_policy=self._names[frm],
-                        to_policy=self._names[self._ladder[self._level]],
+                        slot=slot, from_policy=frm, to_policy=self.rung[1]
                     )
                 )
 
-    # -- slot solve ----------------------------------------------------
-    def propose_active(
+
+class _DenseWorld:
+    """The slot loop's world over a dense :class:`RFIDSystem`.
+
+    Slots are solved on the full system — through the deadline ladder over
+    the reduced candidate view when faults are engaged — or, for a
+    non-trivial partition, cell by cell through *shard*
+    (:meth:`ShardRuntime.solve_slot`).  Verification, the singleton
+    fallback (full-system counts) and retirement always run on the full
+    system, so coverage guarantees do not depend on sharding.
+    """
+
+    def __init__(
         self,
-        slot: int,
+        system: RFIDSystem,
         solver: OneShotSolver,
-        takes_context: bool,
-        unread: np.ndarray,
-        rng,
-        context,
-        rec,
-    ):
-        """One fault-aware solve: pick the active set for *slot* through the
-        current ladder rung over the live candidate view.  Returns
-        ``(active, meta)`` with ``active`` in full-system reader ids."""
-        if self.use_singleton:
-            best = self.best_singleton(unread, context)
-            if best is None:
-                return np.empty(0, dtype=np.int64), {"solver": "singleton"}
-            return (
-                np.asarray([best], dtype=np.int64),
-                {"solver": "singleton"},
+        state: ReadState,
+        coverable: np.ndarray,
+        read_mode: str,
+        context: Optional[ScheduleContext],
+        shard: Optional[ShardRuntime],
+        ladder: Optional[_DeadlineLadder],
+    ) -> None:
+        self.system = system
+        self.solver = solver
+        self.takes_context = accepts_context(solver)
+        self.state = state
+        self.coverable = coverable
+        self.read_mode = read_mode
+        self.context = context
+        self.shard = shard
+        self.ladder = ladder
+        self.rec = get_recorder()
+        self._unread = state.unread_mask & coverable
+        self._views: dict = {}
+
+    @property
+    def unread(self) -> np.ndarray:
+        """Mask of unread coverable tags."""
+        return self._unread if self.context is None else self.context.unread
+
+    @property
+    def num_unread(self) -> int:
+        """Count of unread coverable tags."""
+        if self.context is None:
+            return int(np.count_nonzero(self._unread))
+        return self.context.num_unread
+
+    @property
+    def retired_readers(self) -> Optional[np.ndarray]:
+        """Readers a refresh retired; ``None`` when there is no partition
+        to refresh."""
+        return None if self.shard is None else self.shard.retired_readers
+
+    def _call(self, solver: OneShotSolver, system: RFIDSystem, rng):
+        if self.takes_context and self.context is not None:
+            return solver(system, self.unread, rng, context=self.context)
+        return solver(system, self.unread, rng)
+
+    def _candidate_view(self, suspected):
+        """``(system, live_ids)`` the solver should see: the full system
+        (``live_ids`` ``None``) when nothing is suspected, else a reduced
+        system over the live readers, cached per suspicion pattern
+        (``None`` when every reader is suspected)."""
+        if suspected is None or not suspected.any():
+            return self.system, None
+        key = suspected.tobytes()
+        entry = self._views.get(key)
+        if entry is None:
+            live = np.flatnonzero(~suspected)
+            sub = None
+            if live.size:
+                sub = build_system(
+                    self.system.reader_positions[live],
+                    self.system.interference_radii[live],
+                    self.system.interrogation_radii[live],
+                    self.system.tag_positions,
+                )
+            entry = self._views[key] = (sub, live)
+        return entry
+
+    def solve(self, slot: int, rng, suspected):
+        """The slot's proposed active set and solver meta."""
+        if self.shard is not None:
+            return self.shard.solve_slot(
+                slot, self.solver, rng, self.rec,
+                takes_context=self.takes_context, suspected=suspected,
             )
-        solve_sys, live = self.candidate_view()
-        if solve_sys is None:  # every reader currently suspected
+        kind, _, solver = (
+            ("primary", None, self.solver) if self.ladder is None
+            else self.ladder.rung
+        )
+        if kind == "singleton":
+            best = self.best_singleton(suspected)
+            active = [] if best is None else [best]
+            return np.asarray(active, dtype=np.int64), {"solver": "singleton"}
+        view, live = self._candidate_view(suspected)
+        if view is None:  # every reader currently suspected
             return np.empty(0, dtype=np.int64), {"solver": "none"}
-        rung = self._ladder[self._level]
-        lsolver = solver if rung == "primary" else self._resolve_fallback()
         t0 = time.perf_counter()
-        if rung == "primary" and takes_context and live is None:
-            result = lsolver(solve_sys, unread, rng, context=context)
+        if kind == "primary" and live is None:
+            result: OneShotResult = self._call(solver, view, rng)
         else:
-            result = lsolver(solve_sys, unread, rng)
-        self.note_solver_time(slot, time.perf_counter() - t0, rec)
+            result = solver(view, self.unread, rng)
+        if self.ladder is not None:
+            self.ladder.note(slot, time.perf_counter() - t0, self.rec)
         active = result.active if live is None else live[result.active]
         meta = dict(result.meta)
-        if rung != "primary":
-            meta["ladder"] = rung
+        if kind != "primary":
+            meta["ladder"] = kind
         return np.asarray(active, dtype=np.int64), meta
+
+    def verify(self, active: np.ndarray, unread: np.ndarray) -> np.ndarray:
+        """Tags *active* serves this slot: its well-covered tags, at most
+        one per reader under ``read_mode="single"``."""
+        well = self.system.well_covered_tags(active, unread)
+        if self.read_mode == "single" and len(well):
+            cov = self.system.coverage[np.ix_(well, active)]
+            owner = active[np.argmax(cov, axis=1)]
+            keep = []
+            seen = set()
+            for t, rd in zip(well, owner):
+                if int(rd) not in seen:
+                    seen.add(int(rd))
+                    keep.append(int(t))
+            well = np.asarray(keep, dtype=np.int64)
+        return well
+
+    def collisions(self, active: np.ndarray, unread: np.ndarray):
+        """``(rrc_blocked, rtc_silenced)`` of the slot's final active set."""
+        return (
+            int(len(rrc_blocked_tags(self.system, active, unread))),
+            int(len(rtc_victims(self.system, active))),
+        )
+
+    def best_singleton(self, suspected) -> Optional[int]:
+        """The unsuspected reader covering the most unread tags (lowest id
+        on ties), or ``None``.  An incremental context maintains exactly
+        these counts; the cold path is one packed popcount scan through the
+        ambient :class:`~repro.perf.backends.WeightKernel` (backend
+        invariant)."""
+        if self.context is not None:
+            counts = self.context.remaining_counts
+        else:
+            counts = kernel_for(self.system).covered_counts(self.unread)
+        if suspected is not None:
+            counts = np.where(suspected, 0, counts)
+        if counts.size == 0 or counts.max() == 0:
+            return None
+        return int(np.argmax(counts))
+
+    def retire(self, confirmed: np.ndarray, active: np.ndarray) -> None:
+        """Mark *confirmed* read everywhere the run tracks unread tags."""
+        self.state.mark_read(confirmed.tolist())
+        if self.context is not None:
+            self.context.retire_tags(confirmed)
+            self.context.note_active(active)
+        else:
+            self._unread = self.state.unread_mask & self.coverable
+        if self.shard is not None:
+            self.shard.retire(confirmed)
+
+    def refresh(self, dead: np.ndarray) -> bool:
+        """Retire confirmed-dead readers from the partition.  Orphaned tags
+        stay unread here, so the run goes on until the stall guard fires;
+        returns ``False``."""
+        self.shard.refresh(dead)
+        return False
+
+    def record(self, slot, active, confirmed, weight, meta, inventory):
+        return SlotRecord(
+            slot=slot,
+            active=active,
+            tags_read=confirmed,
+            weight=weight,
+            solver_meta=meta,
+            inventory=inventory,
+        )
+
+
+def _stage_done(rec, slot: int, stage: str, t0: float) -> float:
+    """Emit the ``StageTiming`` of *stage*, begun at *t0*; returns now."""
+    now = time.perf_counter()
+    rec.emit(StageTiming(slot=slot, stage=stage, seconds=now - t0))
+    return now
+
+
+def run_slot_loop(
+    world,
+    rng,
+    cap: int,
+    faults: Optional[FaultLayer] = None,
+    max_stall_slots: Optional[int] = None,
+    linklayer: Optional[str] = None,
+    **run_attrs,
+) -> Tuple[list, int, bool, str]:
+    """The greedy covering-schedule loop, shared by both drivers.
+
+    Each slot: solve for an active set, drop failed activations, verify
+    what it serves, fall back to the best singleton when that is nothing,
+    confirm the reads, retire them, repeat — until no unread tag is left,
+    the *cap* fires, or the stall guard does.  *world* supplies the
+    deployment (``_DenseWorld`` here, ``repro.shard.scale._ArrayWorld``):
+    ``unread`` / ``num_unread``, ``solve(slot, rng, suspected) -> (active,
+    meta)``, ``verify(active, unread) -> served tags``,
+    ``collisions(active, unread) -> (rrc, rtc)`` (called only while
+    recording), ``best_singleton(suspected)``, ``retire(confirmed,
+    active)``, ``retired_readers`` (``None`` when it cannot refresh),
+    ``refresh(dead) -> stalled`` and ``record(...)`` building one slot
+    record; ``system`` only when *linklayer* is set.  *run_attrs* go on the
+    ``mcs.run`` span.
+
+    Returns ``(slot records, tags read, complete, outcome)`` with
+    *outcome* one of ``"complete"``, ``"exhausted"``, ``"stalled"``.
+    """
+    rec = get_recorder()
+    stall_limit = max_stall_slots
+    if stall_limit is None and faults is not None:
+        stall_limit = faults.policy.max_stall_slots
+    slots: list = []
+    total_read = 0
+    stall_run = 0
+    stalled = False
+    with span("mcs.run", faults=faults is not None, **run_attrs):
+        while len(slots) < cap and world.num_unread > 0:
+            slot = len(slots)
+            unread = world.unread
+            with span("mcs.slot", slot=slot):
+                if rec.enabled:
+                    rec.emit(SlotStart(slot=slot, unread_tags=world.num_unread))
+                    t_stage = time.perf_counter()
+                with span("mcs.solve", slot=slot):
+                    suspected = None
+                    if faults is not None:
+                        suspected = faults.begin_slot(slot, rec)
+                        if faults.refresh(slot, world):
+                            stalled = True
+                            break
+                    active, meta = world.solve(slot, rng, suspected)
+                    if faults is not None:
+                        active = faults.drop_failed(active)
+                    well = world.verify(active, unread)
+                    if len(well) == 0:
+                        # the chosen set reads nothing (all its readers
+                        # down, or the solver whiffed) — fall back to the
+                        # best live singleton; its activation may itself
+                        # fail, yielding a zero-progress slot bounded by
+                        # the stall guard
+                        best = world.best_singleton(suspected)
+                        if best is None:
+                            if faults is None:
+                                break  # cannot happen while tags are unread
+                            active = np.empty(0, dtype=np.int64)
+                        else:
+                            active = np.asarray([best], dtype=np.int64)
+                            if faults is not None:
+                                active = faults.drop_failed(active)
+                            well = world.verify(active, unread)
+                if rec.enabled:
+                    t_stage = _stage_done(rec, slot, "solve", t_stage)
+
+                confirmed, missed = well, None
+                if faults is not None:
+                    confirmed, missed = faults.confirm(slot, well, rec)
+
+                inventory = None
+                if linklayer is not None:
+                    with span("mcs.inventory", slot=slot):
+                        inventory = run_inventory_session(
+                            world.system, active, unread, protocol=linklayer,
+                            seed=rng, miss_tags=missed,
+                        )
+                    if rec.enabled:
+                        _stage_done(rec, slot, "inventory", t_stage)
+
+                if rec.enabled:
+                    rrc, rtc = world.collisions(active, unread)
+                    rec.emit(
+                        CollisionTally(slot=slot, rrc_blocked=rrc, rtc_silenced=rtc)
+                    )
+                    t_stage = time.perf_counter()
+
+                with span("mcs.retire", slot=slot):
+                    world.retire(confirmed, active)
+                total_read += int(len(confirmed))
+                if rec.enabled:
+                    _stage_done(rec, slot, "retire", t_stage)
+                    rec.emit(
+                        SlotEnd(
+                            slot=slot,
+                            tags_read=int(len(confirmed)),
+                            weight=int(len(well)),
+                            active_readers=int(len(active)),
+                        )
+                    )
+                slots.append(
+                    world.record(
+                        slot, active, confirmed, int(len(well)), meta, inventory
+                    )
+                )
+            if stall_limit is not None:
+                stall_run = stall_run + 1 if len(confirmed) == 0 else 0
+                if stall_run >= stall_limit:
+                    stalled = True
+                    break
+
+        complete = not bool(world.unread.any())
+        if stalled:
+            outcome = "stalled"
+        elif complete:
+            outcome = "complete"
+        elif len(slots) >= cap:
+            outcome = "exhausted"
+        else:
+            # the world ran out of solvable work with tags still unread
+            # (a refresh orphaned them): no further progress is possible
+            outcome = "stalled"
+        if rec.enabled:
+            rec.emit(
+                ScheduleDone(slots=len(slots), tags_read=total_read, complete=complete)
+            )
+    return slots, total_read, complete, outcome
 
 
 def greedy_covering_schedule(
@@ -487,16 +739,9 @@ def greedy_covering_schedule(
     if read_mode not in ("all", "single"):
         raise ValueError(f"read_mode must be 'all' or 'single', got {read_mode!r}")
     rng = as_rng(seed)
-    if policy is not None and faults is None:
-        faults = FaultPlan()
-    fault_rt: Optional[_FaultRuntime] = None
-    if faults is not None:
-        fault_rt = _FaultRuntime(
-            system, faults, policy if policy is not None else FaultPolicy(), solver
-        )
-    stall_limit = max_stall_slots
-    if stall_limit is None and fault_rt is not None:
-        stall_limit = fault_rt.policy.max_stall_slots
+    fault_layer = FaultLayer.engage(
+        faults, policy, system.num_readers, system.num_tags
+    )
     if state is None:
         state = ReadState(system.num_tags)
     coverable = system.covered_by_any()
@@ -505,262 +750,46 @@ def greedy_covering_schedule(
 
     shard_rt: Optional[ShardRuntime] = None
     if shard is not None:
-        shard_rt = ShardRuntime(
-            ShardPartition.from_system(system, shard),
-            initial_unread=state.unread_mask & coverable,
-            incremental=incremental,
-        )
-
-    context: Optional[ScheduleContext] = None
-    solver_takes_context = False
-    if incremental:
-        context = ScheduleContext(system, state.unread_mask & coverable)
-    if incremental or shard is not None:
-        try:
-            solver_takes_context = (
-                "context" in inspect.signature(solver).parameters
+        partition = ShardPartition.from_system(system, shard)
+        # a trivial partition runs the unsharded world, keeping cells == 1
+        # bit-identical to shard=None
+        if not partition.is_trivial:
+            shard_rt = ShardRuntime(
+                partition,
+                initial_unread=state.unread_mask & coverable,
+                incremental=incremental,
             )
-        except (TypeError, ValueError):  # builtins / exotic callables
-            solver_takes_context = False
-
-    rec = get_recorder()
-    slots: List[SlotRecord] = []
-    total_read = 0
-    stall_run = 0
-    # combined tier: fault world executed through the sharded engine; a
-    # trivial partition instead routes through the unsharded fault branch
-    # below, keeping cells == 1 bit-identical to shard=None
-    shard_fault = (
-        fault_rt is not None
-        and shard_rt is not None
-        and not shard_rt.partition.is_trivial
+    context = (
+        ScheduleContext(system, state.unread_mask & coverable)
+        if incremental
+        else None
     )
-    outcome: Optional[ScheduleOutcome] = None
+    ladder = None
+    if fault_layer is not None and shard_rt is None:
+        ladder = _DeadlineLadder(fault_layer.policy, solver)
+    world = _DenseWorld(
+        system, solver, state, coverable, read_mode, context, shard_rt, ladder
+    )
     # one persistent worker pool for every slot of a sharded run (no-op for
-    # serial/trivial/pool-disabled specs; see ShardRuntime.pool_scope)
+    # serial/pool-disabled specs; see ShardRuntime.pool_scope)
     pool_cm = (
-        shard_rt.pool_scope(solver, solver_takes_context, rec)
+        shard_rt.pool_scope(solver, world.takes_context, world.rec)
         if shard_rt is not None
         else nullcontext()
     )
-    with pool_cm, span(
-        "mcs.run",
-        solver=getattr(solver, "__name__", "solver"),
-        faults=fault_rt is not None,
-        incremental=incremental,
-    ):
-        while len(slots) < cap:
-            if context is not None:
-                if context.num_unread == 0:
-                    break
-                unread = context.unread
-                unread_count = context.num_unread
-            else:
-                unread = state.unread_mask & coverable
-                if not unread.any():
-                    break
-                unread_count = None
-            with span("mcs.slot", slot=len(slots)):
-                if rec.enabled:
-                    if unread_count is None:
-                        unread_count = int(unread.sum())
-                    rec.emit(SlotStart(slot=len(slots), unread_tags=unread_count))
-                    t_stage = time.perf_counter()
-                with span("mcs.solve", slot=len(slots)):
-                    if fault_rt is not None:
-                        fault_rt.begin_slot(len(slots), rec)
-                        if shard_fault:
-                            if fault_rt.policy.partition_refresh:
-                                dead = fault_rt.confirmed_permanent(
-                                    len(slots),
-                                    exclude=shard_rt.retired_readers,
-                                )
-                                if len(dead):
-                                    with span(
-                                        "shard.refresh",
-                                        slot=len(slots),
-                                        readers=int(len(dead)),
-                                    ):
-                                        shard_rt.refresh(dead)
-                            active, solver_meta = shard_rt.solve_slot(
-                                len(slots), solver, rng, rec,
-                                takes_context=solver_takes_context,
-                                context=context, unread=unread,
-                                suspected=fault_rt.suspected,
-                            )
-                        else:
-                            active, solver_meta = fault_rt.propose_active(
-                                len(slots), solver, solver_takes_context,
-                                unread, rng, context, rec
-                            )
-                        active = fault_rt.drop_failed(active)
-                        well = system.well_covered_tags(active, unread)
-                        if len(well) == 0:
-                            # the chosen set reads nothing (all its readers
-                            # down, or the solver whiffed) — fall back to the
-                            # best live singleton; its activation may itself
-                            # fail, yielding a zero-progress slot bounded by
-                            # the stall guard.
-                            fb = fault_rt.best_singleton(unread, context)
-                            if fb is not None:
-                                active = fault_rt.drop_failed(
-                                    np.asarray([fb], dtype=np.int64)
-                                )
-                                well = system.well_covered_tags(active, unread)
-                            else:
-                                active = np.empty(0, dtype=np.int64)
-                    else:
-                        if shard_rt is not None:
-                            active, solver_meta = shard_rt.solve_slot(
-                                len(slots), solver, rng, rec,
-                                takes_context=solver_takes_context,
-                                context=context, unread=unread,
-                            )
-                        else:
-                            if solver_takes_context:
-                                result: OneShotResult = solver(
-                                    system, unread, rng, context=context
-                                )
-                            else:
-                                result = solver(system, unread, rng)
-                            active = result.active
-                            solver_meta = dict(result.meta)
-                        well = system.well_covered_tags(active, unread)
-                        if len(well) == 0:
-                            fallback = _best_singleton(system, unread, context)
-                            if fallback is None:
-                                break  # nothing coverable remains (cannot happen with unread.any())
-                            active = np.asarray([fallback], dtype=np.int64)
-                            well = system.well_covered_tags(active, unread)
-
-                    if read_mode == "single" and len(well):
-                        # keep at most one tag per operational reader
-                        cov = system.coverage[np.ix_(well, active)]
-                        owner = active[np.argmax(cov, axis=1)]
-                        keep = []
-                        seen = set()
-                        for t, rd in zip(well, owner):
-                            if int(rd) not in seen:
-                                seen.add(int(rd))
-                                keep.append(int(t))
-                        well = np.asarray(keep, dtype=np.int64)
-
-                if rec.enabled:
-                    rec.emit(
-                        StageTiming(
-                            slot=len(slots),
-                            stage="solve",
-                            seconds=time.perf_counter() - t_stage,
-                        )
-                    )
-                    t_stage = time.perf_counter()
-
-                if fault_rt is not None:
-                    missed = fault_rt.injector.missed_tags(len(slots), well)
-                    if rec.enabled and len(missed):
-                        rec.emit(
-                            ReadMissed(
-                                slot=len(slots), tags_missed=int(len(missed))
-                            )
-                        )
-                    confirmed = (
-                        well[~np.isin(well, missed)] if len(missed) else well
-                    )
-                else:
-                    confirmed = well
-
-                inventory = None
-                if linklayer is not None:
-                    with span("mcs.inventory", slot=len(slots)):
-                        if fault_rt is not None:
-                            inventory = run_inventory_session(
-                                system, active, unread, protocol=linklayer,
-                                seed=rng, miss_tags=missed,
-                            )
-                        else:
-                            inventory = run_inventory_session(
-                                system, active, unread, protocol=linklayer,
-                                seed=rng
-                            )
-                    if rec.enabled:
-                        rec.emit(
-                            StageTiming(
-                                slot=len(slots),
-                                stage="inventory",
-                                seconds=time.perf_counter() - t_stage,
-                            )
-                        )
-
-                if rec.enabled:
-                    rec.emit(
-                        CollisionTally(
-                            slot=len(slots),
-                            rrc_blocked=int(
-                                len(rrc_blocked_tags(system, active, unread))
-                            ),
-                            rtc_silenced=int(len(rtc_victims(system, active))),
-                        )
-                    )
-                    t_stage = time.perf_counter()
-
-                with span("mcs.retire", slot=len(slots)):
-                    state.mark_read(confirmed.tolist())
-                    if context is not None:
-                        context.retire_tags(confirmed)
-                        context.note_active(active)
-                    if shard_rt is not None:
-                        shard_rt.retire(confirmed)
-                if rec.enabled:
-                    rec.emit(
-                        StageTiming(
-                            slot=len(slots),
-                            stage="retire",
-                            seconds=time.perf_counter() - t_stage,
-                        )
-                    )
-                total_read += int(len(confirmed))
-                if rec.enabled:
-                    rec.emit(
-                        SlotEnd(
-                            slot=len(slots),
-                            tags_read=int(len(confirmed)),
-                            weight=int(len(well)),
-                            active_readers=int(len(active)),
-                        )
-                    )
-                slots.append(
-                    SlotRecord(
-                        slot=len(slots),
-                        active=active,
-                        tags_read=confirmed,
-                        weight=int(len(well)),
-                        solver_meta=solver_meta,
-                        inventory=inventory,
-                    )
-                )
-            if stall_limit is not None:
-                stall_run = stall_run + 1 if len(confirmed) == 0 else 0
-                if stall_run >= stall_limit:
-                    outcome = ScheduleOutcome.stalled
-                    break
-
-        remaining = state.unread_mask & coverable
-        complete = not bool(remaining.any())
-        if outcome is None:
-            outcome = (
-                ScheduleOutcome.complete if complete else ScheduleOutcome.exhausted
-            )
-        if rec.enabled:
-            rec.emit(
-                ScheduleDone(
-                    slots=len(slots), tags_read=total_read, complete=complete
-                )
-            )
+    with pool_cm:
+        slots, total_read, complete, outcome = run_slot_loop(
+            world, rng, cap, fault_layer, max_stall_slots, linklayer,
+            solver=getattr(solver, "__name__", "solver"),
+            incremental=incremental,
+        )
     return ScheduleResult(
         slots=slots,
         tags_read_total=total_read,
         uncovered_tags=uncovered,
         complete=complete,
-        outcome=outcome,
-        fault_trace=fault_rt.injector.trace_fingerprint() if fault_rt else None,
+        outcome=ScheduleOutcome(outcome),
+        fault_trace=(
+            fault_layer.injector.trace_fingerprint() if fault_layer else None
+        ),
     )

@@ -71,16 +71,15 @@ def disk_levels(scaled_radii: np.ndarray, k: int) -> np.ndarray:
     return np.maximum(levels, 0)
 
 
-def _grid_floor(numerator: float, k: int) -> int:
-    """``floor(numerator / k)`` that stays consistent across levels for
-    subnormal coordinates: a negative *numerator* whose quotient underflows
-    to ``-0.0`` belongs to cell ``-1``, not ``0`` (plain ``floor`` would
-    disagree with the same point's deeper, non-underflowing levels and break
-    square nesting)."""
-    q = numerator / k
-    if q == 0.0 and numerator < 0.0:
-        return -1
-    return math.floor(q)
+def _grid_cell(coord: float, level: int, k: int, residue: int) -> int:
+    """``floor((coord·(k+1)^level − residue) / k)``, the index of the
+    *level*-square column (or row) holding *coord*, in exact integer
+    arithmetic on the float's dyadic value.  Rounding ``coord / sp`` per
+    level could put a point near a shared boundary on different sides at
+    different levels; exact arithmetic keeps every level's square the
+    parent of the next level's (the nesting the PTAS relies on)."""
+    num, den = float(coord).as_integer_ratio()
+    return (num * (k + 1) ** level - residue * den) // (k * den)
 
 
 def _interval_hits_lines(x: float, radius: float, sp: float, k: int, residue: int) -> bool:
@@ -157,11 +156,10 @@ class ShiftedHierarchy:
     def square_at(self, level: int, point) -> Square:
         """The *level*-square containing *point* (half-open cells: a point on
         a shifted line belongs to the square on its right/top)."""
-        sp = self.spacing(level)
-        px, py = float(point[0]), float(point[1])
-        col = _grid_floor(px / sp - self.r, self.k)
-        row = _grid_floor(py / sp - self.s, self.k)
-        return Square(int(level), int(col), int(row))
+        level = int(level)
+        col = _grid_cell(point[0], level, self.k, self.r)
+        row = _grid_cell(point[1], level, self.k, self.s)
+        return Square(level, col, row)
 
     def square_bounds(self, sq: Square) -> Tuple[float, float, float, float]:
         """``(x0, x1, y0, y1)`` of *sq* (left/bottom closed, right/top open)."""

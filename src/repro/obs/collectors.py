@@ -85,8 +85,9 @@ class RunCollector(Recorder):
         A :class:`~repro.obs.metrics.MetricsRegistry` of latency/size
         histograms fed from the event stream: ``slot_solve_s`` (the MCS
         driver's per-slot solve-stage wall, from ``StageTiming``),
-        ``cell_solve_s`` (per-cell solve wall in sharded runs, from the
-        ``shard.solve`` span), ``halo_readers`` (per-cell halo size, from
+        ``cell_solve_s`` (per-cell solve wall in sharded runs, measured in
+        the worker and carried by the ``shard.solve`` span's ``solve_s``
+        attribute), ``halo_readers`` (per-cell halo size, from
         ``ShardMerge``), ``pool_dispatch_s`` (end-to-end parallel dispatch
         latency, from ``PoolDispatch``), and ``fault_ladder_depth`` (the
         degradation-ladder level reached per step, from
@@ -99,7 +100,7 @@ class RunCollector(Recorder):
         by :meth:`summary` — it exists to debug custom taxonomies feeding
         the wrong recorder.  Span events (``SpanStart``/``SpanEnd``) are
         structural and aggregate to no counter; the single exception is the
-        ``shard.solve`` span, whose ``SpanEnd.seconds`` feeds the
+        ``shard.solve`` span, whose ``solve_s`` attribute feeds the
         ``cell_solve_s`` histogram.
     """
 
@@ -236,15 +237,17 @@ class RunCollector(Recorder):
         elif isinstance(event, RelayClipped):
             self.pool_counters["relay_dropped_events"] += event.dropped_events
             self._pool_events_seen = True
-        elif isinstance(event, SpanEnd):
+        elif isinstance(event, SpanStart):
             if event.name == "shard.solve":
-                self.metrics.histogram("cell_solve_s").observe(event.seconds)
+                solve_s = dict(event.attrs).get("solve_s")
+                if solve_s is not None:
+                    self.metrics.histogram("cell_solve_s").observe(solve_s)
         elif isinstance(event, ScheduleDone):
             self.schedule_complete = event.complete
         elif isinstance(event, SweepPoint):
             self.counters["sweep_points"] += 1
             self.sweep_times.record(event.param, event.seconds)
-        elif not isinstance(event, SpanStart):
+        elif not isinstance(event, SpanEnd):
             self.ignored_events += 1
 
     # ------------------------------------------------------------------

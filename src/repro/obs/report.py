@@ -12,8 +12,8 @@ Two consumers of the same event stream, at opposite ends of a run's life:
   (live event objects, or dicts loaded from a
   :class:`~repro.obs.sink.JsonlSink` file) into a human-readable run
   summary: the slot timeline (tags read and solve wall per slot), the
-  per-cell solve heatmap of a sharded run (built from the ``shard.solve``
-  spans the cross-process relay re-parents, see :mod:`repro.obs.relay`),
+  per-cell solve heatmap of a sharded run (the worker-measured ``solve_s``
+  of each ``shard.solve`` span, see :mod:`repro.shard.runtime`),
   pool health (dispatches, respawns, relay drops), fault tallies, and the
   p50/p90/p99 histogram table of :mod:`repro.obs.metrics`.  ``write_report``
   picks plain text or a self-contained HTML page by the output suffix.
@@ -39,7 +39,6 @@ from repro.obs.events import (
     RelayClipped,
     ScheduleDegraded,
     SlotEnd,
-    SpanEnd,
     SpanStart,
     StageTiming,
 )
@@ -137,7 +136,6 @@ def _fold(events: Iterable) -> dict:
     collector = RunCollector()
     solve_per_slot: Dict[int, float] = {}
     cells: Dict[int, Tuple[int, float]] = {}  # cell -> (solves, total_s)
-    cell_of_span: Dict[int, int] = {}
     for raw in events:
         event = revive_event(raw) if isinstance(raw, dict) else raw
         if event is None:
@@ -145,13 +143,10 @@ def _fold(events: Iterable) -> dict:
         collector.emit(event)
         if isinstance(event, SpanStart) and event.name == "shard.solve":
             attrs = dict(event.attrs)
-            if "cell" in attrs:
-                cell_of_span[event.span_id] = int(attrs["cell"])
-        elif isinstance(event, SpanEnd) and event.name == "shard.solve":
-            cell = cell_of_span.pop(event.span_id, None)
-            if cell is not None:
+            if "cell" in attrs and "solve_s" in attrs:
+                cell = int(attrs["cell"])
                 count, total = cells.get(cell, (0, 0.0))
-                cells[cell] = (count + 1, total + event.seconds)
+                cells[cell] = (count + 1, total + attrs["solve_s"])
         elif isinstance(event, StageTiming) and event.stage == "solve":
             solve_per_slot[event.slot] = (
                 solve_per_slot.get(event.slot, 0.0) + event.seconds

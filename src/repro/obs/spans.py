@@ -48,8 +48,9 @@ from repro.obs.events import SpanEnd, SpanStart, get_recorder
 #: its site and meaning.  Diffed against the ``Span taxonomy`` table in
 #: ``docs/observability.md`` by ``tests/test_obs_docs.py``.
 SPAN_NAMES: Dict[str, str] = {
-    "mcs.run": "one whole covering-schedule run of the MCS driver "
-    "(core.mcs.greedy_covering_schedule), fault-tolerant or not",
+    "mcs.run": "one whole covering-schedule run of the slot loop "
+    "(core.mcs.run_slot_loop, behind core.mcs.greedy_covering_schedule and "
+    "shard.scale.run_scale_schedule), fault-tolerant or not",
     "mcs.slot": "one time-slot of the MCS driver; fault events of the slot "
     "nest under it",
     "mcs.solve": "the slot's solve stage: fault bookkeeping, the one-shot "
@@ -69,7 +70,8 @@ SPAN_NAMES: Dict[str, str] = {
     "shard.solve": "one spatial cell's slot solve in the sharded driver "
     "(shard.runtime.ShardRuntime.solve_slot); the cell's relayed worker "
     "events — including the worker-side solver.call span, rebased by "
-    "obs.relay — nest under it",
+    "obs.relay — nest under it; its solve_s attribute is the cell "
+    "solver's wall time measured in the worker",
     "shard.merge": "the slot's boundary-reconciliation pass merging "
     "per-cell activations (shard.runtime.ShardRuntime.solve_slot)",
     "shard.refresh": "one incremental partition refresh after confirmed "

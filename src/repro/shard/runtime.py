@@ -24,10 +24,10 @@ Intra-cell feasibility is the cell solver's business and is left untouched
 — the driver's well-covered extraction (Definition 1 generalised) is
 computed on the full system afterwards, exactly as for unsharded solves.
 
-Trivial partitions (one cell) bypass all of this: the slot is solved by a
-direct full-system solver call with the driver's own rng and calling
-convention, making ``cells == 1`` bit-identical to the unsharded driver
-(certified by ``tests/test_shard.py`` and the paired BENCH_scale records).
+Trivial partitions (one cell) never get here: the MCS driver solves them
+as an unsharded system, making ``cells == 1`` bit-identical to the
+unsharded driver (certified by ``tests/test_shard.py`` and the paired
+BENCH_scale records).
 
 Fault composition (``docs/robustness.md``): when the driver runs a fault
 plan, :meth:`ShardRuntime.solve_slot` takes the global *suspected* mask and
@@ -50,14 +50,17 @@ the cell's result payload, and replayed in the parent under a
 (forked workers clone the counter, so raw worker ids would collide) and
 its roots re-parented under that span; relayed spans carry ``relay_pid`` /
 ``relay_cell`` attributes, which the Chrome exporter renders as per-worker
-lanes.  The merge pass runs under ``shard.merge``, and a
+lanes.  The span itself times only the replay; its ``solve_s`` attribute
+carries the cell solver's wall time as measured in the worker.  The merge
+pass runs under ``shard.merge``, and a
 :class:`~repro.obs.events.ShardMerge` event carries the slot's work
 counters.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import time
+from contextlib import contextmanager, nullcontext
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -232,31 +235,19 @@ class ShardRuntime:
         rng,
         rec,
         takes_context: bool = False,
-        context: Optional[ScheduleContext] = None,
-        unread: Optional[np.ndarray] = None,
         suspected: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, dict]:
         """Produce the slot's merged active set; returns ``(active, meta)``.
 
-        *rng* is the driver's stream: the trivial path hands it to the
-        solver exactly as the unsharded driver would (bit-identity), the
-        sharded path draws one child seed per live cell from it.  *rec* is
-        the driver's recorder; *context*/*unread* are the driver-level
-        incremental context and unread mask, consumed only by the trivial
-        path (cells carry their own).  *suspected* is the fault layer's
-        global suspicion mask: each affected cell then solves a degraded
-        subsystem over its unsuspected local readers.  The mask travels in
-        the per-cell payloads, so suspicion-aware solves stay a pure
-        function of the payload and worker count cannot change results.
+        *rng* is the driver's stream: one child seed per live cell is drawn
+        from it.  *rec* is the driver's recorder.  *suspected* is the fault
+        layer's global suspicion mask: each affected cell then solves a
+        degraded subsystem over its unsuspected local readers.  The mask
+        travels in the per-cell payloads, so suspicion-aware solves stay a
+        pure function of the payload and worker count cannot change
+        results.  Trivial runtimes raise (the drivers solve one cell as an
+        unsharded system).
         """
-        if self.partition.is_trivial:
-            system = self.partition.system
-            if takes_context and context is not None:
-                result = solver(system, unread, rng, context=context)
-            else:
-                result = solver(system, unread, rng)
-            return np.asarray(result.active, dtype=np.int64), dict(result.meta)
-
         live = self.live_cells()
         # one child seed per live cell, from the driver's stream — worker
         # count never touches the rng, so parallelism cannot change results
@@ -309,7 +300,7 @@ class ShardRuntime:
 
         parts: List[np.ndarray] = []
         halo_total = 0
-        for idx, (active_global, relayed) in zip(live, outputs):
+        for idx, (active_global, relayed, solve_s) in zip(live, outputs):
             cell = self.partition.cells[idx]
             halo_total += int(len(cell.halo_reader_ids))
             parts.append(active_global)
@@ -320,6 +311,7 @@ class ShardRuntime:
                     cell=idx,
                     readers=int(len(cell.all_reader_ids)),
                     halo=int(len(cell.halo_reader_ids)),
+                    solve_s=solve_s,
                 ):
                     replay_events(relayed, rec, cell=int(idx))
 
@@ -356,10 +348,12 @@ class ShardRuntime:
         non-empty local suspicion mask routes the solve through a degraded
         subsystem over the unsuspected local readers (no warm-start context
         — the cell context indexes the full subsystem).  Returns ``(owned
-        active readers as global ids, relay payload)`` — the relay payload
-        (:func:`repro.obs.relay.relay_payload`, ``None`` with telemetry
-        off) carries the solve's full captured trace, spans included; only
-        picklable values cross the process boundary.
+        active readers as global ids, relay payload, solve seconds)`` — the
+        relay payload (:func:`repro.obs.relay.relay_payload`, ``None`` with
+        telemetry off) carries the solve's full captured trace, spans
+        included; the seconds are the solver call's wall time measured
+        here, in the worker.  Only picklable values cross the process
+        boundary.
         """
         idx, seed = payload[0], payload[1]
         susp = payload[2] if len(payload) > 2 else None
@@ -375,22 +369,21 @@ class ShardRuntime:
                 # nothing to solve; ship an empty relay payload so the
                 # parent still opens the cell's shard.solve span
                 empty = relay_payload(RelayRecorder()) if self._collect else None
-                return np.empty(0, dtype=np.int64), empty
+                return np.empty(0, dtype=np.int64), empty, 0.0
             system = self._degraded_subsystem(idx, cell, susp, live_local)
         elif self._takes_context and self.incremental:
             kwargs["context"] = ctx
-        if self._collect:
-            with recording(RelayRecorder()) as local:
-                result = self._solver(system, ctx.unread, local_rng, **kwargs)
-            relayed = relay_payload(local)
-        else:
+        local = RelayRecorder() if self._collect else None
+        with recording(local) if local is not None else nullcontext():
+            t0 = time.perf_counter()
             result = self._solver(system, ctx.unread, local_rng, **kwargs)
-            relayed = None
+            solve_s = time.perf_counter() - t0
+        relayed = relay_payload(local) if local is not None else None
         active_local = np.asarray(result.active, dtype=np.int64)
         if live_local is not None:
             active_local = live_local[active_local]
         owned = active_local[cell.owned_reader_mask[active_local]]
-        return cell.all_reader_ids[owned], relayed
+        return cell.all_reader_ids[owned], relayed, solve_s
 
     def _degraded_subsystem(self, idx: int, cell, susp, live_local):
         """The cell's subsystem restricted to unsuspected local readers —

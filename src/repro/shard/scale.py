@@ -5,7 +5,7 @@ full :class:`~repro.model.system.RFIDSystem` — dense coverage and conflict
 matrices — which is the right tool up to a few thousand readers.  The
 10⁴-reader / 10⁶-tag scale tier cannot afford ``n × n`` and ``m × n`` dense
 global state, so :func:`run_scale_schedule` runs the same greedy loop
-*sparsely*:
+(:func:`repro.core.mcs.run_slot_loop`) over a *sparse world*:
 
 * the deployment is partitioned by :class:`~repro.shard.partition.
   ShardPartition` straight from coordinate/radius arrays — only the
@@ -18,29 +18,32 @@ global state, so :func:`run_scale_schedule` runs the same greedy loop
   per-active-reader tag lookups through a
   :class:`~repro.geometry.grid.SpatialHashGrid` give exact coverage counts,
   and RTc suppression is a dense check only over the *active* readers;
+* the singleton fallback uses owned-cell counts
+  (:meth:`~repro.shard.runtime.ShardRuntime.best_singleton`);
 * retirement updates the per-cell contexts through
   :meth:`~repro.shard.runtime.ShardRuntime.retire` — one searchsorted per
   live owner cell, never a scan of the 10⁶-tag population per cell.
 
-The loop emits the standard driver events (``SlotStart`` / ``SlotEnd`` /
-``CollisionTally`` / ``ScheduleDone``), so a
-:class:`~repro.obs.collectors.RunCollector` aggregates a scale run exactly
-like an MCS run and ``BENCH_scale.json`` records validate against the
-ordinary schema (family ``scale``).
+Being the same loop, it emits the standard driver spans (``mcs.run`` /
+``mcs.slot`` / ``mcs.solve`` / ``mcs.retire``) and events (``SlotStart`` /
+``StageTiming`` / ``CollisionTally`` / ``SlotEnd`` / ``ScheduleDone``), so
+a :class:`~repro.obs.collectors.RunCollector` aggregates a scale run
+exactly like an MCS run and ``BENCH_scale.json`` records validate against
+the ordinary schema (family ``scale``).
 
-Fault tolerance composes here too (``docs/robustness.md``): passing
-``faults=FaultPlan(...)`` runs the slot loop against the deterministic
-degraded world — heartbeat suspicion via
+Fault tolerance is the loop's fault layer (``docs/robustness.md``):
+passing ``faults=FaultPlan(...)`` runs the slot loop against the
+deterministic degraded world — heartbeat suspicion via
 :class:`~repro.faults.HeartbeatMonitor`, suspicion-aware cell solves and
 singleton fallbacks, ACK-based retirement of only the confirmed reads, a
 stall guard, and incremental partition refresh on confirmed permanent
-crashes (``policy.partition_refresh``).  With ``faults=None`` the loop is
-bit-identical to the fault-free scale driver.
+crashes (``policy.partition_refresh``).  A refresh that orphans every
+remaining tag ends the run ``stalled`` at once.  With ``faults=None`` the
+loop is bit-identical to the fault-free scale driver.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -48,23 +51,9 @@ import numpy as np
 
 from repro.deployment.generators import uniform_deployment
 from repro.deployment.radii import sample_radii
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultPolicy,
-    HeartbeatMonitor,
-)
+from repro.faults import FaultPlan, FaultPolicy
 from repro.geometry.grid import SpatialHashGrid
-from repro.obs.events import (
-    CollisionTally,
-    ReaderFailed,
-    ReadMissed,
-    ScheduleDone,
-    SlotEnd,
-    SlotStart,
-    get_recorder,
-)
-from repro.obs.spans import span
+from repro.obs.events import get_recorder
 from repro.shard.partition import ShardPartition
 from repro.shard.runtime import ShardRuntime
 from repro.shard.spec import ShardSpec
@@ -196,13 +185,98 @@ def _slot_verification(
     return well, rrc, int(suffering.sum())
 
 
+class _ArrayWorld:
+    """The slot loop's world over raw deployment arrays.
+
+    Slots are solved by *runtime* (:meth:`ShardRuntime.solve_slot`) and
+    verified sparsely by :func:`_slot_verification` over a
+    :class:`~repro.geometry.grid.SpatialHashGrid` of the tags; the
+    singleton fallback uses owned-cell counts
+    (:meth:`ShardRuntime.best_singleton`).  Only the runtime's owned tags
+    count as solvable work, so a refresh that orphans every remaining tag
+    ends the run.
+    """
+
+    def __init__(
+        self,
+        runtime: ShardRuntime,
+        solver,
+        takes_context: bool,
+        rpos: np.ndarray,
+        interference: np.ndarray,
+        interrogation: np.ndarray,
+        tpos: np.ndarray,
+        rec,
+    ) -> None:
+        self.runtime = runtime
+        self.solver = solver
+        self.takes_context = takes_context
+        self.rec = rec
+        #: coverable tags not yet read (orphans of a refresh included)
+        self.unread = runtime.partition.owner_of_tag >= 0
+        self._arrays = (rpos, interference, interrogation)
+        self._grid = SpatialHashGrid(
+            tpos, cell_size=max(float(interrogation.max()), 1.0)
+        )
+        m = len(tpos)
+        self._counts = np.zeros(m, dtype=np.int32)
+        self._owner = np.zeros(m, dtype=np.int64)
+        self._tally = (0, 0)
+
+    @property
+    def num_unread(self) -> int:
+        return self.runtime.num_unread
+
+    @property
+    def retired_readers(self) -> np.ndarray:
+        return self.runtime.retired_readers
+
+    def solve(self, slot: int, rng, suspected):
+        return self.runtime.solve_slot(
+            slot, self.solver, rng, self.rec,
+            takes_context=self.takes_context, suspected=suspected,
+        )
+
+    def verify(self, active: np.ndarray, unread: np.ndarray) -> np.ndarray:
+        well, rrc, rtc = _slot_verification(
+            active, *self._arrays, self._grid, unread, self._counts, self._owner
+        )
+        self._tally = (rrc, rtc)
+        return well
+
+    def collisions(self, active, unread):
+        """The collision counts of the last verified set."""
+        return self._tally
+
+    def best_singleton(self, suspected) -> Optional[int]:
+        return self.runtime.best_singleton(suspected=suspected)
+
+    def retire(self, confirmed: np.ndarray, active: np.ndarray) -> None:
+        self.runtime.retire(confirmed)
+        self.unread[confirmed] = False
+
+    def refresh(self, dead: np.ndarray) -> bool:
+        """Retire confirmed-dead readers; ``True`` (stalled) when no live
+        reader covers any remaining tag."""
+        self.runtime.refresh(dead)
+        return self.runtime.num_unread == 0
+
+    def record(self, slot, active, confirmed, weight, meta, inventory):
+        return ScaleSlotRecord(
+            slot=slot,
+            active_readers=int(len(active)),
+            tags_read=int(len(confirmed)),
+            cells_solved=int(meta.get("cells_solved", 0)),
+            boundary_repairs=int(meta.get("boundary_repairs", 0)),
+        )
+
+
 def run_scale_schedule(
     deployment: ScaleDeployment,
     spec: ShardSpec,
     solver: str = "ghc",
     seed: RngLike = None,
     max_slots: Optional[int] = None,
-    workers_hint: Optional[int] = None,
     faults: Optional[FaultPlan] = None,
     policy: Optional[FaultPolicy] = None,
     max_stall_slots: Optional[int] = None,
@@ -213,8 +287,7 @@ def run_scale_schedule(
     :func:`repro.core.oneshot.get_solver` and applied per cell.  *spec*
     must yield a non-trivial partition — a deployment that collapses to
     one cell belongs in :func:`repro.core.mcs.greedy_covering_schedule`,
-    which this function refuses to duplicate.  *workers_hint* overrides
-    ``spec.workers`` without rebuilding the spec (CLI convenience).
+    which this function refuses to duplicate.
 
     Termination mirrors the MCS driver: a slot that would read nothing
     activates the best owned singleton
@@ -231,16 +304,11 @@ def run_scale_schedule(
     driver).  A permanently crashed sole owner of a tag makes that tag
     unreachable; the run then terminates with ``outcome="stalled"``.
     """
-    from repro.core.oneshot import get_solver  # deferred: core imports shard
+    # deferred: core imports shard
+    from repro.core.mcs import FaultLayer, accepts_context, run_slot_loop
+    from repro.core.oneshot import get_solver
 
     rpos, interference, interrogation, tpos = deployment.materialize()
-    if workers_hint is not None:
-        spec = ShardSpec(
-            cells=spec.cells,
-            workers=workers_hint,
-            halo_scale=spec.halo_scale,
-            pool=spec.pool,
-        )
     partition = ShardPartition.from_arrays(
         rpos, interference, interrogation, tpos, spec
     )
@@ -251,163 +319,32 @@ def run_scale_schedule(
         )
     runtime = ShardRuntime(partition, incremental=True)
     solver_fn = get_solver(solver)
-    takes_context = "context" in inspect.signature(solver_fn).parameters
+    takes_context = accepts_context(solver_fn)
     rng = as_rng(seed)
     rec = get_recorder()
-
-    m = len(tpos)
-    if policy is not None and faults is None:
-        faults = FaultPlan()
-    monitor: Optional[HeartbeatMonitor] = None
-    fault_policy = policy if policy is not None else FaultPolicy()
-    if faults is not None:
-        injector = FaultInjector(faults, deployment.num_readers, m)
-        monitor = HeartbeatMonitor(injector, fault_policy.heartbeat_timeout)
-    stall_limit = max_stall_slots
-    if stall_limit is None and monitor is not None:
-        stall_limit = fault_policy.max_stall_slots
-    coverable = partition.owner_of_tag >= 0
-    unread = coverable.copy()
-    counts = np.zeros(m, dtype=np.int32)
-    owner = np.zeros(m, dtype=np.int64)
-    tag_grid = SpatialHashGrid(
-        tpos, cell_size=max(float(interrogation.max()), 1.0)
+    fault_layer = FaultLayer.engage(
+        faults, policy, deployment.num_readers, len(tpos)
     )
+    world = _ArrayWorld(
+        runtime, solver_fn, takes_context, rpos, interference, interrogation,
+        tpos, rec,
+    )
+    uncoverable = int((~world.unread).sum())
     cap = (
         max_slots if max_slots is not None else 4 * deployment.num_readers + 64
     )
-
-    slots: List[ScaleSlotRecord] = []
-    total_read = 0
-    stall_run = 0
-    stalled = False
     # one persistent worker pool for the whole schedule (no-op when serial
     # or spec.pool=False; see ShardRuntime.pool_scope)
     with runtime.pool_scope(solver_fn, takes_context, rec):
-        while runtime.num_unread > 0 and len(slots) < cap:
-            slot = len(slots)
-            if rec.enabled:
-                rec.emit(SlotStart(slot=slot, unread_tags=runtime.num_unread))
-            suspected = None
-            if monitor is not None:
-                failed, newly = monitor.begin_slot(slot)
-                if rec.enabled:
-                    for r in newly:
-                        rec.emit(
-                            ReaderFailed(
-                                slot=slot,
-                                reader=int(r),
-                                missed_heartbeats=int(
-                                    monitor.consecutive_misses[r]
-                                ),
-                            )
-                        )
-                if fault_policy.partition_refresh:
-                    dead = monitor.confirmed_permanent(
-                        slot, exclude=runtime.retired_readers
-                    )
-                    if len(dead):
-                        with span(
-                            "shard.refresh", slot=slot, readers=int(len(dead))
-                        ):
-                            runtime.refresh(dead)
-                        if runtime.num_unread == 0:
-                            # the refresh orphaned every remaining tag:
-                            # no live reader covers them, so no further
-                            # progress is possible
-                            stalled = True
-                            break
-                suspected = monitor.suspected
-            active, meta = runtime.solve_slot(
-                slot, solver_fn, rng, rec,
-                takes_context=takes_context, suspected=suspected,
-            )
-            if monitor is not None and len(active):
-                # readers whose activation failed this slot drop out
-                active = active[~monitor.failed[active]]
-            well, rrc, rtc = _slot_verification(
-                active, rpos, interference, interrogation,
-                tag_grid, unread, counts, owner,
-            )
-            if len(well) == 0:
-                fallback = runtime.best_singleton(suspected=suspected)
-                if fallback is None:
-                    if monitor is None:  # pragma: no cover - unreachable
-                        break
-                    # every candidate suspected: a zero-progress slot,
-                    # bounded by the stall guard below
-                    active = np.empty(0, dtype=np.int64)
-                else:
-                    active = np.asarray([fallback], dtype=np.int64)
-                    if monitor is not None:
-                        active = active[~monitor.failed[active]]
-                    well, rrc, rtc = _slot_verification(
-                        active, rpos, interference, interrogation,
-                        tag_grid, unread, counts, owner,
-                    )
-            if monitor is not None and len(well):
-                missed = monitor.injector.missed_tags(slot, well)
-                if len(missed):
-                    if rec.enabled:
-                        rec.emit(
-                            ReadMissed(
-                                slot=slot, tags_missed=int(len(missed))
-                            )
-                        )
-                    well = well[~np.isin(well, missed)]
-            if rec.enabled:
-                rec.emit(
-                    CollisionTally(slot=slot, rrc_blocked=rrc, rtc_silenced=rtc)
-                )
-            runtime.retire(well)
-            unread[well] = False
-            total_read += int(len(well))
-            if rec.enabled:
-                rec.emit(
-                    SlotEnd(
-                        slot=slot,
-                        tags_read=int(len(well)),
-                        weight=int(len(well)),
-                        active_readers=int(len(active)),
-                    )
-                )
-            slots.append(
-                ScaleSlotRecord(
-                    slot=slot,
-                    active_readers=int(len(active)),
-                    tags_read=int(len(well)),
-                    cells_solved=int(meta.get("cells_solved", 0)),
-                    boundary_repairs=int(meta.get("boundary_repairs", 0)),
-                )
-            )
-            if stall_limit is not None:
-                stall_run = stall_run + 1 if len(well) == 0 else 0
-                if stall_run >= stall_limit:
-                    stalled = True
-                    break
-    complete = not bool(unread.any())
-    if stalled:
-        outcome = "stalled"
-    elif complete:
-        outcome = "complete"
-    elif len(slots) >= cap:
-        outcome = "exhausted"
-    else:
-        # the per-cell work drained but orphaned tags (owners permanently
-        # crashed before a refresh could re-home them) remain unread —
-        # progress is impossible under this fault regime
-        outcome = "stalled"
-    if rec.enabled:
-        rec.emit(
-            ScheduleDone(
-                slots=len(slots), tags_read=total_read, complete=complete
-            )
+        slots, total_read, complete, outcome = run_slot_loop(
+            world, rng, cap, fault_layer, max_stall_slots,
+            solver=getattr(solver_fn, "__name__", solver), incremental=True,
         )
     return ScaleScheduleResult(
         slots=slots,
         tags_read_total=total_read,
         complete=complete,
         num_cells=partition.num_cells,
-        uncoverable_tags=int((~coverable).sum()),
+        uncoverable_tags=uncoverable,
         outcome=outcome,
     )

@@ -4,6 +4,7 @@ run reporter and the ``--progress`` / ``report --trace`` CLI surface."""
 import io
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -571,6 +572,24 @@ class TestBenchHistograms:
 
 # ----------------------------------------------------------------------
 # CLI
+
+
+class TestCellSolveHistogram:
+    def test_times_the_cell_solve_not_the_replay(self, system):
+        ghc = get_solver("ghc")
+
+        def sleepy(system, unread=None, seed=None):
+            time.sleep(0.02)
+            return ghc(system, unread, seed)
+
+        collector = RunCollector()
+        with recording(collector):
+            greedy_covering_schedule(
+                system, sleepy, seed=9, shard=ShardSpec(cells=4, workers=1)
+            )
+        hist = collector.summary()["histograms"]["cell_solve_s"]
+        assert hist["count"] >= 2
+        assert hist["p50"] >= 0.02
 
 
 class TestReportCli:

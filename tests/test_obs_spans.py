@@ -8,10 +8,11 @@ import pytest
 from repro.cli import main
 from repro.core import get_solver, greedy_covering_schedule
 from repro.deployment import Scenario
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, PermanentCrash
 from repro.obs import (
     SPAN_NAMES,
     JsonlSink,
+    RunCollector,
     SpanEnd,
     SpanStart,
     TeeRecorder,
@@ -24,6 +25,7 @@ from repro.obs import (
     span,
     write_chrome_trace,
 )
+from repro.shard import ScaleDeployment, ShardSpec, run_scale_schedule
 
 SMALL = Scenario(
     num_readers=10,
@@ -147,6 +149,62 @@ class TestSpanTree:
             with span("mcs.run"):
                 assert current_span_id() == 1  # counter untouched by the above
         assert rec.events[0].span_id == 1
+
+
+#: Array-first deployment for the driver-parity span checks.
+SCALE = ScaleDeployment(num_readers=120, num_tags=1500, side=160.0, seed=7)
+
+
+def _run_dense(**kwargs):
+    system = Scenario(num_readers=60, num_tags=600, side=200.0, seed=5).build()
+    return greedy_covering_schedule(
+        system, get_solver("ghc"), seed=9, shard=ShardSpec(cells=16), **kwargs
+    )
+
+
+def _run_scale(**kwargs):
+    return run_scale_schedule(SCALE, ShardSpec(cells=16), seed=11, **kwargs)
+
+
+#: A permanent crash each driver's heartbeat confirms, forcing a refresh.
+CRASHES = {
+    "dense": FaultPlan(reader_faults=(PermanentCrash(2, 0),), seed=11),
+    "scale": FaultPlan(reader_faults=(PermanentCrash(3, 2),), seed=3),
+}
+
+
+class TestDriverSpanParity:
+    """Both drivers run the same slot loop, so both emit the same
+    ``mcs.*`` span tree and stage timings."""
+
+    DRIVERS = {"dense": _run_dense, "scale": _run_scale}
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_slot_loop_span_tree(self, driver):
+        reset_spans()
+        with recording(TraceRecorder()) as rec:
+            self.DRIVERS[driver]()
+        edges = _edges(rec.events)
+        assert (None, "mcs.run") in edges
+        assert ("mcs.run", "mcs.slot") in edges
+        assert ("mcs.slot", "mcs.solve") in edges
+        assert ("mcs.slot", "mcs.retire") in edges
+        assert ("mcs.solve", "shard.solve") in edges
+        assert ("shard.solve", "solver.call") in edges
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_refresh_nests_under_solve_stage(self, driver):
+        reset_spans()
+        with recording(TraceRecorder()) as rec:
+            self.DRIVERS[driver](faults=CRASHES[driver])
+        assert ("mcs.solve", "shard.refresh") in _edges(rec.events)
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_stage_timings_reach_the_collector(self, driver):
+        with recording(RunCollector()) as collector:
+            self.DRIVERS[driver]()
+        stages = collector.summary()["stage_seconds_by_name"]
+        assert {"solve", "retire"} <= set(stages)
 
 
 class TestChromeTrace:

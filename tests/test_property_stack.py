@@ -7,7 +7,7 @@ integer arithmetic and the MCS driver.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import get_solver, greedy_covering_schedule
@@ -91,6 +91,7 @@ class TestShiftingProperties:
         y=st.floats(-50, 50, allow_nan=False),
     )
     @settings(max_examples=60, deadline=None)
+    @example(k=2, r=0, s=0, level=0, x=0.0, y=43.99999999999999)
     def test_square_nesting_chain(self, k, r, s, level, x, y):
         r, s = r % k, s % k
         h = ShiftedHierarchy(

@@ -170,6 +170,21 @@ class TestScaleFaults:
         # everything not exclusively owned by the dead readers was read
         assert result.tags_read_total > 0
 
+    def test_uncoverable_count_ignores_refresh_orphans(self):
+        # a refresh orphans the dead readers' tags; they were coverable
+        # when the run started, so they are not reported as uncoverable
+        plan = FaultPlan(
+            reader_faults=tuple(PermanentCrash(r, 0) for r in range(6)),
+            seed=3,
+        )
+        result = run_scale_schedule(
+            self.DEPLOY, ShardSpec(cells=16), seed=11, faults=plan,
+            max_stall_slots=6,
+        )
+        clean = run_scale_schedule(self.DEPLOY, ShardSpec(cells=16), seed=11)
+        assert not result.complete
+        assert result.uncoverable_tags == clean.uncoverable_tags
+
     def test_total_miss_world_terminates_stalled(self):
         # liveness: with every read lost, the stall guard must end the run
         # in exactly max_stall_slots slots — never spin to the slot cap
