@@ -29,6 +29,7 @@ from repro.obs import (
     TraceRecorder,
     recording,
 )
+from repro.perf.backends import use_backend
 from repro.shard import ScaleDeployment, ShardSpec, run_scale_schedule
 from tests.conftest import make_random_system
 
@@ -135,6 +136,24 @@ LADDER_COUNTERS = {
     "readers_failed": 1, "reads_missed": 13, "rrc_blocked": 1,
     "rtc_silenced": 0, "schedule_degradations": 2, "sets_evaluated": 27,
     "slots": 10, "tags_read": 56,
+}
+#: Dense GHC climb pins on a deployment whose frontiers reach BATCH_MIN, so
+#: the numpy backend scores them in its batched kernels:
+#: (solver, incremental) -> _dense_pin(result).
+GHC_CLIMB = Scenario(num_readers=150, num_tags=3000, side=175.0, seed=13)
+GHC_CLIMB_PINS = {
+    ("ghc", True): (
+        [(76, 809), (39, 161), (9, 17), (1, 1)],
+        "complete", "97eb7816ef478b60", "8cebd312dd12a29d",
+    ),
+    ("ghc", False): (
+        [(76, 809), (39, 161), (9, 17), (1, 1)],
+        "complete", "97eb7816ef478b60", "8cebd312dd12a29d",
+    ),
+    ("ghc_naive", True): (
+        [(25, 474), (37, 332), (33, 133), (16, 32), (14, 16), (1, 1)],
+        "complete", "2e0fee0428606201", "8cebd312dd12a29d",
+    ),
 }
 SPARSE_SLOTS = [(52, 318), (29, 88), (9, 15), (2, 3)]
 SPARSE_COUNTERS = {
@@ -273,3 +292,22 @@ class TestDriverGolden:
             for s in result.slots
         ] == LADDER_RUNGS
         assert counters == LADDER_COUNTERS
+
+
+@pytest.fixture(scope="module")
+def ghc_climb_system():
+    return GHC_CLIMB.build()
+
+
+@pytest.mark.parametrize("backend", ["numpy", "pure"])
+@pytest.mark.parametrize("solver,incremental", list(GHC_CLIMB_PINS))
+def test_ghc_climb_schedule(ghc_climb_system, solver, incremental, backend):
+    """The dense GHC schedule is pinned on both kernel backends: under
+    ``numpy`` the climb frontiers go through the batched weight kernels,
+    under ``pure`` through the scalar reference."""
+    with use_backend(backend):
+        result = greedy_covering_schedule(
+            ghc_climb_system, get_solver(solver), seed=3,
+            incremental=incremental,
+        )
+    assert _dense_pin(result) == GHC_CLIMB_PINS[solver, incremental]
