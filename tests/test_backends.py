@@ -20,6 +20,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.mcs import greedy_covering_schedule
 from repro.core.oneshot import get_solver
@@ -158,17 +160,97 @@ class TestKernelEquivalence:
                 )
 
 
+def _climbed(system, unread, modes, kernel):
+    """A climber advanced one real GHC step per entry of *modes* (True:
+    best weight gain, False: best collision-naive coverage gain), with no
+    stopping rule, so the state may be infeasible with silenced actives."""
+    climber = GeneralizedWeightClimber(system, unread)
+    frontier = list(range(system.num_readers))
+    for by_weight in modes:
+        if not frontier:
+            break
+        if by_weight:
+            gains = climber.weights_with_many(frontier, kernel)
+        else:
+            gains = climber.new_coverage_many(frontier, kernel)
+        climber.add(frontier.pop(int(np.argmax(gains))))
+    return climber
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(BATCH_MIN + 4, 72),
+    m=st.integers(1, 300),
+    side=st.floats(30.0, 70.0),
+    modes=st.lists(st.booleans(), max_size=14),
+    zero_unread=st.booleans(),
+    picks=st.lists(st.integers(0, 10**6), min_size=BATCH_MIN, max_size=96),
+)
+@example(seed=1, n=BATCH_MIN + 4, m=64, side=40.0, modes=[], zero_unread=False,
+         picks=list(range(BATCH_MIN)))
+@example(seed=2, n=BATCH_MIN + 4, m=65, side=40.0, modes=[False] * 8,
+         zero_unread=True, picks=list(range(BATCH_MIN)))
+def test_climb_weights_with_on_climbed_states(
+    seed, n, m, side, modes, zero_unread, picks
+):
+    """numpy == pure == the climber's own weight_with on frontiers of at
+    least BATCH_MIN candidates, with duplicates, already-active readers
+    and readers silencing two or more operational actives, from states a
+    GHC climb actually reaches (including empty-active and zero-unread
+    ones)."""
+    system = make_random_system(n, m, side, 9.0, 5.0, seed)
+    pure, fast = PureKernel(system), NumpyKernel(system)
+    rng = np.random.default_rng(seed)
+    unread = np.zeros(m, dtype=bool) if zero_unread else rng.random(m) < 0.7
+    climber = _climbed(system, unread, modes, pure)
+    active = climber.active
+    sil = np.asarray(system.in_interference_range, dtype=bool)  # [i, j]: j silences i
+    operational = [i for i in active if not sil[i, active].any()]
+    multi_silencers = np.flatnonzero(sil[operational].sum(axis=0) >= 2).tolist()
+    cands = [p % n for p in picks] + active + multi_silencers + [picks[0] % n]
+    args = (
+        climber._once, climber._multi, active, climber._active_bits,
+        climber.unread_mask, cands,
+    )
+    got_fast = fast.climb_weights_with(*args)
+    got_pure = pure.climb_weights_with(*args)
+    assert got_fast.dtype == np.int64
+    assert got_fast.tolist() == got_pure.tolist()
+    assert got_pure.tolist() == [climber.weight_with(r) for r in cands]
+
+
 def test_batch_min_cutoff_is_wallclock_only():
     """Frontiers straddling BATCH_MIN return identical integers on both
-    sides of the scalar-delegation cutoff."""
+    sides of the scalar-delegation cutoff, for every batch weight method,
+    from a non-empty climber/oracle state."""
     system = make_random_system(BATCH_MIN + 8, 100, 50.0, 9.0, 5.0, 77)
     pure, fast = PureKernel(system), NumpyKernel(system)
-    u = system.packed_coverage.full_mask
+    unread = np.random.default_rng(77).random(system.num_tags) < 0.7
+    climber = _climbed(system, unread, [True, False, True, False, False], pure)
+    oracle = BitsetWeightOracle(system, unread)
+    for r in climber.active:
+        oracle.push(r)
+    assert climber.active
+    full, u = system.packed_coverage.full_mask, climber.unread_mask
+    once, multi = climber._once, climber._multi
     for size in (BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 1):
         cands = list(range(size))
-        assert np.array_equal(
-            pure.solo_weights(u, cands), fast.solo_weights(u, cands)
-        )
+        batches = {
+            "solo_weights": [(full, cands), (u, cands)],
+            "oracle_weights_with": [
+                (oracle._once, oracle._multi, oracle.unread_mask, cands)
+            ],
+            "climb_weights_with": [
+                (once, multi, climber.active, climber._active_bits, u, cands)
+            ],
+            "new_coverage_counts": [(once, multi, u, cands)],
+        }
+        for name, calls in batches.items():
+            for args in calls:
+                assert np.array_equal(
+                    getattr(pure, name)(*args), getattr(fast, name)(*args)
+                ), (name, size)
 
 
 # ---------------------------------------------------------------------------
