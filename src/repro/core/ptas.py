@@ -234,9 +234,18 @@ class _ShiftDP:
             candidates.append(tuple(sorted(bb_best)))
         seen = set(candidates)
         budget = 1 if over_budget else self.enum_budget
-        for d in _enumerate_independent_subsets(
-            own_ok, self.adj, self.max_d_size, budget
-        ):
+        # Ask for one subset past the budget: the DFS order is fixed, so the
+        # first *budget* subsets are unchanged, and a surplus one means the
+        # budget cut the enumeration off.
+        subsets = list(
+            _enumerate_independent_subsets(
+                own_ok, self.adj, self.max_d_size, budget + 1
+            )
+        )
+        if len(subsets) > budget:
+            self.budget_exhausted = True
+            del subsets[budget:]
+        for d in subsets:
             d = tuple(sorted(d))
             if d not in seen:
                 seen.add(d)
@@ -302,8 +311,11 @@ def ptas_mwfs(
         every shift's square index to live readers (a retired disk has solo
         weight 0 and never enters a strict-improvement winner) and skips
         retired readers in the polish scan (their gain is exactly 0, never
-        ``> best_gain``); the returned set is the same as without pruning
-        while the per-square enumerations shrink as tags retire.
+        ``> best_gain``), so the per-square enumerations shrink as tags
+        retire.  The returned set is the same as without pruning only while
+        no enumeration budget binds: a square cut off at *enum_budget*
+        enumerates a different prefix of subsets once retired disks leave
+        it, and may then pick a different set.
     backend:
         Solver-kernel backend name (``'auto'``/``'pure'``/``'numpy'``;
         ``None`` follows the process selection — see

@@ -1,6 +1,9 @@
 """The frozen RFID deployment and its derived matrices.
 
-:class:`RFIDSystem` precomputes three structures all schedulers share:
+The paper's model is coordinates plus two radii per reader, and that is the
+whole state of :class:`RFIDSystem`: four arrays (reader positions,
+interference radii ``R``, interrogation radii ``γ``, tag positions).  One
+private core derives the three structures all schedulers share from them:
 
 * ``coverage`` — boolean ``(m, n)`` incidence: tag *t* lies in reader *i*'s
   interrogation region;
@@ -9,6 +12,14 @@
 * ``conflict`` — its symmetrisation: *i* and *j* are **not** independent in
   the sense of Definition 2, i.e. they are adjacent in the interference
   graph (Definition 7).
+
+:func:`build_system` feeds the arrays to that core directly (validating the
+radii with the same rules and messages as :class:`~repro.model.reader.Reader`);
+the entity constructor ``RFIDSystem(readers, tags)`` is a thin adapter that
+converts its entities to arrays.  :class:`~repro.model.reader.Reader` and
+:class:`~repro.model.tag.Tag` objects are lazy views: an array-built system
+creates one only when :meth:`RFIDSystem.reader`/:meth:`RFIDSystem.tag` (or
+``.readers``/``.tags``) first asks for it, and caches it.
 
 The weight oracle (Definition 3) and the generalised well-covered computation
 (Definition 1, needed for infeasible active sets produced by the
@@ -21,7 +32,7 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.disks import independence_matrix, mutual_interference_matrix
+from repro.geometry.disks import mutual_interference_matrix
 from repro.geometry.points import as_points, pairwise_sq_distances
 from repro.model.reader import Reader
 from repro.model.tag import Tag
@@ -37,41 +48,66 @@ class RFIDSystem:
         index (enforced) so array positions and entity ids never diverge.
     tags:
         Sequence of :class:`~repro.model.tag.Tag`, same id convention.
+
+    The entities are converted to arrays and kept as the system's
+    ``reader(i)``/``tag(t)`` views; :func:`build_system` builds the same
+    system from arrays without creating any entity.
     """
 
     def __init__(self, readers: Sequence[Reader], tags: Sequence[Tag]):
-        self._readers: List[Reader] = list(readers)
-        self._tags: List[Tag] = list(tags)
-        for idx, rd in enumerate(self._readers):
+        readers = list(readers)
+        tags = list(tags)
+        for idx, rd in enumerate(readers):
             if rd.id != idx:
                 raise ValueError(f"reader at index {idx} has id {rd.id}")
-        for idx, tg in enumerate(self._tags):
+        for idx, tg in enumerate(tags):
             if tg.id != idx:
                 raise ValueError(f"tag at index {idx} has id {tg.id}")
+        self._derive(
+            np.array([[rd.x, rd.y] for rd in readers], dtype=np.float64).reshape(-1, 2),
+            np.array([rd.interference_radius for rd in readers], dtype=np.float64),
+            np.array([rd.interrogation_radius for rd in readers], dtype=np.float64),
+            np.array([[tg.x, tg.y] for tg in tags], dtype=np.float64).reshape(-1, 2),
+        )
+        self._reader_views = dict(enumerate(readers))
+        self._tag_views = dict(enumerate(tags))
 
-        n = len(self._readers)
-        m = len(self._tags)
-        self._reader_pos = (
-            np.array([[rd.x, rd.y] for rd in self._readers], dtype=np.float64)
-            if n
-            else np.empty((0, 2))
-        )
-        self._tag_pos = (
-            np.array([[tg.x, tg.y] for tg in self._tags], dtype=np.float64)
-            if m
-            else np.empty((0, 2))
-        )
-        self._interference_radii = np.array(
-            [rd.interference_radius for rd in self._readers], dtype=np.float64
-        )
-        self._interrogation_radii = np.array(
-            [rd.interrogation_radius for rd in self._readers], dtype=np.float64
-        )
+    @classmethod
+    def _from_arrays(
+        cls,
+        reader_pos: np.ndarray,
+        interference_radii: np.ndarray,
+        interrogation_radii: np.ndarray,
+        tag_pos: np.ndarray,
+    ) -> "RFIDSystem":
+        """A system owning the given (validated, C-contiguous float64)
+        arrays; no entity is created until one is asked for."""
+        self = cls.__new__(cls)
+        self._derive(reader_pos, interference_radii, interrogation_radii, tag_pos)
+        self._reader_views = {}
+        self._tag_views = {}
+        return self
+
+    def _derive(
+        self,
+        reader_pos: np.ndarray,
+        interference_radii: np.ndarray,
+        interrogation_radii: np.ndarray,
+        tag_pos: np.ndarray,
+    ) -> None:
+        """The construction core: store the four state arrays and derive
+        ``coverage``, ``in_interference_range`` and ``conflict`` from them."""
+        self._reader_pos = reader_pos
+        self._tag_pos = tag_pos
+        self._interference_radii = interference_radii
+        self._interrogation_radii = interrogation_radii
+        n = len(reader_pos)
+        m = len(tag_pos)
 
         if n and m:
-            r2 = self._interrogation_radii[None, :] ** 2
+            r2 = interrogation_radii[None, :] ** 2
             if n * m <= 4_000_000:
-                sq = pairwise_sq_distances(self._tag_pos, self._reader_pos)
+                sq = pairwise_sq_distances(tag_pos, reader_pos)
                 self._coverage = sq <= r2
             else:
                 # Chunk tag rows so the float64 squared-distance transient
@@ -81,25 +117,20 @@ class RFIDSystem:
                 step = max(1, 4_000_000 // n)
                 for lo in range(0, m, step):
                     hi = min(lo + step, m)
-                    sq = pairwise_sq_distances(
-                        self._tag_pos[lo:hi], self._reader_pos
-                    )
+                    sq = pairwise_sq_distances(tag_pos[lo:hi], reader_pos)
                     self._coverage[lo:hi] = sq <= r2
         else:
             self._coverage = np.zeros((m, n), dtype=bool)
 
         if n:
             self._in_range = mutual_interference_matrix(
-                self._reader_pos, self._interference_radii
-            )
-            self._independent = independence_matrix(
-                self._reader_pos, self._interference_radii
+                reader_pos, interference_radii
             )
         else:
             self._in_range = np.zeros((0, 0), dtype=bool)
-            self._independent = np.zeros((0, 0), dtype=bool)
-        self._conflict = ~self._independent
-        np.fill_diagonal(self._conflict, False)
+        # i, j conflict iff either lies in the other's disk; the diagonal of
+        # the containment matrix is False, so the conflict diagonal is too
+        self._conflict = self._in_range | self._in_range.T
         # lazily built packed kernels (see repro.perf); the system is
         # immutable, so these never need invalidation
         self._packed_coverage = None
@@ -111,30 +142,46 @@ class RFIDSystem:
     @property
     def num_readers(self) -> int:
         """Number of readers."""
-        return len(self._readers)
+        return len(self._reader_pos)
 
     @property
     def num_tags(self) -> int:
         """Number of tags."""
-        return len(self._tags)
+        return len(self._tag_pos)
 
     @property
     def readers(self) -> List[Reader]:
-        """Reader entities (copy of the list)."""
-        return list(self._readers)
+        """Reader entities (a new list of the cached views)."""
+        return [self.reader(i) for i in range(self.num_readers)]
 
     @property
     def tags(self) -> List[Tag]:
-        """Tag entities (copy of the list)."""
-        return list(self._tags)
+        """Tag entities (a new list of the cached views)."""
+        return [self.tag(t) for t in range(self.num_tags)]
 
     def reader(self, i: int) -> Reader:
-        """Reader *i*."""
-        return self._readers[i]
+        """Reader *i*, built from the arrays on first access and cached."""
+        i = range(self.num_readers)[i]
+        rd = self._reader_views.get(i)
+        if rd is None:
+            rd = self._reader_views[i] = Reader(
+                id=i,
+                x=float(self._reader_pos[i, 0]),
+                y=float(self._reader_pos[i, 1]),
+                interference_radius=float(self._interference_radii[i]),
+                interrogation_radius=float(self._interrogation_radii[i]),
+            )
+        return rd
 
     def tag(self, t: int) -> Tag:
-        """Tag *t*."""
-        return self._tags[t]
+        """Tag *t*, built from the arrays on first access and cached."""
+        t = range(self.num_tags)[t]
+        tg = self._tag_views.get(t)
+        if tg is None:
+            tg = self._tag_views[t] = Tag(
+                id=t, x=float(self._tag_pos[t, 0]), y=float(self._tag_pos[t, 1])
+            )
+        return tg
 
     @property
     def reader_positions(self) -> np.ndarray:
@@ -195,7 +242,7 @@ class RFIDSystem:
         """Whether readers *i* and *j* are independent."""
         if i == j:
             raise ValueError("independence is defined for distinct readers")
-        return bool(self._independent[i, j])
+        return not self._conflict[i, j]
 
     def is_feasible(self, active: Iterable[int]) -> bool:
         """Whether *active* is a feasible scheduling set (pairwise
@@ -294,8 +341,11 @@ def build_system(
 ) -> RFIDSystem:
     """Array-first constructor for :class:`RFIDSystem`.
 
-    Convenient for deployment generators and property-based tests that work
-    with raw arrays rather than entity lists.
+    The arrays are copied and fed to the construction core directly; no
+    :class:`Reader`/:class:`Tag` is created.  Positions must be finite and
+    the radii pass the same checks, with the same messages, as
+    :class:`~repro.model.reader.Reader`: finite, ``> 0``, and ``γ ≤ R``
+    (up to ``1e-12``).
     """
     reader_positions = as_points(reader_positions, "reader_positions")
     tag_positions = (
@@ -308,7 +358,17 @@ def build_system(
     n = len(reader_positions)
     if interference_radii.shape != (n,) or interrogation_radii.shape != (n,):
         raise ValueError("radii arrays must match number of reader positions")
-    readers = [
+    valid = (
+        np.isfinite(interference_radii)
+        & (interference_radii > 0)
+        & np.isfinite(interrogation_radii)
+        & (interrogation_radii > 0)
+        & (interrogation_radii <= interference_radii + 1e-12)
+    )
+    if not valid.all():
+        # The first invalid reader, built as an entity, raises exactly the
+        # error the entity path would.
+        i = int(np.argmin(valid))
         Reader(
             id=i,
             x=float(reader_positions[i, 0]),
@@ -316,10 +376,9 @@ def build_system(
             interference_radius=float(interference_radii[i]),
             interrogation_radius=float(interrogation_radii[i]),
         )
-        for i in range(n)
-    ]
-    tags = [
-        Tag(id=t, x=float(tag_positions[t, 0]), y=float(tag_positions[t, 1]))
-        for t in range(len(tag_positions))
-    ]
-    return RFIDSystem(readers, tags)
+    return RFIDSystem._from_arrays(
+        np.array(reader_positions, dtype=np.float64, order="C"),
+        np.array(interference_radii, dtype=np.float64, order="C"),
+        np.array(interrogation_radii, dtype=np.float64, order="C"),
+        np.array(tag_positions, dtype=np.float64, order="C"),
+    )

@@ -133,6 +133,31 @@ class TestHeterogeneousRadii:
         assert res.weight >= (1 - 1 / 3) ** 2 * opt - 1e-9
 
 
+class TestEnumerationBudget:
+    """An internal square whose own disks have more independent subsets
+    than ``enum_budget`` is cut off, and the cut-off is reported."""
+
+    @staticmethod
+    def _system():
+        from repro.model import build_system
+
+        rng = np.random.default_rng(0)
+        positions = rng.uniform(0, 60, size=(16, 2))
+        interference = np.concatenate(
+            [np.full(4, 20.0), np.full(6, 4.0), np.full(6, 0.5)]
+        )
+        tags = rng.uniform(0, 60, size=(200, 2))
+        return build_system(positions, interference, interference * 0.8, tags)
+
+    def test_cut_off_sets_budget_exhausted(self):
+        system = self._system()
+        roomy = ptas_mwfs(system, k=3, polish=False)
+        assert not roomy.meta["budget_exhausted"]
+        tight = ptas_mwfs(system, k=3, polish=False, enum_budget=2)
+        assert tight.meta["budget_exhausted"]
+        np.testing.assert_array_equal(tight.active, roomy.active)
+
+
 class TestCrossLevelDP:
     """Exercise the DP's level recursion directly: a coarse disk competes
     with finer disks nested inside its interference region, and the right

@@ -185,3 +185,160 @@ class TestWeightProperties:
         active = list(range(system.num_readers))
         for t in system.well_covered_tags(active):
             assert system.coverage[t, active].sum() == 1
+
+
+class TestArrayConstruction:
+    """``build_system`` (arrays straight into the core) against the entity
+    adapter ``RFIDSystem(readers, tags)`` on the same deployment."""
+
+    @staticmethod
+    def _entities(system):
+        pos = system.reader_positions
+        R = system.interference_radii
+        gamma = system.interrogation_radii
+        readers = [
+            Reader(
+                id=i,
+                x=float(pos[i, 0]),
+                y=float(pos[i, 1]),
+                interference_radius=float(R[i]),
+                interrogation_radius=float(gamma[i]),
+            )
+            for i in range(system.num_readers)
+        ]
+        tpos = system.tag_positions
+        tags = [
+            Tag(id=t, x=float(tpos[t, 0]), y=float(tpos[t, 1]))
+            for t in range(system.num_tags)
+        ]
+        return readers, tags
+
+    @given(system=system_strategy())
+    @settings(max_examples=60, deadline=None)
+    def test_entity_and_array_paths_agree(self, system):
+        readers, tags = self._entities(system)
+        ent = RFIDSystem(readers, tags)
+        for name in (
+            "reader_positions",
+            "tag_positions",
+            "interference_radii",
+            "interrogation_radii",
+            "coverage",
+            "in_interference_range",
+            "conflict",
+        ):
+            a, b = getattr(system, name), getattr(ent, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        pa, pb = system.packed_coverage, ent.packed_coverage
+        np.testing.assert_array_equal(pa.words, pb.words)
+        assert pa.masks == pb.masks
+        assert system.readers == readers and system.tags == tags
+        for i in range(system.num_readers):
+            assert system.reader(i) == ent.reader(i)
+            assert ent.reader(i) is readers[i]
+        for t in range(system.num_tags):
+            assert system.tag(t) == ent.tag(t)
+            assert ent.tag(t) is tags[t]
+
+    def test_entities_are_lazy_and_cached(self, monkeypatch):
+        made = []
+
+        def counting(post):
+            def post_init(self):
+                made.append(self)
+                post(self)
+
+            return post_init
+
+        for cls in (Reader, Tag):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
+        system = build_system(
+            np.array([[0.0, 0.0], [5.0, 0.0]]),
+            np.array([2.0, 3.0]),
+            np.array([1.0, 3.0]),
+            np.array([[0.5, 0.0], [5.0, 1.0], [9.0, 9.0]]),
+        )
+        assert system.weight([0, 1]) == 2
+        assert made == []
+        first = system.reader(1)
+        assert made == [first]
+        assert system.reader(1) is first and system.reader(-1) is first
+        assert system.readers[1] is first
+        assert len(made) == 2  # .readers built reader 0 only
+        assert system.tag(2) is system.tag(2)
+        assert first == Reader(
+            id=1, x=5.0, y=0.0, interference_radius=3.0, interrogation_radius=3.0
+        )
+        with pytest.raises(IndexError):
+            system.reader(2)
+        with pytest.raises(IndexError):
+            system.tag(3)
+
+    def test_build_system_copies_its_inputs(self):
+        pos = np.array([[0.0, 0.0]])
+        R = np.array([2.0])
+        tags = np.array([[0.5, 0.0]])
+        system = build_system(pos, R, R, tags)
+        pos[0, 0] = R[0] = tags[0, 0] = 100.0
+        assert system.reader(0).x == 0.0 and system.interference_radii[0] == 2.0
+        assert system.coverage.all() and system.tag_positions[0, 0] == 0.5
+
+
+class TestArrayValidation:
+    """``build_system`` rejects what the entity path rejects, with the same
+    messages as :class:`Reader`."""
+
+    @staticmethod
+    def _build(R, gamma, pos=((0.0, 0.0), (10.0, 0.0)), tags=((1.0, 1.0),)):
+        return build_system(
+            np.array(pos, dtype=float),
+            np.array(R, dtype=float),
+            np.array(gamma, dtype=float),
+            np.array(tags, dtype=float),
+        )
+
+    @pytest.mark.parametrize(
+        "R, gamma, match",
+        [
+            ([2.0, 2.0], [1.0, 3.0], "must not exceed"),
+            ([2.0, 0.0], [1.0, 0.0], "interference_radius must be > 0"),
+            ([2.0, 2.0], [1.0, -1.0], "interrogation_radius must be > 0"),
+            ([np.nan, 2.0], [1.0, 1.0], "interference_radius must be finite"),
+            ([2.0, np.inf], [1.0, 1.0], "interference_radius must be finite"),
+            ([2.0, 2.0], [np.nan, 1.0], "interrogation_radius must be finite"),
+        ],
+    )
+    def test_invalid_radii(self, R, gamma, match):
+        with pytest.raises(ValueError, match=match):
+            self._build(R, gamma)
+        with pytest.raises(ValueError, match=match):
+            RFIDSystem(
+                [
+                    Reader(
+                        id=k,
+                        x=0.0,
+                        y=0.0,
+                        interference_radius=R[k],
+                        interrogation_radius=gamma[k],
+                    )
+                    for k in range(2)
+                ],
+                [],
+            )
+
+    def test_gamma_within_tolerance_accepted(self):
+        system = self._build([2.0, 2.0], [1.0, 2.0 + 1e-13])
+        assert system.num_readers == 2
+
+    @pytest.mark.parametrize(
+        "pos, tags",
+        [
+            (((0.0, np.nan), (10.0, 0.0)), ((1.0, 1.0),)),
+            (((0.0, 0.0), (np.inf, 0.0)), ((1.0, 1.0),)),
+            (((0.0, 0.0), (10.0, 0.0)), ((1.0, -np.inf),)),
+        ],
+    )
+    def test_non_finite_position(self, pos, tags):
+        with pytest.raises(ValueError, match="non-finite"):
+            self._build([2.0, 2.0], [1.0, 1.0], pos=pos, tags=tags)
