@@ -318,14 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="with --scale: override the sharded points' target cell count",
     )
     bench.add_argument(
-        "--no-pool",
-        action="store_true",
-        dest="no_pool",
-        help="with --scale: solve sharded points through the legacy "
-        "per-slot fork_map instead of the persistent worker pool (A/B "
-        "leg for the amortised spawn cost; results identical)",
-    )
-    bench.add_argument(
         "--points",
         nargs="+",
         default=None,
@@ -724,13 +716,6 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.no_pool:
-        points = [
-            dataclasses.replace(p, use_pool=False)
-            if p.shard_cells is not None
-            else p
-            for p in points
-        ]
     if args.shard_cells is not None:
         points = [
             dataclasses.replace(p, shard_cells=args.shard_cells)
@@ -774,10 +759,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     args.workers = env_default_workers(args.workers)
     if args.scale:
         return _cmd_bench_scale(args)
-    if args.points is not None or args.no_pool:
-        print(
-            "error: --points/--no-pool require --scale", file=sys.stderr
-        )
+    if args.points is not None:
+        print("error: --points requires --scale", file=sys.stderr)
         return 2
     matrix = QUICK_MATRIX if args.quick else FULL_MATRIX
     families = "mcs only, +inc labels" if args.incremental else "oneshot + mcs"

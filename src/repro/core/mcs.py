@@ -771,7 +771,7 @@ def greedy_covering_schedule(
         system, solver, state, coverable, read_mode, context, shard_rt, ladder
     )
     # one persistent worker pool for every slot of a sharded run (no-op for
-    # serial/pool-disabled specs; see ShardRuntime.pool_scope)
+    # serial specs; see ShardRuntime.pool_scope)
     pool_cm = (
         shard_rt.pool_scope(solver, world.takes_context, world.rec)
         if shard_rt is not None

@@ -8,13 +8,14 @@ dict (one metric per algorithm, typically).  Results are aggregated per
 ``workers=N`` runs the grid points on forked worker processes.  Each point
 is seeded by its own ``(value, seed)`` pair — never by execution order — and
 results are merged back in grid order (values outer, seeds inner), so
-``SweepResult.raw`` is byte-identical to a serial run.  On fork-less
-platforms :func:`~repro.perf.parallel.fork_map` degrades to a thread pool
-(with a RuntimeWarning) — the merge order and hence ``SweepResult.raw`` are
-unchanged.  Telemetry caveat: events emitted *inside* ``measure`` stay in
-the worker and are discarded under fork, but *interleave into the parent's
-recorder* under the thread fallback; the per-point ``SweepPoint`` events
-are emitted in the parent either way (see ``docs/performance.md``).
+``SweepResult.raw`` is byte-identical to a serial run.  The grid runs on a
+:class:`~repro.perf.pool.WorkerPool`, which on fork-less platforms degrades
+to a thread pool (with a RuntimeWarning) — the merge order and hence
+``SweepResult.raw`` are unchanged.  Telemetry caveat: events emitted
+*inside* ``measure`` are relayed back from forked workers
+(:mod:`repro.obs.relay`), but *interleave into the parent's recorder* under
+the thread fallback; the per-point ``SweepPoint`` events are emitted in the
+parent either way (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -90,9 +91,8 @@ def run_sweep(
         sample = measure(value, seed)
         return dict(sample), time.perf_counter() - t0
 
-    # One whole-sweep span in the parent: ``measure`` runs in pool workers
-    # whose recorders are discarded, so per-point child spans are not
-    # observable here.  SweepPoint events attach to this span.
+    # One whole-sweep span in the parent: events relayed from the pool
+    # workers and the SweepPoint events attach to it.
     with span("sweep.run", param=param_name, points=len(grid)):
         if pool is not None:
             outcomes = pool.map(run_point, grid)

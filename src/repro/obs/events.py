@@ -199,12 +199,12 @@ class ShardMerge:
 @dataclass(frozen=True)
 class PoolDispatch:
     """The parallel tier ran one deterministic map of *tasks* payloads in
-    *mode* (``"fork"`` / ``"thread"`` for the persistent
-    :class:`~repro.perf.pool.WorkerPool`, ``"fork-oneshot"`` /
-    ``"thread-oneshot"`` for a per-call :func:`~repro.perf.parallel.
-    fork_map`).  *spawned* counts worker pools brought up for this dispatch
-    (0 = an already-running pool was reused — the persistent pool's whole
-    point), *payload_bytes* the pickled task bytes shipped to workers
+    *mode* (``"fork"`` / ``"thread"``, from
+    :class:`~repro.perf.pool.WorkerPool` — a one-shot
+    :func:`~repro.perf.parallel.fork_map` is a pool of its own).  *spawned*
+    counts worker pools brought up for this dispatch (0 = an
+    already-running pool was reused — the persistent pool's whole point;
+    a one-shot map reports 1), *payload_bytes* the pickled task bytes shipped to workers
     (measured only while a recorder is enabled), and *dispatch_s* /
     *collect_s* the submission and result-wait wall-clock."""
 

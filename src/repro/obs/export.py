@@ -86,7 +86,7 @@ METRIC_FIELDS: Dict[str, str] = {
     "slowdown": "slots-to-completion ratio versus the fault-free baseline",
     "fault_fail_rate": "per-slot flaky-activation probability injected",
     "fault_miss_rate": "per-read miss probability injected",
-    "pool_spawns": "worker pools brought up (persistent pool: 1 per run; per-call fork_map: 1 per parallel dispatch)",
+    "pool_spawns": "worker pools brought up (persistent pool: 1 per run plus 1 per re-fork; one-shot fork_map: 1 per call)",
     "pool_tasks": "payloads shipped through parallel dispatches, summed",
     "pool_payload_bytes": "pickled task bytes shipped to workers, summed over dispatches",
     "pool_respawns": "fresh worker pools forked by the supervisor after a worker death or deadline hit",

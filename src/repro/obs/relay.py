@@ -1,7 +1,8 @@
 """Cross-process trace relay: worker events piggybacked on result payloads.
 
-Forked workers (:class:`~repro.perf.pool.WorkerPool` children, one-shot
-:func:`~repro.perf.parallel.fork_map` children, sharded cell solves) emit
+Forked workers (:class:`~repro.perf.pool.WorkerPool` children, including
+one-shot :func:`~repro.perf.parallel.fork_map` pools and sharded cell
+solves) emit
 trace events into their own copy of the process-wide recorder — which used
 to die with the worker.  The relay closes that gap in three steps:
 
@@ -194,9 +195,8 @@ def replay_events(
 
 def capture_relay(fn, payload, max_events: int = RELAY_MAX_EVENTS):
     """Run ``fn(payload)`` under a fresh :class:`RelayRecorder` and return
-    ``(result, relay_payload)`` — the worker-side helper the dispatch
-    layers (:func:`~repro.perf.parallel.fork_map`,
-    :meth:`~repro.perf.pool.WorkerPool.map`) call when the parent asked for
+    ``(result, relay_payload)`` — the worker-side helper
+    :meth:`~repro.perf.pool.WorkerPool.map` calls when the parent asked for
     the relay."""
     from repro.obs.events import recording
 

@@ -77,8 +77,8 @@ SPAN_NAMES: Dict[str, str] = {
     "shard.refresh": "one incremental partition refresh after confirmed "
     "permanent reader crashes: orphaned tags re-bucketed and dirtied cells "
     "rebuilt (shard.runtime.ShardRuntime.refresh)",
-    "pool.dispatch": "one deterministic parallel map (persistent "
-    "perf.pool.WorkerPool.map, or a one-shot perf.parallel.fork_map fork): "
+    "pool.dispatch": "one deterministic parallel map "
+    "(perf.pool.WorkerPool.map; a perf.parallel.fork_map is a one-shot pool): "
     "task submission, the wait for payload-order results, and the replay "
     "of relayed worker events",
 }

@@ -10,12 +10,14 @@ Low-level representations and execution helpers shared by the solver stack:
 * :mod:`repro.perf.incremental` — incremental generalised-weight engine for
   hill-climbing searches (exactly matches
   :meth:`~repro.model.system.RFIDSystem.weight` on infeasible sets);
-* :mod:`repro.perf.parallel` — opt-in fork-based process parallelism with
-  deterministic, order-preserving merges (thread-pool fallback where
-  ``fork`` is unavailable);
-* :mod:`repro.perf.pool` — the persistent :class:`WorkerPool`: same merge
-  contract as :func:`fork_map`, but forked once per run and reused across
-  slots/sweep points/bench jobs so spawn and pickle costs amortise;
+* :mod:`repro.perf.parallel` — worker-count resolution, the
+  nested-parallelism rule and :func:`fork_map`, a one-shot
+  :class:`WorkerPool` map;
+* :mod:`repro.perf.pool` — the persistent :class:`WorkerPool`, the only
+  fork/thread dispatch implementation: deterministic payload-order merges,
+  forked once per run and reused across slots/sweep points/bench jobs so
+  spawn and pickle costs amortise (thread-pool fallback where ``fork`` is
+  unavailable);
 * :mod:`repro.perf.slotdelta` — cross-slot incremental MCS state: the
   unread mask maintained by clearing served-tag bits, per-reader remaining
   covered counts (reader retirement) and warm starts for the next slot.

@@ -1,50 +1,28 @@
 """Opt-in process parallelism with deterministic merges.
 
-:func:`fork_map` runs ``fn`` over a payload list on a pool of forked worker
-processes and returns results **in payload order** — callers merge exactly
-as they would serially, so parallel output is byte-identical to serial
-output whenever ``fn`` itself is deterministic per payload.
+:func:`fork_map` runs ``fn`` over a payload list and returns results **in
+payload order** — callers merge exactly as they would serially, so parallel
+output is byte-identical to serial output whenever ``fn`` itself is
+deterministic per payload.  A parallel call is a one-shot
+:class:`~repro.perf.pool.WorkerPool`: forked, used for one map and torn
+down, so it inherits the pool's fork path (closures work, only payloads
+and results are pickled), thread fallback on fork-less platforms,
+supervision, cross-process trace relay and ``PoolDispatch`` telemetry.
+``workers=None``/``<=1`` or a single payload run serially in-process and
+touch none of that.  See ``docs/performance.md``.
 
-Design constraints, in order:
-
-* *Determinism* — results are reassembled by submission index; worker
-  scheduling never reorders anything observable.
-* *No pickling of the callable* — workers are created with the ``fork``
-  start method and inherit ``fn`` through a module global, so closures over
-  systems/solvers work; only payloads and results cross process boundaries
-  (and must be picklable).
-* *Graceful degradation* — ``workers=None``/``<=1`` or a single payload run
-  serially in-process; a platform without ``os.fork`` (Windows, or a
-  spawn-only interpreter) degrades to a **thread pool** with the same
-  payload-order merge, after a :class:`RuntimeWarning` emitted once per
-  process (the platform does not change between calls, so neither should
-  the noise).
+This module holds the process-wide state the pool consults: the
+pool-worker flag behind :func:`in_pool_worker`, the once-per-process
+warnings, and the nested-parallelism tally.
 
 Nested-parallelism contract: a ``fork_map`` (or
-:class:`~repro.perf.pool.WorkerPool` dispatch) issued from inside a worker
-— a worker-bound ``fn`` that itself parallelises — runs **serially** in
-that worker.  Forked pool workers are daemonic and cannot fork children,
-and re-binding the worker-function global under an outer pool would race
-it, so serial is the only deterministic behaviour.  The degradation is
-*recorded*, never silent: :data:`nested_serial_calls` counts occurrences
-in the affected process and a :class:`RuntimeWarning` fires once per
-process.  See ``docs/performance.md``.
-
-Telemetry contract: when the parent's recorder is enabled at dispatch
-time, events emitted *inside* ``fn`` are captured in a bounded worker-side
-buffer and shipped back on the result payloads — the cross-process trace
-relay of :mod:`repro.obs.relay`.  The parent replays them (span ids
-rebased, roots re-parented) under the dispatch's ``pool.dispatch`` span,
-so worker traces appear in the parent stream as if emitted locally.  With
-the recorder disabled nothing is captured, shipped or replayed — the
-dispatch carries exactly its historical payloads.  Each parallel dispatch
-additionally emits one :class:`~repro.obs.events.PoolDispatch` event in
-the parent (mode ``"fork-oneshot"`` / ``"thread-oneshot"`` here; the
-persistent pool emits ``"fork"`` / ``"thread"``), so the exported
-``pool_spawns`` counter makes per-call re-forking visible next to the
-persistent pool's single spawn.  Serial execution emits nothing — serial
-records keep their historical shape.  See ``docs/performance.md`` and
-``docs/observability.md``.
+:class:`~repro.perf.pool.WorkerPool` dispatch) issued from inside a pool
+worker — a worker-bound ``fn`` that itself parallelises — runs
+**serially** in that worker.  Forked pool workers are daemonic and cannot
+fork children, so serial is the only deterministic behaviour.  The
+degradation is *recorded*, never silent: :data:`nested_serial_calls`
+counts occurrences in the affected process and a :class:`RuntimeWarning`
+fires once per process.  See ``docs/performance.md``.
 
 Thread-fallback caveat: threads *share* the process-wide recorder, so on
 fork-less platforms events from concurrent payloads interleave into whatever
@@ -60,22 +38,10 @@ import multiprocessing
 import os
 import signal
 import threading
-import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.obs.events import PoolDispatch, get_recorder
-from repro.obs.relay import capture_relay, replay_events
-from repro.obs.spans import span
 from repro.util.validation import check_workers
-
-_WORKER_FN: Optional[Callable[[Any], Any]] = None
-
-#: True while a fork dispatch wants the cross-process trace relay: set in
-#: the parent immediately before forking (workers inherit it), so workers
-#: only buffer/ship events when the parent's recorder was enabled.
-_WORKER_RELAY = False
 
 #: True inside a forked :class:`~repro.perf.pool.WorkerPool` worker (set by
 #: the pool's initializer).  Parent processes never set it.
@@ -114,20 +80,6 @@ def reset_inherited_signal_handlers() -> None:
             signal.signal(sig, signal.SIG_DFL)
         except (ValueError, OSError):  # pragma: no cover - exotic platforms
             pass
-
-
-def _oneshot_worker_init() -> None:
-    """Runs once in each one-shot forked child (see
-    :func:`reset_inherited_signal_handlers`)."""
-    reset_inherited_signal_handlers()
-
-
-def _invoke(payload_with_index) -> tuple:
-    index, payload = payload_with_index
-    if not _WORKER_RELAY:
-        return index, _WORKER_FN(payload), None
-    result, relayed = capture_relay(_WORKER_FN, payload)
-    return index, result, relayed
 
 
 def in_pool_worker() -> bool:
@@ -178,12 +130,17 @@ def fork_available() -> bool:
 
 def resolve_workers(workers: Optional[int]) -> int:
     """Normalise a ``workers`` argument: ``None``/``0`` → 1 (serial),
-    negative → CPU count."""
-    if workers is None or workers == 0:
+    negative → CPU count.  Anything else must pass
+    :func:`~repro.util.validation.check_workers` (an integer, or a string
+    holding one); floats and booleans raise :class:`ValueError`."""
+    if workers is None:
+        return 1
+    workers = check_workers("workers", workers)
+    if workers == 0:
         return 1
     if workers < 0:
         return os.cpu_count() or 1
-    return int(workers)
+    return workers
 
 
 def env_default_workers(cli_value: Optional[int] = None) -> Optional[int]:
@@ -209,90 +166,13 @@ def fork_map(
     Returns ``[fn(p) for p in payloads]`` in payload order regardless of
     worker count.  One-shot: the pool is created and torn down per call —
     callers with many consecutive maps should hold a
-    :class:`~repro.perf.pool.WorkerPool` instead and let this function be
-    the degradation path.
+    :class:`~repro.perf.pool.WorkerPool` instead.
     """
-    global _WORKER_FN
     payloads = list(payloads)
     count = resolve_workers(workers)
     if count <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
-    if _WORKER_FN is not None or in_pool_worker():
-        # Nested parallelism (fn itself parallelises, or we are inside a
-        # daemonic pool worker that cannot fork children): run this level
-        # serially — recorded, not silent.
-        _note_nested_serial()
-        return [fn(p) for p in payloads]
-    if not fork_available():
-        # No fork on this platform: degrade to threads, keeping the
-        # payload-order merge (and hence deterministic results for a
-        # deterministic fn).  Warn once per process — throughput and the
-        # ambient-telemetry isolation differ from the forked path, but
-        # repeating that on every call buries real warnings.
-        _warn_thread_fallback()
-        rec = get_recorder()
-        t0 = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=min(count, len(payloads))) as pool:
-            t1 = time.perf_counter()
-            results = list(pool.map(fn, payloads))
-        if rec.enabled:
-            t2 = time.perf_counter()
-            rec.emit(
-                PoolDispatch(
-                    mode="thread-oneshot",
-                    tasks=len(payloads),
-                    payload_bytes=0,  # thread payloads are never pickled
-                    spawned=1,
-                    dispatch_s=t1 - t0,
-                    collect_s=t2 - t1,
-                )
-            )
-        return results
+    from repro.perf.pool import WorkerPool  # pool imports this module
 
-    global _WORKER_RELAY
-    rec = get_recorder()
-    tasks = list(enumerate(payloads))
-    payload_bytes = 0
-    if rec.enabled:
-        import pickle
-
-        payload_bytes = len(
-            pickle.dumps(tasks, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-    ctx = multiprocessing.get_context("fork")
-    _WORKER_FN = fn
-    _WORKER_RELAY = rec.enabled
-    t0 = time.perf_counter()
-    with span("pool.dispatch", mode="fork-oneshot", tasks=len(tasks)):
-        try:
-            with ctx.Pool(
-                processes=min(count, len(payloads)),
-                initializer=_oneshot_worker_init,
-            ) as pool:
-                t1 = time.perf_counter()
-                indexed = pool.map(_invoke, tasks)
-        finally:
-            _WORKER_FN = None
-            _WORKER_RELAY = False
-        t2 = time.perf_counter()
-        indexed.sort(key=lambda triple: triple[0])
-        if rec.enabled:
-            # relay: replay each worker's shipped trace (payload order)
-            # under this pool.dispatch span
-            for _, _, relayed in indexed:
-                replay_events(relayed, rec)
-    if rec.enabled:
-        # dispatch_s is dominated by per-call pool creation (the cost the
-        # persistent pool amortises); collect_s is the map itself plus the
-        # teardown of the short-lived pool.
-        rec.emit(
-            PoolDispatch(
-                mode="fork-oneshot",
-                tasks=len(tasks),
-                payload_bytes=payload_bytes,
-                spawned=1,
-                dispatch_s=t1 - t0,
-                collect_s=t2 - t1,
-            )
-        )
-    return [result for _, result, _ in indexed]
+    with WorkerPool(min(count, len(payloads))) as pool:
+        return pool.map(fn, payloads)

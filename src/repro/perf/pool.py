@@ -1,22 +1,22 @@
 """Persistent worker pool: fork once, dispatch per slot.
 
-:func:`~repro.perf.parallel.fork_map` pays process startup and teardown on
-**every call** — fine for a single bench matrix, ruinous for a sharded
-covering schedule that dispatches once per slot.  :class:`WorkerPool` keeps
-the same deterministic payload-order merge contract but holds its workers
+The repository's only fork/thread dispatch implementation.  A sharded
+covering schedule dispatches once per slot, so paying process startup and
+teardown per dispatch would dominate it; :class:`WorkerPool` merges results
+in payload order (byte-identical to the serial loop) and holds its workers
 for the life of a run, so the fork/pickle tax is paid once and every later
 dispatch ships only small deltas (per-cell seeds, retired-tag suffixes,
-returned activation sets).
+returned activation sets).  :func:`~repro.perf.parallel.fork_map` is the
+one-shot case: a pool forked for one map and closed.
 
 How heavy state reaches the workers
 -----------------------------------
 
 Workers are created with the ``fork`` start method, so they inherit the
 parent's entire heap — partitions, halo subsystems, packed coverage words —
-as copy-on-write pages at fork time, for free.  That is the same
-shared-immutable-state mechanism ``fork_map`` relies on, made *persistent*:
-because the pool outlives many dispatches, callables that close over the
-heavy state must be **registered before the pool starts**
+as copy-on-write pages at fork time, for free.  Because the pool outlives
+many dispatches, callables that close over the heavy state must be
+**registered before the pool starts**
 (:meth:`WorkerPool.register`, implicit on the first :meth:`WorkerPool.map`)
 so the fork snapshot contains them.  Module-level functions pickle by
 reference and may be dispatched at any time without registration.  A
@@ -32,11 +32,12 @@ rejected: fork inheritance already shares the immutable gigabytes with zero
 code, while shared-memory segments would add lifecycle management for the
 small mutable part that pickles in microseconds.
 
-Degradation mirrors ``fork_map``: ``workers<=1`` runs every map serially
-in-process (no pool, no events), fork-less platforms run a persistent
-thread pool after the once-per-process :class:`RuntimeWarning`, and both
-paths preserve the payload-order merge, so worker count and pool mode never
-change results.
+Degradation: ``workers<=1`` — or a pool built inside a pool worker, the
+nested-parallelism rule of :mod:`repro.perf.parallel` — runs every map
+serially in-process (no pool, no events); fork-less platforms run a
+persistent thread pool after the once-per-process :class:`RuntimeWarning`.
+Every path preserves the payload-order merge, so worker count and pool mode
+never change results.
 
 Supervision
 -----------
@@ -61,10 +62,11 @@ Telemetry: every non-serial dispatch runs under a ``pool.dispatch`` span
 and emits one :class:`~repro.obs.events.PoolDispatch` event
 (``pool_spawns`` / ``pool_tasks`` / ``pool_payload_bytes`` counters plus
 ``pool.dispatch`` / ``pool.collect`` stage timings in the exported
-metrics).  A persistent pool shows ``pool_spawns == 1`` per run where the
-per-slot ``fork_map`` path shows one spawn per parallel slot — the
-amortisation is visible in the BENCH records.  Every supervised recovery
-additionally emits a :class:`~repro.obs.events.PoolRecovery` event
+metrics).  A persistent pool shows ``pool_spawns == 1`` per run (plus one
+per re-fork after a partition refresh or a supervised respawn) where a
+one-shot ``fork_map`` shows one per call — the amortisation is visible in
+the BENCH records.  Every supervised recovery additionally emits a
+:class:`~repro.obs.events.PoolRecovery` event
 (``pool_respawns`` / ``pool_deadline_hits`` counters).  When the parent's
 recorder is enabled at dispatch time, fork-mode workers additionally run
 the cross-process trace relay (:mod:`repro.obs.relay`): their events are
@@ -318,8 +320,8 @@ class WorkerPool:
         self, fn: Callable[[Any], Any], payloads: Sequence[Any]
     ) -> List[Any]:
         """Map *fn* over *payloads* on the persistent workers; results come
-        back in payload order, exactly as from
-        :func:`~repro.perf.parallel.fork_map`."""
+        back in payload order, exactly as from ``[fn(p) for p in
+        payloads]``."""
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         payloads = list(payloads)

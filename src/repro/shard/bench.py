@@ -50,10 +50,8 @@ class ScalePoint:
     arrays (``shard_cells`` then must request a non-trivial partition).
     ``shard_cells=None`` means unsharded; note ``0`` requests auto-sizing
     (finest safe cells), which is only meaningful for the array driver.
-    ``use_pool=False`` pins sharded parallel solves to the legacy per-slot
-    :func:`~repro.perf.parallel.fork_map` instead of the persistent
-    :class:`~repro.perf.pool.WorkerPool` — the A/B leg for measuring the
-    amortised spawn cost (results are identical either way).
+    Sharded parallel solves run on one persistent
+    :class:`~repro.perf.pool.WorkerPool` per run.
     """
 
     label: str
@@ -69,7 +67,6 @@ class ScalePoint:
     workers: Optional[int] = None
     max_slots: Optional[int] = None
     incremental: bool = True
-    use_pool: bool = True
 
     def scenario_dict(self) -> dict:
         """The record's ``scenario`` payload: generator parameters plus the
@@ -85,7 +82,6 @@ class ScalePoint:
             shard_cells=self.shard_cells,
             workers=self.workers,
             max_slots=self.max_slots,
-            use_pool=self.use_pool,
         )
 
 
@@ -169,7 +165,6 @@ def run_scale_point(point: ScalePoint, backend: Optional[str] = None) -> dict:
             spec = ShardSpec(
                 cells=0 if point.shard_cells is None else point.shard_cells,
                 workers=point.workers,
-                pool=point.use_pool,
             )
             run_scale_schedule(
                 deployment,
@@ -194,11 +189,7 @@ def run_scale_point(point: ScalePoint, backend: Optional[str] = None) -> dict:
             system = scenario.build()
             solver = get_solver(point.solver)
             spec = (
-                ShardSpec(
-                    cells=point.shard_cells,
-                    workers=point.workers,
-                    pool=point.use_pool,
-                )
+                ShardSpec(cells=point.shard_cells, workers=point.workers)
                 if point.shard_cells is not None
                 else None
             )

@@ -6,10 +6,10 @@ cell's **owned** unread tags (halo tags start read locally, so each tag's
 weight is credited to exactly one cell).  Every slot it
 
 1. solves each *live* cell (one with owned unread tags left) independently
-   on its halo-augmented subsystem — concurrently via
-   :func:`~repro.perf.parallel.fork_map` when ``spec.workers`` asks for it,
-   with per-cell child seeds drawn from the driver's stream so worker count
-   never changes results;
+   on its halo-augmented subsystem — concurrently on the persistent
+   :class:`~repro.perf.pool.WorkerPool` of :meth:`ShardRuntime.pool_scope`
+   when ``spec.workers`` asks for it, with per-cell child seeds drawn from
+   the driver's stream so worker count never changes results;
 2. keeps only each cell's **owned** activations (halo readers are advisory:
    they model neighbour interference but only their owner cell may activate
    them);
@@ -69,7 +69,7 @@ from repro.obs.events import ShardMerge, recording
 from repro.obs.relay import RelayRecorder, relay_payload, replay_events
 from repro.obs.spans import span
 from repro.model.system import build_system
-from repro.perf.parallel import fork_map, in_pool_worker, resolve_workers
+from repro.perf.parallel import in_pool_worker
 from repro.perf.pool import WorkerPool
 from repro.perf.slotdelta import ScheduleContext
 from repro.shard.partition import RefreshReport, ShardPartition
@@ -123,7 +123,7 @@ class ShardRuntime:
                     ScheduleContext(cell.subsystem, local_unread)
                 )
             self._contexts = contexts
-        # per-solve scratch shared with forked workers (set before fork_map)
+        # per-solve scratch shared with forked workers (set before the fork)
         self._solver = None
         self._takes_context = False
         self._collect = False
@@ -132,7 +132,6 @@ class ShardRuntime:
         self._fault_systems = {}
         # persistent-pool state (active only inside pool_scope)
         self._pool: Optional[WorkerPool] = None
-        self._pool_workers = None
         self._retired_logs: Optional[List[List[np.ndarray]]] = None
         self._pool_applied: Optional[List[int]] = None
 
@@ -154,7 +153,7 @@ class ShardRuntime:
 
     # ------------------------------------------------------------------
     @contextmanager
-    def pool_scope(self, solver, takes_context: bool, rec, workers=None):
+    def pool_scope(self, solver, takes_context: bool, rec):
         """Hold one persistent :class:`~repro.perf.pool.WorkerPool` for
         every slot solved inside the ``with`` block.
 
@@ -167,19 +166,18 @@ class ShardRuntime:
         normally or through a solver exception — terminates and joins the
         workers, so no child can leak.
 
-        Degrades to a no-op (``solve_slot`` keeps its per-slot
-        :func:`~repro.perf.parallel.fork_map` path, itself serial at one
-        worker) for trivial partitions, serial worker counts, or
-        ``spec.pool=False`` — the A/B comparison leg.  *workers* overrides
-        ``spec.workers`` when given.
+        Yields ``None`` and holds no pool — :meth:`solve_slot` then solves
+        the live cells in an in-process loop — for trivial partitions and
+        whenever the pool would run serially: one worker, or inside a pool
+        worker (the nested-parallelism rule of :mod:`repro.perf.parallel`,
+        counted and warned once by the pool).  A serial pool would only ship
+        and replay every retirement log a second time.
         """
-        spec = self.partition.spec
-        count = spec.workers if workers is None else workers
-        if (
-            self.partition.is_trivial
-            or not spec.pool
-            or resolve_workers(count) <= 1
-        ):
+        if self.partition.is_trivial:
+            yield None
+            return
+        pool = WorkerPool(self.partition.spec.workers)
+        if pool.mode == "serial":
             yield None
             return
         self._solver = solver
@@ -187,8 +185,6 @@ class ShardRuntime:
         self._collect = bool(rec.enabled)
         self._retired_logs = [[] for _ in self.partition.cells]
         self._pool_applied = [0] * len(self.partition.cells)
-        self._pool_workers = count
-        pool = WorkerPool(count)
         try:
             pool.register(self._solve_cell_pool)
             pool.start()  # fork here: contexts are in their slot-0 state
@@ -199,7 +195,6 @@ class ShardRuntime:
             pool, self._pool = self._pool, None
             if pool is not None:
                 pool.close()
-            self._pool_workers = None
             self._solver = None
             self._takes_context = False
             self._collect = False
@@ -223,9 +218,8 @@ class ShardRuntime:
             for entry in log[applied:]:
                 self._contexts[idx].retire_tags(entry)
             self._pool_applied[idx] = len(log)
-        if len(payload) > 3:
-            return self._solve_cell((idx, seed, payload[3]))
-        return self._solve_cell((idx, seed))
+        susp = payload[3] if len(payload) > 3 else None
+        return self._solve_cell(idx, seed, susp)
 
     # ------------------------------------------------------------------
     def solve_slot(
@@ -280,21 +274,11 @@ class ShardRuntime:
             self._solver = solver
             self._takes_context = takes_context
             self._collect = bool(rec.enabled)
-            if suspected is None:
-                payloads = [
-                    (idx, int(seed)) for idx, seed in zip(live, seeds)
-                ]
-            else:
-                payloads = [
-                    (idx, int(seed), susp)
+            try:
+                outputs = [
+                    self._solve_cell(idx, int(seed), susp)
                     for idx, seed, susp in zip(live, seeds, susp_by_cell)
                 ]
-            try:
-                outputs = fork_map(
-                    self._solve_cell,
-                    payloads,
-                    self.partition.spec.workers,
-                )
             finally:
                 self._solver = None
 
@@ -340,23 +324,20 @@ class ShardRuntime:
         return active, meta
 
     # ------------------------------------------------------------------
-    def _solve_cell(self, payload):
+    def _solve_cell(self, idx: int, seed: int, susp: Optional[np.ndarray]):
         """Worker body: solve one cell with its own seeded rng.
 
-        Runs in a forked worker under ``fork_map`` (or inline when serial).
-        The payload is ``(cell, seed)`` or ``(cell, seed, suspicion)``; a
-        non-empty local suspicion mask routes the solve through a degraded
-        subsystem over the unsuspected local readers (no warm-start context
-        — the cell context indexes the full subsystem).  Returns ``(owned
-        active readers as global ids, relay payload, solve seconds)`` — the
-        relay payload (:func:`repro.obs.relay.relay_payload`, ``None`` with
-        telemetry off) carries the solve's full captured trace, spans
-        included; the seconds are the solver call's wall time measured
-        here, in the worker.  Only picklable values cross the process
-        boundary.
+        Runs in a pool worker (through :meth:`_solve_cell_pool`) or inline
+        when serial.  A non-empty local suspicion mask *susp* routes the
+        solve through a degraded subsystem over the unsuspected local
+        readers (no warm-start context — the cell context indexes the full
+        subsystem).  Returns ``(owned active readers as global ids, relay
+        payload, solve seconds)`` — the relay payload
+        (:func:`repro.obs.relay.relay_payload`, ``None`` with telemetry
+        off) carries the solve's full captured trace, spans included; the
+        seconds are the solver call's wall time measured here, in the
+        worker.  Only picklable values cross the process boundary.
         """
-        idx, seed = payload[0], payload[1]
-        susp = payload[2] if len(payload) > 2 else None
         cell = self.partition.cells[idx]
         ctx = self._contexts[idx]
         local_rng = as_rng(seed)
@@ -539,7 +520,7 @@ class ShardRuntime:
         old.close()
         self._retired_logs = [[] for _ in self.partition.cells]
         self._pool_applied = [0] * len(self.partition.cells)
-        pool = WorkerPool(self._pool_workers)
+        pool = WorkerPool(self.partition.spec.workers)
         pool.register(self._solve_cell_pool)
         pool.start()
         self._pool = pool

@@ -333,8 +333,8 @@ def run_scale_schedule(
     cap = (
         max_slots if max_slots is not None else 4 * deployment.num_readers + 64
     )
-    # one persistent worker pool for the whole schedule (no-op when serial
-    # or spec.pool=False; see ShardRuntime.pool_scope)
+    # one persistent worker pool for the whole schedule (no-op when serial;
+    # see ShardRuntime.pool_scope)
     with runtime.pool_scope(solver_fn, takes_context, rec):
         slots, total_read, complete, outcome = run_slot_loop(
             world, rng, cap, fault_layer, max_stall_slots,

@@ -70,28 +70,21 @@ class ShardSpec:
         interaction radius (scaled by ``halo_scale``), so the realised cell
         count never exceeds what the one-ring halo contract allows.
     workers:
-        Worker processes for concurrent cell solves, passed to
-        :func:`repro.perf.parallel.fork_map` (``None``/``0`` solves cells
-        serially; negative means CPU count).  Worker count never changes
-        results — cell solves are merged in deterministic cell order.
+        Worker processes for concurrent cell solves on one persistent
+        :class:`~repro.perf.pool.WorkerPool` per run, in the
+        :func:`~repro.perf.parallel.resolve_workers` convention (``None``/
+        ``0`` solves cells serially; negative means CPU count).  Worker
+        count never changes results — cell solves are merged in
+        deterministic cell order.
     halo_scale:
         Safety multiplier (``>= 1``) applied to the interaction radius when
         sizing cells.  ``1.0`` is always sufficient; larger values trade
         fewer, bigger cells for smaller halo fractions.
-    pool:
-        Whether parallel cell solves reuse one persistent
-        :class:`~repro.perf.pool.WorkerPool` for the whole run (the
-        default) instead of a per-slot
-        :func:`~repro.perf.parallel.fork_map`.  Never changes results —
-        both paths merge in deterministic cell order; ``False`` exists for
-        A/B benchmarking of the amortised spawn cost (``rfid-sched bench
-        --scale --no-pool``).
     """
 
     cells: int = 0
     workers: Optional[int] = None
     halo_scale: float = 1.0
-    pool: bool = True
 
     def __post_init__(self) -> None:
         if self.cells < 0:

@@ -222,6 +222,10 @@ class TestParallelExecution:
         assert resolve_workers(0) == 1
         assert resolve_workers(3) == 3
         assert resolve_workers(-1) >= 1
+        assert resolve_workers(np.int64(2)) == 2
+        for bad in (2.5, 2.0, True, False, "two"):
+            with pytest.raises(ValueError):
+                resolve_workers(bad)
 
     def test_fork_map_preserves_order(self):
         payloads = list(range(20))

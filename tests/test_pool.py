@@ -3,8 +3,8 @@
 The pool's contract has four load-bearing clauses, each pinned here:
 
 * **amortisation** — one fork per run (``pool_spawns == 1``) no matter how
-  many slots/maps dispatch through it, where the legacy per-slot
-  ``fork_map`` path spawns once per parallel dispatch;
+  many slots/maps dispatch through it, where a one-shot ``fork_map`` (a
+  pool of its own) spawns once per call;
 * **bit-identity** — worker count and pool mode (fork / thread / serial)
   never change schedules or work counters;
 * **clean shutdown** — exiting the pool (normally or through a solver
@@ -323,9 +323,21 @@ class TestPoolSupervision:
         assert no_leaked_children()
 
 
+class TestOneShotForkMap:
+    def test_parallel_fork_map_is_one_oneshot_pool(self):
+        rec = TraceRecorder()
+        with recording(rec):
+            assert fork_map(_double, [1, 2, 3], 2) == [2, 4, 6]
+        dispatches = [e for e in rec.events if isinstance(e, PoolDispatch)]
+        assert len(dispatches) == 1
+        assert dispatches[0].mode == "fork"
+        assert dispatches[0].spawned == 1
+        assert no_leaked_children()
+
+
 class TestNestedForkMap:
     def test_nested_fork_map_counted_and_warned_once(self, monkeypatch):
-        monkeypatch.setattr(parallel_module, "_WORKER_FN", _double)
+        monkeypatch.setattr(parallel_module, "_IN_POOL_WORKER", True)
         monkeypatch.setattr(parallel_module, "_NESTED_WARNED", False)
         before = parallel_module.nested_serial_calls
         with pytest.warns(RuntimeWarning, match="nested parallel dispatch"):
@@ -354,15 +366,27 @@ class TestShardedBitIdentity:
         assert pooled_metrics["pool_spawns"] == 1
         assert "pool_spawns" not in metrics  # serial records keep their shape
 
-    def test_legacy_fork_map_leg_matches_and_respawns(self, serial):
-        result, metrics = serial
-        legacy, legacy_metrics = run_scale(
-            ShardSpec(cells=CELLS, workers=2, pool=False)
+    def test_nested_run_holds_no_pool_and_matches_serial(
+        self, serial, monkeypatch
+    ):
+        from repro.obs.events import get_recorder
+        from repro.shard.partition import ShardPartition
+        from repro.shard.runtime import ShardRuntime
+
+        monkeypatch.setattr(parallel_module, "_IN_POOL_WORKER", True)
+        monkeypatch.setattr(parallel_module, "_NESTED_WARNED", True)
+        spec = ShardSpec(cells=CELLS, workers=2)
+        runtime = ShardRuntime(
+            ShardPartition.from_arrays(*DEPLOYMENT.materialize(), spec)
         )
-        assert legacy.slots == result.slots
-        assert strip_timing(legacy_metrics) == strip_timing(metrics)
-        # the cost the pool amortises: one spawn per parallel slot
-        assert legacy_metrics["pool_spawns"] == len(legacy.slots)
+        before = parallel_module.nested_serial_calls
+        with runtime.pool_scope(_double, False, get_recorder()) as pool:
+            assert pool is None and runtime._pool is None
+        assert parallel_module.nested_serial_calls == before + 1
+        result, _ = serial
+        nested, _ = run_scale(spec, record=False)
+        assert nested.slots == result.slots
+        assert nested.tags_read_total == result.tags_read_total
 
     def test_thread_mode_matches_serial(self, serial, monkeypatch):
         monkeypatch.setattr(pool_module, "fork_available", lambda: False)

@@ -311,15 +311,9 @@ class TestShardFaultComposition:
 
         serial, serial_sum = run(workers=1)
         pooled, pooled_sum = run(workers=3)
-        forked, forked_sum = run(workers=3, pool=False)
         assert_same_schedule(serial, pooled)
-        assert_same_schedule(serial, forked)
-        assert serial.fault_trace == pooled.fault_trace == forked.fault_trace
-        assert (
-            strip_timing(serial_sum)
-            == strip_timing(pooled_sum)
-            == strip_timing(forked_sum)
-        )
+        assert serial.fault_trace == pooled.fault_trace
+        assert strip_timing(serial_sum) == strip_timing(pooled_sum)
 
     def test_trivial_partition_matches_unsharded_fault_path(
         self, medium_system, flaky_plan
