@@ -160,12 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also account link-layer micro-slots per time-slot",
     )
     solve.add_argument(
-        "--incremental",
-        action="store_true",
-        help="with --schedule: enable the cross-slot pruning layer "
-        "(output-identical, less search work; see docs/performance.md)",
-    )
-    solve.add_argument(
         "--backend",
         choices=["auto", "pure", "numpy"],
         default=None,
@@ -250,12 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--tags", type=int, default=1200)
     sweep.add_argument("--side", type=float, default=100.0)
     sweep.add_argument("--save", default=None, help="write the raw sweep to JSON")
-    sweep.add_argument(
-        "--incremental",
-        action="store_true",
-        help="with --metric mcs_size: run schedules under the cross-slot "
-        "pruning layer (same sizes, less work)",
-    )
 
     bench = sub.add_parser(
         "bench",
@@ -283,12 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run bench jobs on N forked processes (-1 = CPU count; "
         "default: env REPRO_WORKERS, else serial); work counters are "
         "identical to a serial run",
-    )
-    bench.add_argument(
-        "--incremental",
-        action="store_true",
-        help="measure the mcs family under the cross-slot pruning layer; "
-        "records are labelled '<point>+inc'",
     )
     bench.add_argument(
         "--profile",
@@ -419,11 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["aloha", "treewalk"],
         default=None,
         help="also run (and trace) the link-layer inventory stage",
-    )
-    trun.add_argument(
-        "--incremental",
-        action="store_true",
-        help="trace the schedule under the cross-slot pruning layer",
     )
     trun.add_argument(
         "--backend",
@@ -570,9 +547,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return 2
     if args.schedule:
         if args.solver == "colorwave":
-            if args.incremental:
-                print("note: --incremental applies to the greedy covering "
-                      "schedule only; colorwave runs unchanged")
             result = colorwave_covering_schedule(system, seed=args.seed)
         else:
             shard = None
@@ -588,7 +562,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                     solver,
                     linklayer=args.linklayer,
                     seed=args.seed,
-                    incremental=args.incremental,
                     shard=shard,
                 )
         print(f"covering schedule: {result.size} slots, complete={result.complete}")
@@ -684,7 +657,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     from repro.experiments.figures import run_figure
 
-    result = run_figure(spec, seeds=tuple(args.seeds), incremental=args.incremental)
+    result = run_figure(spec, seeds=tuple(args.seeds))
     print(format_series_table(result, spec.title))
     if args.save:
         from repro.io import save_sweep
@@ -763,16 +736,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("error: --points requires --scale", file=sys.stderr)
         return 2
     matrix = QUICK_MATRIX if args.quick else FULL_MATRIX
-    families = "mcs only, +inc labels" if args.incremental else "oneshot + mcs"
     print(
         f"running {'quick' if args.quick else 'full'} benchmark matrix "
-        f"({len(matrix)} scenario points, {families}, backend: "
+        f"({len(matrix)} scenario points, oneshot + mcs, backend: "
         f"{resolve_backend(args.backend)})"
     )
     records = run_bench_matrix(
         matrix,
         workers=args.workers,
-        incremental=args.incremental,
         backend=args.backend,
         measure_memory=args.memory,
     )
@@ -912,7 +883,6 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
                 solver,
                 linklayer=args.linklayer,
                 seed=scenario.seed,
-                incremental=args.incremental,
                 shard=shard,
             )
     finally:

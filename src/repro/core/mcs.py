@@ -85,7 +85,6 @@ from repro.obs.events import (
     get_recorder,
 )
 from repro.obs.spans import span
-from repro.perf.backends import kernel_for
 from repro.perf.slotdelta import ScheduleContext
 from repro.shard.partition import ShardPartition
 from repro.shard.runtime import ShardRuntime
@@ -345,7 +344,9 @@ class _DenseWorld:
     non-trivial partition, cell by cell through *shard*
     (:meth:`ShardRuntime.solve_slot`).  Verification, the singleton
     fallback (full-system counts) and retirement always run on the full
-    system, so coverage guarantees do not depend on sharding.
+    system, so coverage guarantees do not depend on sharding.  The unread
+    population lives in one :class:`~repro.perf.slotdelta.ScheduleContext`
+    for the whole run, handed to solvers that accept a ``context``.
     """
 
     def __init__(
@@ -353,9 +354,8 @@ class _DenseWorld:
         system: RFIDSystem,
         solver: OneShotSolver,
         state: ReadState,
-        coverable: np.ndarray,
         read_mode: str,
-        context: Optional[ScheduleContext],
+        context: ScheduleContext,
         shard: Optional[ShardRuntime],
         ladder: Optional[_DeadlineLadder],
     ) -> None:
@@ -363,25 +363,21 @@ class _DenseWorld:
         self.solver = solver
         self.takes_context = accepts_context(solver)
         self.state = state
-        self.coverable = coverable
         self.read_mode = read_mode
         self.context = context
         self.shard = shard
         self.ladder = ladder
         self.rec = get_recorder()
-        self._unread = state.unread_mask & coverable
         self._views: dict = {}
 
     @property
     def unread(self) -> np.ndarray:
         """Mask of unread coverable tags."""
-        return self._unread if self.context is None else self.context.unread
+        return self.context.unread
 
     @property
     def num_unread(self) -> int:
         """Count of unread coverable tags."""
-        if self.context is None:
-            return int(np.count_nonzero(self._unread))
         return self.context.num_unread
 
     @property
@@ -391,7 +387,7 @@ class _DenseWorld:
         return None if self.shard is None else self.shard.retired_readers
 
     def _call(self, solver: OneShotSolver, system: RFIDSystem, rng):
-        if self.takes_context and self.context is not None:
+        if self.takes_context:
             return solver(system, self.unread, rng, context=self.context)
         return solver(system, self.unread, rng)
 
@@ -473,14 +469,9 @@ class _DenseWorld:
 
     def best_singleton(self, suspected) -> Optional[int]:
         """The unsuspected reader covering the most unread tags (lowest id
-        on ties), or ``None``.  An incremental context maintains exactly
-        these counts; the cold path is one packed popcount scan through the
-        ambient :class:`~repro.perf.backends.WeightKernel` (backend
-        invariant)."""
-        if self.context is not None:
-            counts = self.context.remaining_counts
-        else:
-            counts = kernel_for(self.system).covered_counts(self.unread)
+        on ties), or ``None``; the schedule context maintains exactly these
+        counts."""
+        counts = self.context.remaining_counts
         if suspected is not None:
             counts = np.where(suspected, 0, counts)
         if counts.size == 0 or counts.max() == 0:
@@ -490,11 +481,8 @@ class _DenseWorld:
     def retire(self, confirmed: np.ndarray, active: np.ndarray) -> None:
         """Mark *confirmed* read everywhere the run tracks unread tags."""
         self.state.mark_read(confirmed.tolist())
-        if self.context is not None:
-            self.context.retire_tags(confirmed)
-            self.context.note_active(active)
-        else:
-            self._unread = self.state.unread_mask & self.coverable
+        self.context.retire_tags(confirmed)
+        self.context.note_active(active)
         if self.shard is not None:
             self.shard.retire(confirmed)
 
@@ -691,14 +679,12 @@ def greedy_covering_schedule(
     linklayer:
         ``None`` (no micro-slot accounting), ``"aloha"`` or ``"treewalk"``.
     incremental:
-        Opt into the cross-slot pruning tier: a
-        :class:`~repro.perf.slotdelta.ScheduleContext` maintains the unread
-        mask and per-reader remaining counts across slots and is passed to
-        solvers that accept a ``context`` keyword, which may then drop
-        retired readers from their candidate pools and warm-start from the
-        previous slot.  Per-slot weights and tags-read sequences are
-        identical to the default path; work counters (``sets_evaluated``)
-        and wall-clock may shrink (``docs/performance.md``).
+        Accepted and ignored.  The cross-slot
+        :class:`~repro.perf.slotdelta.ScheduleContext` is always on: it
+        maintains the unread mask and per-reader remaining counts across
+        slots and is passed to solvers that accept a ``context`` keyword,
+        which may then drop retired readers from their candidate pools and
+        warm-start from the previous slot (``docs/performance.md``).
     faults:
         Optional :class:`~repro.faults.FaultPlan` — a seeded, deterministic
         fault world (reader crashes, flaky activations, imperfect reads)
@@ -755,20 +741,14 @@ def greedy_covering_schedule(
         # bit-identical to shard=None
         if not partition.is_trivial:
             shard_rt = ShardRuntime(
-                partition,
-                initial_unread=state.unread_mask & coverable,
-                incremental=incremental,
+                partition, initial_unread=state.unread_mask & coverable
             )
-    context = (
-        ScheduleContext(system, state.unread_mask & coverable)
-        if incremental
-        else None
-    )
+    context = ScheduleContext(system, state.unread_mask & coverable)
     ladder = None
     if fault_layer is not None and shard_rt is None:
         ladder = _DeadlineLadder(fault_layer.policy, solver)
     world = _DenseWorld(
-        system, solver, state, coverable, read_mode, context, shard_rt, ladder
+        system, solver, state, read_mode, context, shard_rt, ladder
     )
     # one persistent worker pool for every slot of a sharded run (no-op for
     # serial specs; see ShardRuntime.pool_scope)
@@ -781,7 +761,6 @@ def greedy_covering_schedule(
         slots, total_read, complete, outcome = run_slot_loop(
             world, rng, cap, fault_layer, max_stall_slots, linklayer,
             solver=getattr(solver, "__name__", "solver"),
-            incremental=incremental,
         )
     return ScheduleResult(
         slots=slots,

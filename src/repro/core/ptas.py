@@ -90,7 +90,7 @@ def _build_square_index(hierarchy: ShiftedHierarchy, live=None):
     ``(system, k, r, s)`` and reused across MCS slots.
 
     ``live`` optionally restricts the index to readers for which
-    ``live(i)`` is true — the incremental MCS path passes
+    ``live(i)`` is true — the MCS driver passes
     :meth:`~repro.perf.slotdelta.ScheduleContext.is_live` so retired disks
     stop inflating square contents and the per-square enumerations.  The
     filtered index is per-slot state and is *not* memoised."""

@@ -130,9 +130,7 @@ FIGURE_DEFAULTS: Dict[str, FigureSpec] = {
 }
 
 
-def _measure_mcs(
-    spec: FigureSpec, value: float, seed: int, incremental: bool = False
-) -> Dict[str, float]:
+def _measure_mcs(spec: FigureSpec, value: float, seed: int) -> Dict[str, float]:
     system = spec.scenario_at(value, seed).build()
     out: Dict[str, float] = {}
     for algo in spec.algorithms:
@@ -141,9 +139,7 @@ def _measure_mcs(
             result = colorwave_covering_schedule(system, seed=algo_seed)
         else:
             solver = get_solver(algo, **SOLVER_KWARGS.get(algo, {}))
-            result = greedy_covering_schedule(
-                system, solver, seed=algo_seed, incremental=incremental
-            )
+            result = greedy_covering_schedule(system, solver, seed=algo_seed)
         out[algo] = float(result.size)
     return out
 
@@ -165,16 +161,10 @@ def _measure_oneshot(spec: FigureSpec, value: float, seed: int) -> Dict[str, flo
 def run_figure(
     spec: FigureSpec,
     seeds: Sequence[int] = (0, 1, 2),
-    incremental: bool = False,
 ) -> SweepResult:
-    """Run one figure's sweep, replicated over *seeds*.
-
-    ``incremental=True`` runs mcs-size measurements under the opt-in
-    pruning layer — the measured schedule sizes are identical (the layer is
-    output-preserving), only the time to produce the figure drops.
-    """
+    """Run one figure's sweep, replicated over *seeds*."""
     if spec.metric == "mcs_size":
-        measure = lambda v, s: _measure_mcs(spec, v, s, incremental)  # noqa: E731
+        measure = lambda v, s: _measure_mcs(spec, v, s)  # noqa: E731
     elif spec.metric == "oneshot_weight":
         measure = lambda v, s: _measure_oneshot(spec, v, s)  # noqa: E731
     else:

@@ -186,18 +186,11 @@ def run_oneshot_bench(
 
 def run_mcs_bench(
     point: BenchPoint,
-    incremental: bool = False,
     backend: Optional[str] = None,
     measure_memory: bool = False,
 ) -> dict:
     """Measure a full greedy covering schedule at *point*; returns a run
     record.
-
-    With ``incremental=True`` the schedule runs under the opt-in pruning
-    layer (:class:`~repro.perf.slotdelta.ScheduleContext`) and the record's
-    label gains a ``+inc`` suffix — incremental runs form their own
-    trajectory per scenario point, so the baseline-drift check on the
-    default labels keeps comparing like with like.
 
     *backend* selects the solver-kernel backend (see
     :func:`run_oneshot_bench`); the resolved name lands in the record's
@@ -217,12 +210,12 @@ def run_mcs_bench(
     if mem is None:
         with use_backend(name), recording(collector):
             schedule = greedy_covering_schedule(
-                system, solver, seed=scenario.seed, incremental=incremental
+                system, solver, seed=scenario.seed
             )
     else:
         with mem, use_backend(name), recording(collector):
             schedule = greedy_covering_schedule(
-                system, solver, seed=scenario.seed, incremental=incremental
+                system, solver, seed=scenario.seed
             )
     wall = time.perf_counter() - t0
     metrics = collector.summary()
@@ -232,7 +225,7 @@ def run_mcs_bench(
     metrics["complete"] = bool(schedule.complete)
     return run_record(
         bench="mcs",
-        label=point.label + ("+inc" if incremental else ""),
+        label=point.label,
         solver=point.solver,
         scenario=dataclasses.asdict(scenario),
         metrics=metrics,
@@ -241,26 +234,16 @@ def run_mcs_bench(
     )
 
 
-def _run_bench_job(
-    job: Tuple[str, BenchPoint, bool, Optional[str], bool]
-) -> dict:
-    """Dispatch one (family, point, incremental, backend, measure_memory)
-    job — module-level for worker processes."""
-    family, point, incremental, backend, measure_memory = job
-    if family == "oneshot":
-        return run_oneshot_bench(
-            point, backend=backend, measure_memory=measure_memory
-        )
-    return run_mcs_bench(
-        point,
-        incremental=incremental,
-        backend=backend,
-        measure_memory=measure_memory,
-    )
+def _run_bench_job(job: Tuple[str, BenchPoint, Optional[str], bool]) -> dict:
+    """Dispatch one (family, point, backend, measure_memory) job —
+    module-level for worker processes."""
+    family, point, backend, measure_memory = job
+    run = run_oneshot_bench if family == "oneshot" else run_mcs_bench
+    return run(point, backend=backend, measure_memory=measure_memory)
 
 
 def _dispatch_bench_jobs(
-    jobs: List[Tuple[str, BenchPoint, bool, Optional[str], bool]],
+    jobs: List[Tuple[str, BenchPoint, Optional[str], bool]],
     workers: Optional[int],
 ) -> List[dict]:
     """Run the job tuples through one worker pool, in job order.
@@ -278,7 +261,6 @@ def _dispatch_bench_jobs(
 def run_bench_matrix(
     points: Sequence[BenchPoint],
     workers: Optional[int] = None,
-    incremental: bool = False,
     backend: Optional[str] = None,
     measure_memory: bool = False,
 ) -> Dict[str, List[dict]]:
@@ -291,10 +273,6 @@ def run_bench_matrix(
     ``sets_by_context``, collision tallies — is identical to a serial run;
     only the per-record wall-clock reflects a loaded machine.
 
-    ``incremental=True`` measures the pruning layer instead: only the mcs
-    family runs (a one-shot solve has no cross-slot state to reuse), each
-    record labelled ``<point>+inc``.
-
     *backend* is resolved once here, in the parent — workers inherit the
     resolved name through the job tuples, so forked and serial runs select
     identically even when the parent's environment differs from a fresh
@@ -305,11 +283,10 @@ def run_bench_matrix(
     peaks are per-run, not per-pool.
     """
     name = resolve_backend(backend)
-    if incremental:
-        jobs = [("mcs", p, True, name, measure_memory) for p in points]
-        return {"mcs": _dispatch_bench_jobs(jobs, workers)}
-    jobs = [("oneshot", p, False, name, measure_memory) for p in points] + [
-        ("mcs", p, False, name, measure_memory) for p in points
+    jobs = [
+        (family, p, name, measure_memory)
+        for family in ("oneshot", "mcs")
+        for p in points
     ]
     records = _dispatch_bench_jobs(jobs, workers)
     return {

@@ -29,9 +29,10 @@ layer; see ``docs/architecture.md``), so every other subpackage may depend
 on it.  The kernel
 tier never changes *what* is computed — work counters (``sets_evaluated``,
 ``sets_by_context``) and returned weights are bit-identical to the
-reference paths; the opt-in pruning tier (:class:`ScheduleContext`) keeps
-per-slot weights and tags-read byte-identical while the work counters may
-shrink.  See ``docs/performance.md``.
+reference paths.  The schedule context (:class:`ScheduleContext`, always
+on in the covering schedule) lets solvers skip retired readers, so it
+shrinks the work counters of a schedule but not its per-slot weights.
+See ``docs/performance.md``.
 """
 
 from repro.perf.cache import conflict_bits, silencer_bits, system_memo

@@ -12,16 +12,15 @@ maintaining, across slots:
   tags' coverage columns.  A reader whose count hits zero is **retired**: it
   covers no unread tag, so its solo weight is zero and (for a feasible set)
   adding it never changes the weight — solvers may drop it from their
-  candidate pools without changing their output (see
-  ``docs/performance.md``, "pruning layer" contract tier);
+  candidate pools (see ``docs/performance.md``, "Cross-slot schedule
+  context");
 * the previous slot's active set, from which :meth:`warm_start` derives a
   still-live feasible incumbent for the exact branch-and-bound.
 
-The driver owns one :class:`ScheduleContext` per schedule
-(``greedy_covering_schedule(..., incremental=True)``) and threads it to
-solvers that accept a ``context`` keyword.  The context is *advisory*: a
-solver that ignores it still returns correct results, just without the
-pruning.
+Every greedy covering schedule owns one :class:`ScheduleContext` (one per
+cell when sharded) and threads it to solvers that accept a ``context``
+keyword.  The context is *advisory*: a solver that ignores it still returns
+correct results, just without the pruning.
 
 Layering: like the rest of :mod:`repro.perf`, this module imports only
 NumPy and duck-types the system object (``coverage`` boolean matrix plus
@@ -116,10 +115,10 @@ class ScheduleContext:
         """Mark *tags* (indices into the tag population) as read.
 
         Clears their unread bits and decrements every covering reader's
-        remaining count.  Tags already read are ignored (idempotent), so the
-        counts never go negative.
+        remaining count.  Tags already read, and repeats within *tags*, are
+        ignored (idempotent), so the counts never go negative.
         """
-        tags = np.asarray(tags, dtype=np.int64).ravel()
+        tags = np.unique(np.asarray(tags, dtype=np.int64))
         if tags.size == 0:
             return
         fresh = tags[self._unread[tags]]

@@ -66,7 +66,6 @@ class ScalePoint:
     shard_cells: Optional[int] = None
     workers: Optional[int] = None
     max_slots: Optional[int] = None
-    incremental: bool = True
 
     def scenario_dict(self) -> dict:
         """The record's ``scenario`` payload: generator parameters plus the
@@ -197,7 +196,6 @@ def run_scale_point(point: ScalePoint, backend: Optional[str] = None) -> dict:
                 system,
                 solver,
                 seed=point.seed,
-                incremental=point.incremental,
                 max_slots=point.max_slots,
                 shard=spec,
             )

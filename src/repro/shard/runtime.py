@@ -86,22 +86,18 @@ class ShardRuntime:
     initial_unread:
         Global boolean unread mask (the driver's coverable-unread
         population); defaults to everything unread.  Each cell's context
-        starts from this mask restricted to the cell's owned tags.
-    incremental:
-        Forwarded semantics of the driver's ``incremental`` flag: when True
-        (and the solver accepts a ``context``), cell solves receive their
-        cell's live :class:`~repro.perf.slotdelta.ScheduleContext` for
-        retirement pruning and warm starts.
+        starts from this mask restricted to the cell's owned tags.  Cell
+        solves receive their cell's live
+        :class:`~repro.perf.slotdelta.ScheduleContext` when the solver
+        accepts a ``context``.
     """
 
     def __init__(
         self,
         partition: ShardPartition,
         initial_unread: Optional[np.ndarray] = None,
-        incremental: bool = False,
     ):
         self.partition = partition
-        self.incremental = incremental
         self._contexts: Optional[List[ScheduleContext]] = None
         #: Readers retired by :meth:`refresh` (confirmed permanent crashes).
         self.retired_readers = np.zeros(
@@ -352,7 +348,7 @@ class ShardRuntime:
                 empty = relay_payload(RelayRecorder()) if self._collect else None
                 return np.empty(0, dtype=np.int64), empty, 0.0
             system = self._degraded_subsystem(idx, cell, susp, live_local)
-        elif self._takes_context and self.incremental:
+        elif self._takes_context:
             kwargs["context"] = ctx
         local = RelayRecorder() if self._collect else None
         with recording(local) if local is not None else nullcontext():

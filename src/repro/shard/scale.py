@@ -317,7 +317,7 @@ def run_scale_schedule(
             "deployment collapses to a single cell; use "
             "greedy_covering_schedule (optionally with shard=) instead"
         )
-    runtime = ShardRuntime(partition, incremental=True)
+    runtime = ShardRuntime(partition)
     solver_fn = get_solver(solver)
     takes_context = accepts_context(solver_fn)
     rng = as_rng(seed)
@@ -338,7 +338,7 @@ def run_scale_schedule(
     with runtime.pool_scope(solver_fn, takes_context, rec):
         slots, total_read, complete, outcome = run_slot_loop(
             world, rng, cap, fault_layer, max_stall_slots,
-            solver=getattr(solver_fn, "__name__", solver), incremental=True,
+            solver=getattr(solver_fn, "__name__", solver),
         )
     return ScaleScheduleResult(
         slots=slots,

@@ -367,17 +367,14 @@ class TestSolverEquivalence:
         assert a.feasible == b.feasible
         assert ca == cb
 
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_mcs_schedule_bit_identical(self, incremental):
+    def test_mcs_schedule_bit_identical(self):
         system = make_random_system(14, 120, 40.0, 9.0, 5.0, 92)
         runs = {}
         for backend in ("pure", "numpy"):
             solver = get_solver("ptas", k=2)
             collector = RunCollector()
             with use_backend(backend), recording(collector):
-                schedule = greedy_covering_schedule(
-                    system, solver, seed=8, incremental=incremental
-                )
+                schedule = greedy_covering_schedule(system, solver, seed=8)
             runs[backend] = (
                 [s.active.tolist() for s in schedule.slots],
                 schedule.reads_per_slot(),

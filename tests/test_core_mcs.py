@@ -205,18 +205,19 @@ class TestDriverTelemetry:
         assert sum(summary["tags_per_slot"]) == result.tags_read_total
 
     def test_fallback_singleton_counters_incremental(self, system):
-        """The fallback consults the context's remaining counts when
-        incremental; the schedule and tallies must not move."""
+        """The fallback consults the context's remaining counts; a solver
+        taking the context must see the same schedule and tallies as a
+        context-blind one."""
+        from repro.core.oneshot import make_result
+
+        def blind_solver(sys_, unread, seed):
+            return make_result(sys_, [], unread)
 
         def useless_solver(sys_, unread, seed, context=None):
-            from repro.core.oneshot import make_result
-
             return make_result(sys_, [], unread, context=context)
 
-        ref, ref_summary = self._collect(system, useless_solver)
-        inc, inc_summary = self._collect(
-            system, useless_solver, incremental=True
-        )
+        ref, ref_summary = self._collect(system, blind_solver)
+        inc, inc_summary = self._collect(system, useless_solver)
         assert [s.active.tolist() for s in inc.slots] == [
             s.active.tolist() for s in ref.slots
         ]

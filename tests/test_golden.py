@@ -139,18 +139,14 @@ LADDER_COUNTERS = {
 }
 #: Dense GHC climb pins on a deployment whose frontiers reach BATCH_MIN, so
 #: the numpy backend scores them in its batched kernels:
-#: (solver, incremental) -> _dense_pin(result).
+#: solver -> _dense_pin(result).
 GHC_CLIMB = Scenario(num_readers=150, num_tags=3000, side=175.0, seed=13)
 GHC_CLIMB_PINS = {
-    ("ghc", True): (
+    "ghc": (
         [(76, 809), (39, 161), (9, 17), (1, 1)],
         "complete", "97eb7816ef478b60", "8cebd312dd12a29d",
     ),
-    ("ghc", False): (
-        [(76, 809), (39, 161), (9, 17), (1, 1)],
-        "complete", "97eb7816ef478b60", "8cebd312dd12a29d",
-    ),
-    ("ghc_naive", True): (
+    "ghc_naive": (
         [(25, 474), (37, 332), (33, 133), (16, 32), (14, 16), (1, 1)],
         "complete", "2e0fee0428606201", "8cebd312dd12a29d",
     ),
@@ -300,14 +296,13 @@ def ghc_climb_system():
 
 
 @pytest.mark.parametrize("backend", ["numpy", "pure"])
-@pytest.mark.parametrize("solver,incremental", list(GHC_CLIMB_PINS))
-def test_ghc_climb_schedule(ghc_climb_system, solver, incremental, backend):
+@pytest.mark.parametrize("solver", list(GHC_CLIMB_PINS))
+def test_ghc_climb_schedule(ghc_climb_system, solver, backend):
     """The dense GHC schedule is pinned on both kernel backends: under
     ``numpy`` the climb frontiers go through the batched weight kernels,
     under ``pure`` through the scalar reference."""
     with use_backend(backend):
         result = greedy_covering_schedule(
-            ghc_climb_system, get_solver(solver), seed=3,
-            incremental=incremental,
+            ghc_climb_system, get_solver(solver), seed=3
         )
-    assert _dense_pin(result) == GHC_CLIMB_PINS[solver, incremental]
+    assert _dense_pin(result) == GHC_CLIMB_PINS[solver]

@@ -378,12 +378,15 @@ def test_faults_compose_with_incremental():
     plan = FaultPlan.uniform_flaky(
         system.num_readers, 0.2, miss_rate=0.1, seed=31
     )
+
+    def context_blind_ghc(system, unread, rng):
+        return SOLVERS["ghc"](system, unread, rng)
+
     plain = greedy_covering_schedule(
-        system, SOLVERS["ghc"], seed=5, faults=plan, max_slots=4000
+        system, context_blind_ghc, seed=5, faults=plan, max_slots=4000
     )
     inc = greedy_covering_schedule(
-        system, SOLVERS["ghc"], seed=5, faults=plan, max_slots=4000,
-        incremental=True,
+        system, SOLVERS["ghc"], seed=5, faults=plan, max_slots=4000
     )
     assert inc.complete
     assert inc.fault_trace is not None

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs.compare import (
+    ACCEPTED_DRIFT,
     DEFAULT_BENCH_FILES,
     audit_against,
     audit_trajectory,
@@ -121,6 +122,58 @@ class TestAuditAgainst:
         committed = _doc(_run(label="old", sets=10))
         working = _doc(_run(label="old", sets=10), _run(label="new", sets=77))
         assert audit_against(committed, working) == []
+
+
+class TestAcceptedDrift:
+    """A pinned re-baseline passes only as its one exact transition."""
+
+    KEY = ("mcs", "q_sparse_r12t100", "ptas", "sets_evaluated")
+
+    def _runs(self, *sets):
+        bench, label, solver, _ = self.KEY
+        return [_run(label=label, solver=solver, bench=bench, sets=n)
+                for n in sets]
+
+    def test_listed_transition_passes(self):
+        old, new = ACCEPTED_DRIFT[self.KEY]
+        assert audit_trajectory(_doc(*self._runs(old, new, new))) == []
+        committed = _doc(*self._runs(old))
+        assert audit_against(committed, _doc(*self._runs(old, new))) == []
+
+    def test_third_value_errors(self):
+        old, new = ACCEPTED_DRIFT[self.KEY]
+        findings = audit_trajectory(_doc(*self._runs(old, new, new - 1)))
+        assert [(f.kind, f.severity) for f in findings] == [
+            ("counter_drift", "error")
+        ]
+        committed = _doc(*self._runs(old))
+        findings = audit_against(committed, _doc(*self._runs(old, new + 1)))
+        assert [(f.kind, f.severity) for f in findings] == [
+            ("counter_drift", "error")
+        ]
+
+    def test_revert_errors_against_committed(self):
+        old, new = ACCEPTED_DRIFT[self.KEY]
+        committed = _doc(*self._runs(old, new))
+        findings = audit_against(committed, _doc(*self._runs(old, new, old)))
+        assert [(f.kind, f.severity) for f in findings] == [
+            ("counter_drift", "error")
+        ]
+
+    def test_other_groups_and_counters_stay_strict(self):
+        old, new = ACCEPTED_DRIFT[self.KEY]
+        other = _doc(_run(label="q_sparse_r12t100", solver="ghc", sets=old),
+                     _run(label="q_sparse_r12t100", solver="ghc", sets=new))
+        assert [f.severity for f in audit_trajectory(other)] == ["error"]
+        bench, label, solver, _ = self.KEY
+        slots = _doc(
+            _run(label=label, solver=solver, sets=old,
+                 slots_to_completion=old),
+            _run(label=label, solver=solver, sets=new,
+                 slots_to_completion=new),
+        )
+        findings = audit_trajectory(slots)
+        assert ["slots_to_completion" in f.detail for f in findings] == [True]
 
 
 class TestCommittedRepoTrajectories:

@@ -405,7 +405,7 @@ class TestShardedBitIdentity:
         partition = ShardPartition.from_arrays(
             *DEPLOYMENT.materialize(), ShardSpec(cells=CELLS, workers=2)
         )
-        runtime = ShardRuntime(partition, incremental=True)
+        runtime = ShardRuntime(partition)
 
         def exploding_solver(system, unread, rng, **kwargs):
             raise RuntimeError("solver blew up")

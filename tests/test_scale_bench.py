@@ -85,8 +85,7 @@ class TestScaleDriver:
         the dense sharded MCS driver walk the same schedule."""
         system = build_system(*arrays)
         dense = greedy_covering_schedule(
-            system, get_solver("ghc"), seed=17, incremental=True,
-            shard=ShardSpec(cells=0),
+            system, get_solver("ghc"), seed=17, shard=ShardSpec(cells=0),
         )
         assert scale_result.size == dense.size
         assert scale_result.complete == dense.complete

@@ -194,14 +194,10 @@ class TestCellsOneBitIdentity:
             num_readers=40, num_tags=400, side=100.0, seed=13
         ).build()
 
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_schedule_and_counters_identical(self, system, incremental):
-        base, base_sum = run_collected(
-            system, get_solver("ghc"), seed=3, incremental=incremental
-        )
+    def test_schedule_and_counters_identical(self, system):
+        base, base_sum = run_collected(system, get_solver("ghc"), seed=3)
         shard, shard_sum = run_collected(
-            system, get_solver("ghc"), seed=3, incremental=incremental,
-            shard=ShardSpec(cells=1),
+            system, get_solver("ghc"), seed=3, shard=ShardSpec(cells=1)
         )
         assert_same_schedule(base, shard)
         assert strip_timing(base_sum) == strip_timing(shard_sum)
@@ -516,7 +512,7 @@ class TestBoundaryScenarios:
 class TestRuntime:
     def test_retire_advances_unread_counts(self, medium_system):
         partition = ShardPartition.from_system(medium_system, ShardSpec(cells=16))
-        runtime = ShardRuntime(partition, incremental=True)
+        runtime = ShardRuntime(partition)
         before = runtime.num_unread
         coverable = np.flatnonzero(partition.owner_of_tag >= 0)
         confirmed = coverable[: min(25, len(coverable))]
@@ -528,7 +524,7 @@ class TestRuntime:
 
     def test_best_singleton_is_max_coverage_owned_reader(self, medium_system):
         partition = ShardPartition.from_system(medium_system, ShardSpec(cells=16))
-        runtime = ShardRuntime(partition, incremental=True)
+        runtime = ShardRuntime(partition)
         best = runtime.best_singleton()
         cov = medium_system.coverage  # (m, n)
         coverable = partition.owner_of_tag >= 0

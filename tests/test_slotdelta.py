@@ -1,14 +1,16 @@
-"""Tier-2 contract for the cross-slot pruning layer (``repro.perf.slotdelta``).
+"""Contract of the cross-slot schedule context (``repro.perf.slotdelta``).
 
 Pins, per ``docs/performance.md``:
 
 * ``ScheduleContext`` invariants — incremental unread mask / bits / counts
-  always match a from-scratch recompute, retirement is monotone, warm starts
-  are live subsets of the previous active set;
-* **output identity** — with ``incremental=True`` the covering schedule's
-  per-slot weights, tags-read sequences, slot count and completeness are
-  byte-identical to the reference path, for every solver family, on feasible
-  and degenerate (uncoverable-tag) scenarios;
+  always match a from-scratch recompute, retirement is monotone (duplicate
+  and repeated retirements included), warm starts are live subsets of the
+  previous active set;
+* **output identity** — on every slot of a real schedule, each solver
+  family returns the same active set and weight with the context as its
+  context-free one-shot call on the same unread mask and rng state, on
+  feasible and degenerate (uncoverable-tag) scenarios, unless a PTAS
+  enumeration budget binds;
 * **work reduction** — the pruning is allowed (expected) to shrink
   ``sets_evaluated``; the PTAS square-index rebuild is the measurable case;
 * warm-started exact branch-and-bound returns the same set and weight as a
@@ -16,6 +18,7 @@ Pins, per ``docs/performance.md``:
 * committed ``SlotRecord`` arrays are frozen.
 """
 
+import copy
 import functools
 
 import numpy as np
@@ -76,6 +79,13 @@ class TestScheduleContext:
         assert ctx.num_unread == line_system.num_tags - 2
         ctx.check()
 
+    def test_retire_tags_ignores_duplicates_in_one_batch(self, line_system):
+        ctx = ScheduleContext(line_system)
+        ctx.retire_tags([1, 1, 2, 1])
+        assert ctx.num_unread == line_system.num_tags - 2
+        assert ctx.remaining_counts.min() >= 0
+        ctx.check()
+
     def test_warm_start_is_live_subset_of_previous_active(self, line_system):
         ctx = ScheduleContext(line_system)
         assert ctx.warm_start() == []  # no previous slot yet
@@ -110,7 +120,7 @@ class TestScheduleContext:
 
 
 # ---------------------------------------------------------------------------
-# Output identity: incremental=True must not move the schedule
+# Output identity: the context must not move any slot's solve
 # ---------------------------------------------------------------------------
 SOLVERS = {
     "exact": exact_mwfs,
@@ -120,6 +130,44 @@ SOLVERS = {
     "distributed": distributed_mwfs,
     "ghc": greedy_hill_climbing,
 }
+
+
+class _ContextChecked:
+    """Solver wrapper that re-solves every slot without the context.
+
+    Each call first runs *solver* context-free on a deep copy of the rng and
+    a copy of ``unread``, under its own :class:`RunCollector` (so the
+    driver's counters see only the context run), then runs it with the
+    context and asserts the same sorted active set and weight — unless
+    either call reports ``budget_exhausted`` (a binding enumeration budget
+    is the one case pruning may change the pick).  ``reference_sets``
+    accumulates the context-free ``sets_evaluated``.
+    """
+
+    def __init__(self, solver):
+        self.solver = solver
+        self.calls = 0
+        self.reference_sets = 0
+
+    def __call__(self, system, unread, rng, context=None):
+        assert context is not None
+        collector = RunCollector()
+        with recording(collector):
+            ref = self.solver(
+                system, np.array(unread, copy=True), copy.deepcopy(rng)
+            )
+        self.reference_sets += collector.summary()["sets_evaluated"]
+        result = self.solver(system, unread, rng, context=context)
+        self.calls += 1
+        if not (
+            ref.meta.get("budget_exhausted")
+            or result.meta.get("budget_exhausted")
+        ):
+            assert sorted(result.active.tolist()) == sorted(
+                ref.active.tolist()
+            )
+            assert result.weight == ref.weight
+        return result
 
 
 def _schedule_fingerprint(result):
@@ -135,66 +183,59 @@ def _schedule_fingerprint(result):
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 class TestOutputIdentity:
     def test_feasible_system(self, name):
-        solver = SOLVERS[name]
-        ref = greedy_covering_schedule(
-            make_random_system(12, 150, 40, 8, 5, seed=3), solver, seed=11
+        checked = _ContextChecked(SOLVERS[name])
+        result = greedy_covering_schedule(
+            make_random_system(12, 150, 40, 8, 5, seed=3), checked, seed=11
         )
-        inc = greedy_covering_schedule(
-            make_random_system(12, 150, 40, 8, 5, seed=3),
-            solver,
-            seed=11,
-            incremental=True,
-        )
-        assert _schedule_fingerprint(inc) == _schedule_fingerprint(ref)
-        assert ref.complete
+        assert checked.calls > 0
+        assert result.complete
 
     def test_degenerate_uncoverable_tag(self, name, line_system):
-        solver = SOLVERS[name]
-        ref = greedy_covering_schedule(line_system, solver, seed=5)
-        inc = greedy_covering_schedule(
-            line_system, solver, seed=5, incremental=True
-        )
-        assert _schedule_fingerprint(inc) == _schedule_fingerprint(ref)
+        checked = _ContextChecked(SOLVERS[name])
+        result = greedy_covering_schedule(line_system, checked, seed=5)
+        assert checked.calls > 0
         # "complete" here means every *coverable* tag read; tag 3 never is.
-        assert ref.complete
-        assert ref.tags_read_total == 3
+        assert result.complete
+        assert result.tags_read_total == 3
 
     def test_with_linklayer(self, name, line_system):
-        solver = SOLVERS[name]
-        ref = greedy_covering_schedule(
-            line_system, solver, linklayer="aloha", seed=2
+        checked = _ContextChecked(SOLVERS[name])
+        result = greedy_covering_schedule(
+            line_system, checked, linklayer="aloha", seed=2
         )
-        inc = greedy_covering_schedule(
-            line_system, solver, linklayer="aloha", seed=2, incremental=True
-        )
-        assert _schedule_fingerprint(inc) == _schedule_fingerprint(ref)
-        assert inc.total_micro_slots == ref.total_micro_slots
+        assert checked.calls > 0
+        assert result.complete
 
 
 def test_incremental_with_context_blind_solver():
-    """A solver without a ``context`` keyword still schedules correctly under
-    ``incremental=True`` — the driver keeps the mask/retirement bookkeeping
-    to itself."""
+    """A solver without a ``context`` keyword is never handed one, and each
+    slot it sees exactly the coverable tags no earlier slot read — the
+    driver keeps the mask/retirement bookkeeping to itself."""
+    seen = []
 
     def blind_solver(system, unread, seed):
+        seen.append(np.array(unread, copy=True))
         return make_result(system, [int(np.argmax(unread @ system.coverage))],
                            unread)
 
     system = make_random_system(12, 150, 40, 8, 5, seed=3)
-    ref = greedy_covering_schedule(system, blind_solver)
-    inc = greedy_covering_schedule(system, blind_solver, incremental=True)
-    assert _schedule_fingerprint(inc) == _schedule_fingerprint(ref)
+    result = greedy_covering_schedule(system, blind_solver)
+    assert result.complete
+    expect = system.covered_by_any().copy()
+    assert len(seen) == result.size
+    for unread, slot in zip(seen, result.slots):
+        assert np.array_equal(unread, expect)
+        expect[slot.tags_read] = False
+    assert not expect.any()
 
 
 # ---------------------------------------------------------------------------
 # Work reduction: pruning must shrink the PTAS's search, not just match it
 # ---------------------------------------------------------------------------
-def _counters(system, solver, incremental):
+def _counters(system, solver):
     collector = RunCollector()
     with recording(collector):
-        result = greedy_covering_schedule(
-            system, solver, seed=11, incremental=incremental
-        )
+        result = greedy_covering_schedule(system, solver, seed=11)
     summary = collector.summary()
     return result, summary
 
@@ -205,31 +246,21 @@ def test_ptas_search_work_drops_with_retirement():
     deliberately *not* asserted on: its upper bound already prunes
     retired-only suffixes at the same nodes, so its node counts match the
     reference by construction.)"""
-    solver = functools.partial(ptas_mwfs, k=2)
-    ref_res, ref = _counters(
-        make_random_system(20, 300, 50, 10, 5, seed=2), solver, False
+    checked = _ContextChecked(functools.partial(ptas_mwfs, k=2))
+    result, summary = _counters(
+        make_random_system(20, 300, 50, 10, 5, seed=2), checked
     )
-    inc_res, inc = _counters(
-        make_random_system(20, 300, 50, 10, 5, seed=2), solver, True
-    )
-    assert _schedule_fingerprint(inc_res) == _schedule_fingerprint(ref_res)
-    assert inc["sets_evaluated"] < ref["sets_evaluated"]
-    # Output-side counters stay pinned while search work drops.
-    assert inc["tags_per_slot"] == ref["tags_per_slot"]
-    assert inc["rrc_blocked"] == ref["rrc_blocked"]
-    assert inc["rtc_silenced"] == ref["rtc_silenced"]
+    assert result.complete
+    assert checked.calls == result.size
+    assert summary["sets_evaluated"] < checked.reference_sets
 
 
-def test_default_mode_counters_unchanged_by_layer():
-    """With ``incremental=False`` nothing anywhere changes: identical
-    schedules *and* identical work counters (tier-1 applies unchanged)."""
+def test_counters_deterministic_across_runs():
+    """Two runs of the same schedule give identical schedules *and*
+    identical work counters."""
     solver = functools.partial(ptas_mwfs, k=2)
-    res_a, a = _counters(
-        make_random_system(12, 150, 40, 8, 5, seed=3), solver, False
-    )
-    res_b, b = _counters(
-        make_random_system(12, 150, 40, 8, 5, seed=3), solver, False
-    )
+    res_a, a = _counters(make_random_system(12, 150, 40, 8, 5, seed=3), solver)
+    res_b, b = _counters(make_random_system(12, 150, 40, 8, 5, seed=3), solver)
     assert _schedule_fingerprint(res_a) == _schedule_fingerprint(res_b)
     assert a["sets_evaluated"] == b["sets_evaluated"]
     assert a["sets_by_context"] == b["sets_by_context"]
