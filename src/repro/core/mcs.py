@@ -81,7 +81,6 @@ from repro.obs.events import (
     SlotEnd,
     SlotStart,
     SolverDeadline,
-    StageTiming,
     get_recorder,
 )
 from repro.obs.spans import span
@@ -504,13 +503,6 @@ class _DenseWorld:
         )
 
 
-def _stage_done(rec, slot: int, stage: str, t0: float) -> float:
-    """Emit the ``StageTiming`` of *stage*, begun at *t0*; returns now."""
-    now = time.perf_counter()
-    rec.emit(StageTiming(slot=slot, stage=stage, seconds=now - t0))
-    return now
-
-
 def run_slot_loop(
     world,
     rng,
@@ -554,7 +546,6 @@ def run_slot_loop(
             with span("mcs.slot", slot=slot):
                 if rec.enabled:
                     rec.emit(SlotStart(slot=slot, unread_tags=world.num_unread))
-                    t_stage = time.perf_counter()
                 with span("mcs.solve", slot=slot):
                     suspected = None
                     if faults is not None:
@@ -582,8 +573,6 @@ def run_slot_loop(
                             if faults is not None:
                                 active = faults.drop_failed(active)
                             well = world.verify(active, unread)
-                if rec.enabled:
-                    t_stage = _stage_done(rec, slot, "solve", t_stage)
 
                 confirmed, missed = well, None
                 if faults is not None:
@@ -596,21 +585,17 @@ def run_slot_loop(
                             world.system, active, unread, protocol=linklayer,
                             seed=rng, miss_tags=missed,
                         )
-                    if rec.enabled:
-                        _stage_done(rec, slot, "inventory", t_stage)
 
                 if rec.enabled:
                     rrc, rtc = world.collisions(active, unread)
                     rec.emit(
                         CollisionTally(slot=slot, rrc_blocked=rrc, rtc_silenced=rtc)
                     )
-                    t_stage = time.perf_counter()
 
                 with span("mcs.retire", slot=slot):
                     world.retire(confirmed, active)
                 total_read += int(len(confirmed))
                 if rec.enabled:
-                    _stage_done(rec, slot, "retire", t_stage)
                     rec.emit(
                         SlotEnd(
                             slot=slot,

@@ -14,6 +14,7 @@ from typing import Optional
 from repro.deployment.generators import uniform_deployment
 from repro.deployment.radii import sample_radii
 from repro.model.system import RFIDSystem, build_system
+from repro.obs.spans import span
 from repro.util.rng import RngLike, as_rng
 from repro.util.validation import check_positive
 
@@ -48,21 +49,22 @@ class Scenario:
         integer pins the whole instance.
         """
         rng = as_rng(self.seed if seed is None else seed)
-        placement = uniform_deployment(
-            self.num_readers, self.num_tags, self.side, seed=rng
-        )
-        interference, interrogation = sample_radii(
-            self.num_readers,
-            self.lambda_interference,
-            self.lambda_interrogation,
-            seed=rng,
-        )
-        return build_system(
-            placement.reader_positions,
-            interference,
-            interrogation,
-            placement.tag_positions,
-        )
+        with span("scenario.build", readers=self.num_readers, tags=self.num_tags):
+            placement = uniform_deployment(
+                self.num_readers, self.num_tags, self.side, seed=rng
+            )
+            interference, interrogation = sample_radii(
+                self.num_readers,
+                self.lambda_interference,
+                self.lambda_interrogation,
+                seed=rng,
+            )
+            return build_system(
+                placement.reader_positions,
+                interference,
+                interrogation,
+                placement.tag_positions,
+            )
 
 
 #: The paper's Section-VI workload.

@@ -36,6 +36,7 @@ from repro.geometry.disks import mutual_interference_matrix
 from repro.geometry.points import as_points, pairwise_sq_distances
 from repro.model.reader import Reader
 from repro.model.tag import Tag
+from repro.obs.spans import span
 
 
 class RFIDSystem:
@@ -232,7 +233,8 @@ class RFIDSystem:
         if self._packed_coverage is None:
             from repro.perf.packed import PackedCoverage
 
-            self._packed_coverage = PackedCoverage(self._coverage)
+            with span("coverage.pack", readers=self.num_readers):
+                self._packed_coverage = PackedCoverage(self._coverage)
         return self._packed_coverage
 
     # ------------------------------------------------------------------

@@ -58,7 +58,6 @@ from repro.obs.events import (
     SolverDeadline,
     SpanEnd,
     SpanStart,
-    StageTiming,
     SweepPoint,
     TraceRecorder,
     get_recorder,
@@ -119,7 +118,6 @@ __all__ = [
     "LinkLayerSession",
     "DistsimRound",
     "ScheduleDone",
-    "StageTiming",
     "ReaderFailed",
     "ReadMissed",
     "SolverDeadline",

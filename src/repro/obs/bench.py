@@ -311,46 +311,39 @@ def write_bench_files(
     return paths
 
 
-#: Stage names of the MCS driver's per-slot breakdown, in pipeline order.
-PROFILE_STAGES = ("solve", "inventory", "retire")
-
-#: Parallel-tier stage names appended to the profile table when any record
-#: carries them (only parallel dispatches record these; see
-#: ``docs/observability.md``).
-POOL_STAGES = ("pool.dispatch", "pool.collect")
+#: Span names of the MCS driver's per-slot stages, in pipeline order.
+PROFILE_STAGES = ("mcs.solve", "mcs.inventory", "mcs.retire")
 
 
 def format_stage_profile(records: Dict[str, List[dict]]) -> str:
     """Per-stage wall-clock breakdown of the mcs records (``--profile``).
 
     One row per record with total seconds spent in each MCS driver stage
-    (``solve`` / ``inventory`` / ``retire``, from the
-    ``stage_seconds_by_name`` metric fed by
-    :class:`~repro.obs.events.StageTiming` events) plus each stage's share
-    of the summed stage time.  Records from parallel runs grow
-    ``pool.dispatch`` / ``pool.collect`` columns (the parallel tier's
-    submission and result-wait time; serial records never carry them).
+    (the ``mcs.solve`` / ``mcs.inventory`` / ``mcs.retire`` entries of the
+    ``stage_seconds_by_name`` metric, which sums span durations by name)
+    plus the solve stage's share of the summed stage time.  Records from
+    parallel runs grow a ``pool.dispatch`` column (serial records never
+    carry one).
     """
     mcs_records = records.get("mcs", ())
     stage_names = list(PROFILE_STAGES)
-    for s in POOL_STAGES:
-        if any(
-            s in r["metrics"].get("stage_seconds_by_name", {})
-            for r in mcs_records
-        ):
-            stage_names.append(s)
+    if any(
+        "pool.dispatch" in r["metrics"].get("stage_seconds_by_name", {})
+        for r in mcs_records
+    ):
+        stage_names.append("pool.dispatch")
     rows = [
         f"{'label':<24} "
-        + " ".join(f"{s + '_s':>14}" for s in stage_names)
+        + " ".join(f"{s + '_s':>16}" for s in stage_names)
         + f" {'solve%':>7}"
     ]
     for r in mcs_records:
         stages = r["metrics"].get("stage_seconds_by_name", {})
         total = sum(stages.get(s, 0.0) for s in PROFILE_STAGES)
-        share = 100.0 * stages.get("solve", 0.0) / total if total else 0.0
+        share = 100.0 * stages.get("mcs.solve", 0.0) / total if total else 0.0
         rows.append(
             f"{r['label']:<24} "
-            + " ".join(f"{stages.get(s, 0.0):>14.4f}" for s in stage_names)
+            + " ".join(f"{stages.get(s, 0.0):>16.4f}" for s in stage_names)
             + f" {share:>6.1f}%"
         )
     if len(rows) == 1:

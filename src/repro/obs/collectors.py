@@ -31,7 +31,6 @@ from repro.obs.events import (
     SolverDeadline,
     SpanEnd,
     SpanStart,
-    StageTiming,
     SweepPoint,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -47,16 +46,22 @@ class RunCollector(Recorder):
         Monotone event tallies (see :meth:`summary` for the exported names).
     solver_times:
         :class:`Stopwatch` keyed by solver name — wall-clock per invocation.
-    tags_per_slot / sets_per_slot:
-        Per-slot series: tags served, and candidate sets evaluated while the
-        slot was open (the per-phase breakdown of where search effort went).
+    tags_per_slot / sets_per_slot / solve_s_per_slot:
+        Per-slot series, appended at each ``SlotEnd`` so they line up: tags
+        served, candidate sets evaluated while the slot was open (the
+        per-phase breakdown of where search effort went), and the slot's
+        ``mcs.solve`` span seconds.  A slot that ends inside its solve
+        stage (stall, refresh) emits no ``SlotEnd`` and adds no entry.
     sets_by_context:
         Candidate-set evaluations keyed by search context
         (``"exact.bnb"``, ``"ptas.dp_cells"``, ``"localsearch.moves"``).
     stage_times:
-        :class:`Stopwatch` keyed by MCS driver stage (``"solve"`` /
-        ``"inventory"`` / ``"retire"``) — the per-stage wall-clock breakdown
-        behind ``rfid-sched bench --profile``.
+        :class:`Stopwatch` of inclusive seconds keyed by span name, folded
+        from every ``SpanEnd`` (``"mcs.solve"`` / ``"mcs.inventory"`` /
+        ``"mcs.retire"``, ``"pool.dispatch"``, ``"solver.call"``, …) — the
+        per-stage wall-clock breakdown behind ``rfid-sched bench
+        --profile``.  Spans are the only timing source: a new span shows
+        up here without collector code.
     fault_counters:
         Tallies of the robustness events (``readers_failed``,
         ``reads_missed``, ``solver_deadline_misses``,
@@ -71,11 +76,9 @@ class RunCollector(Recorder):
         seen — unsharded records keep their historical shape.
     pool_counters:
         Tallies of the parallel tier's dispatch events (``pool_spawns``,
-        ``pool_tasks``, ``pool_payload_bytes``), summed over dispatches;
-        each :class:`~repro.obs.events.PoolDispatch` also folds its
-        ``dispatch_s`` / ``collect_s`` into :attr:`stage_times` under
-        ``"pool.dispatch"`` / ``"pool.collect"``.  The supervision tallies
-        (``pool_respawns``: fresh pools forked after a worker death or
+        ``pool_tasks``, ``pool_payload_bytes``), summed over
+        :class:`~repro.obs.events.PoolDispatch` events.  The supervision
+        tallies (``pool_respawns``: fresh pools forked after a worker death or
         deadline, ``pool_deadline_hits``: dispatches that exceeded the
         per-dispatch deadline) come from
         :class:`~repro.obs.events.PoolRecovery` events.  Exported by
@@ -84,24 +87,24 @@ class RunCollector(Recorder):
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry` of latency/size
         histograms fed from the event stream: ``slot_solve_s`` (the MCS
-        driver's per-slot solve-stage wall, from ``StageTiming``),
+        driver's per-slot solve-stage wall, from ``mcs.solve`` span ends),
         ``cell_solve_s`` (per-cell solve wall in sharded runs, measured in
         the worker and carried by the ``shard.solve`` span's ``solve_s``
         attribute), ``halo_readers`` (per-cell halo size, from
         ``ShardMerge``), ``pool_dispatch_s`` (end-to-end parallel dispatch
-        latency, from ``PoolDispatch``), and ``fault_ladder_depth`` (the
-        degradation-ladder level reached per step, from
-        ``ScheduleDegraded``).  Exported by :meth:`summary` as the optional
+        latency, from ``pool.dispatch`` span ends), and
+        ``fault_ladder_depth`` (the degradation-ladder level reached per
+        step, from ``ScheduleDegraded``).  Exported by :meth:`summary` as the optional
         ``histograms`` metric field (p50/p90/p99 summaries) whenever any
         instrument fired.
     ignored_events:
         Count of events outside the :data:`~repro.obs.events.EVENT_TYPES`
         taxonomy that this collector received and skipped.  Never exported
         by :meth:`summary` — it exists to debug custom taxonomies feeding
-        the wrong recorder.  Span events (``SpanStart``/``SpanEnd``) are
-        structural and aggregate to no counter; the single exception is the
-        ``shard.solve`` span, whose ``solve_s`` attribute feeds the
-        ``cell_solve_s`` histogram.
+        the wrong recorder.  Span events aggregate to no counter: a
+        ``SpanEnd`` feeds :attr:`stage_times` (and the two span
+        histograms), and the ``shard.solve`` span's ``solve_s`` start
+        attribute feeds the ``cell_solve_s`` histogram.
     """
 
     enabled = True
@@ -150,28 +153,40 @@ class RunCollector(Recorder):
         self.sweep_times = Stopwatch()
         self.tags_per_slot: List[int] = []
         self.sets_per_slot: List[int] = []
+        self.solve_s_per_slot: List[float] = []
         self.sets_by_context: Dict[str, int] = {}
         self.schedule_complete: Optional[bool] = None
         self.ignored_events = 0
         self._open_slot: Optional[int] = None
         self._open_slot_sets = 0
+        self._open_slot_solve_s = 0.0
 
     # ------------------------------------------------------------------
     def emit(self, event) -> None:
-        """Fold one event into the aggregates.  Span events are skipped
-        (structural, nothing to aggregate); events outside the taxonomy are
-        skipped and tallied in :attr:`ignored_events`, so custom recorders
-        can extend the taxonomy without breaking this collector."""
-        if isinstance(event, SlotStart):
+        """Fold one event into the aggregates.  Events outside the
+        taxonomy are skipped and tallied in :attr:`ignored_events`, so
+        custom recorders can extend the taxonomy without breaking this
+        collector."""
+        if isinstance(event, SpanEnd):
+            self.stage_times.record(event.name, event.seconds)
+            if event.name == "mcs.solve":
+                self._open_slot_solve_s += event.seconds
+                self.metrics.histogram("slot_solve_s").observe(event.seconds)
+            elif event.name == "pool.dispatch":
+                self.metrics.histogram("pool_dispatch_s").observe(event.seconds)
+        elif isinstance(event, SlotStart):
             self._open_slot = event.slot
             self._open_slot_sets = 0
+            self._open_slot_solve_s = 0.0
         elif isinstance(event, SlotEnd):
             self.counters["slots"] += 1
             self.counters["tags_read"] += event.tags_read
             self.tags_per_slot.append(event.tags_read)
             self.sets_per_slot.append(self._open_slot_sets)
+            self.solve_s_per_slot.append(self._open_slot_solve_s)
             self._open_slot = None
             self._open_slot_sets = 0
+            self._open_slot_solve_s = 0.0
         elif isinstance(event, SolverCall):
             self.counters["solver_calls"] += 1
             self.solver_times.record(event.solver, event.seconds)
@@ -192,10 +207,6 @@ class RunCollector(Recorder):
             self.counters["distsim_rounds"] += 1
             self.counters["distsim_messages"] += event.sent
             self.counters["distsim_dropped"] += event.dropped
-        elif isinstance(event, StageTiming):
-            self.stage_times.record(event.stage, event.seconds)
-            if event.stage == "solve":
-                self.metrics.histogram("slot_solve_s").observe(event.seconds)
         elif isinstance(event, ReaderFailed):
             self.fault_counters["readers_failed"] += 1
             self._fault_events_seen = True
@@ -223,11 +234,6 @@ class RunCollector(Recorder):
             self.pool_counters["pool_tasks"] += event.tasks
             self.pool_counters["pool_payload_bytes"] += event.payload_bytes
             self._pool_events_seen = True
-            self.stage_times.record("pool.dispatch", event.dispatch_s)
-            self.stage_times.record("pool.collect", event.collect_s)
-            self.metrics.histogram("pool_dispatch_s").observe(
-                event.dispatch_s + event.collect_s
-            )
         elif isinstance(event, PoolRecovery):
             if event.respawned:
                 self.pool_counters["pool_respawns"] += 1
@@ -247,7 +253,7 @@ class RunCollector(Recorder):
         elif isinstance(event, SweepPoint):
             self.counters["sweep_points"] += 1
             self.sweep_times.record(event.param, event.seconds)
-        elif not isinstance(event, SpanEnd):
+        else:
             self.ignored_events += 1
 
     # ------------------------------------------------------------------

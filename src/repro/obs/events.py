@@ -124,22 +124,6 @@ class ScheduleDone:
 
 
 @dataclass(frozen=True)
-class StageTiming:
-    """One driver stage of time-slot *slot* took *seconds* of wall-clock.
-
-    ``stage`` names the MCS driver phase: ``"solve"`` (one-shot solver call
-    plus well-covered extraction and the singleton fallback), ``"inventory"``
-    (link-layer session, only when one is simulated) or ``"retire"``
-    (marking served tags read and updating the incremental schedule
-    context).
-    """
-
-    slot: int
-    stage: str
-    seconds: float
-
-
-@dataclass(frozen=True)
 class ReaderFailed:
     """The fault-tolerant MCS driver suspected reader *reader* at slot
     *slot* after *missed_heartbeats* consecutive missed heartbeats; the
@@ -204,16 +188,14 @@ class PoolDispatch:
     :func:`~repro.perf.parallel.fork_map` is a pool of its own).  *spawned*
     counts worker pools brought up for this dispatch (0 = an
     already-running pool was reused — the persistent pool's whole point;
-    a one-shot map reports 1), *payload_bytes* the pickled task bytes shipped to workers
-    (measured only while a recorder is enabled), and *dispatch_s* /
-    *collect_s* the submission and result-wait wall-clock."""
+    a one-shot map reports 1), and *payload_bytes* the pickled task bytes
+    shipped to workers (measured only while a recorder is enabled).  The
+    dispatch's wall-clock is its ``pool.dispatch`` span."""
 
     mode: str
     tasks: int
     payload_bytes: int
     spawned: int
-    dispatch_s: float
-    collect_s: float
 
 
 @dataclass(frozen=True)
@@ -299,7 +281,6 @@ EVENT_TYPES: Tuple[type, ...] = (
     LinkLayerSession,
     DistsimRound,
     ScheduleDone,
-    StageTiming,
     ReaderFailed,
     ReadMissed,
     SolverDeadline,

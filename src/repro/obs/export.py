@@ -65,7 +65,7 @@ METRIC_FIELDS: Dict[str, str] = {
     "solver_calls": "one-shot solver invocations (SolverCall count)",
     "solver_wall_clock_s": "total solver wall-clock, seconds",
     "solver_seconds_by_name": "solver wall-clock split by solver name",
-    "stage_seconds_by_name": "MCS driver wall-clock split by stage (solve/inventory/retire, plus pool.dispatch/pool.collect when the parallel tier dispatched)",
+    "stage_seconds_by_name": "inclusive wall-clock seconds per span name, summed over SpanEnd events (mcs.solve/mcs.inventory/mcs.retire, pool.dispatch, solver.call, ...)",
     "sets_evaluated": "candidate scheduling sets scored by search routines",
     "sets_per_slot": "candidate sets evaluated while each slot was open",
     "sets_by_context": "sets_evaluated split by search context",
@@ -92,7 +92,7 @@ METRIC_FIELDS: Dict[str, str] = {
     "pool_respawns": "fresh worker pools forked by the supervisor after a worker death or deadline hit",
     "pool_deadline_hits": "parallel dispatches that exceeded the pool's per-dispatch deadline",
     "relay_dropped_events": "worker-side trace events dropped at the bounded relay buffer cap, summed over dispatches",
-    "histograms": "p50/p90/p99 latency/size summaries keyed by histogram name (slot_solve_s, cell_solve_s, halo_readers, pool_dispatch_s, fault_ladder_depth); advisory, never drift-gated",
+    "histograms": "p50/p90/p99 latency/size summaries keyed by histogram name (slot_solve_s and pool_dispatch_s from mcs.solve and pool.dispatch span ends, cell_solve_s, halo_readers, fault_ladder_depth); advisory, never drift-gated",
     "shard_cells": "live spatial cells solved, summed over slots",
     "shard_halo_readers": "advisory halo readers shipped to cell solves, summed over slots",
     "shard_boundary_repairs": "cross-cell RTc conflicts repaired by the merge pass",

@@ -25,6 +25,7 @@ is the CLI entry point (see ``docs/observability.md``).
 
 from __future__ import annotations
 
+import dataclasses
 import html as _html
 import sys
 import time
@@ -40,7 +41,6 @@ from repro.obs.events import (
     ScheduleDegraded,
     SlotEnd,
     SpanStart,
-    StageTiming,
 )
 
 PathLike = Union[str, Path]
@@ -57,12 +57,15 @@ def revive_event(d: dict):
     Inverse of :func:`repro.obs.sink.event_to_dict` for every class in
     :data:`~repro.obs.events.EVENT_TYPES` (span ``attrs`` pairs come back
     as the original tuple-of-pairs).  Returns ``None`` for events outside
-    the taxonomy — report folding skips what it cannot type.
+    the taxonomy — report folding skips what it cannot type — and drops
+    fields the class no longer has, so traces written by older versions
+    (removed event classes, removed fields) still load.
     """
     cls = _EVENT_BY_NAME.get(d.get("event"))
     if cls is None:
         return None
-    fields = {k: v for k, v in d.items() if k != "event"}
+    names = {f.name for f in dataclasses.fields(cls)}
+    fields = {k: v for k, v in d.items() if k in names}
     if "attrs" in fields:
         fields["attrs"] = tuple(
             (str(k), v) for k, v in (tuple(p) for p in fields["attrs"])
@@ -134,7 +137,6 @@ class ProgressLine(Recorder):
 def _fold(events: Iterable) -> dict:
     """Fold an event stream into the report's data model."""
     collector = RunCollector()
-    solve_per_slot: Dict[int, float] = {}
     cells: Dict[int, Tuple[int, float]] = {}  # cell -> (solves, total_s)
     for raw in events:
         event = revive_event(raw) if isinstance(raw, dict) else raw
@@ -147,13 +149,8 @@ def _fold(events: Iterable) -> dict:
                 cell = int(attrs["cell"])
                 count, total = cells.get(cell, (0, 0.0))
                 cells[cell] = (count + 1, total + attrs["solve_s"])
-        elif isinstance(event, StageTiming) and event.stage == "solve":
-            solve_per_slot[event.slot] = (
-                solve_per_slot.get(event.slot, 0.0) + event.seconds
-            )
     return {
         "collector": collector,
-        "solve_per_slot": solve_per_slot,
         "cells": dict(sorted(cells.items())),
     }
 
@@ -166,10 +163,11 @@ def _bar(value: float, peak: float, width: int = BAR_WIDTH) -> str:
 
 def _timeline_rows(folded: dict) -> List[Tuple[int, int, float]]:
     collector = folded["collector"]
-    solve = folded["solve_per_slot"]
     return [
-        (slot, tags, solve.get(slot, 0.0))
-        for slot, tags in enumerate(collector.tags_per_slot)
+        (slot, tags, solve_s)
+        for slot, (tags, solve_s) in enumerate(
+            zip(collector.tags_per_slot, collector.solve_s_per_slot)
+        )
     ]
 
 

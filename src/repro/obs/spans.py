@@ -16,8 +16,9 @@ recorder), so a covering-schedule run produces the tree::
     mcs.run
     └── mcs.slot                 (one per time-slot)
         ├── mcs.solve
-        │   └── solver.call      (the registry-wrapped one-shot solve)
-        │       └── distsim.run  (distributed solver only)
+        │   ├── solver.call      (the registry-wrapped one-shot solve)
+        │   │   └── distsim.run  (distributed solver only)
+        │   └── scale.verify     (array-first driver only)
         ├── mcs.inventory
         │   └── linklayer.session
         └── mcs.retire
@@ -77,6 +78,16 @@ SPAN_NAMES: Dict[str, str] = {
     "shard.refresh": "one incremental partition refresh after confirmed "
     "permanent reader crashes: orphaned tags re-bucketed and dirtied cells "
     "rebuilt (shard.runtime.ShardRuntime.refresh)",
+    "scenario.build": "materialising one scenario into an RFIDSystem: "
+    "placement, radii and the derived coverage/conflict arrays "
+    "(deployment.scenario.Scenario.build)",
+    "partition.build": "one spatial partition of a deployment into cells "
+    "with halos and per-cell subsystems "
+    "(shard.partition.ShardPartition.from_arrays)",
+    "coverage.pack": "the lazy word-packing of a system's coverage matrix "
+    "on first use (model.system.RFIDSystem.packed_coverage)",
+    "scale.verify": "one sparse well-covered verification of an active set "
+    "in the array-first driver (shard.scale._slot_verification)",
     "pool.dispatch": "one deterministic parallel map "
     "(perf.pool.WorkerPool.map; a perf.parallel.fork_map is a one-shot pool): "
     "task submission, the wait for payload-order results, and the replay "

@@ -58,14 +58,15 @@ deterministic functions of their payloads), so a crashed worker degrades a
 run instead of hanging or failing it.  Thread and serial maps run in the
 parent and are not supervised.
 
-Telemetry: every non-serial dispatch runs under a ``pool.dispatch`` span
-and emits one :class:`~repro.obs.events.PoolDispatch` event
-(``pool_spawns`` / ``pool_tasks`` / ``pool_payload_bytes`` counters plus
-``pool.dispatch`` / ``pool.collect`` stage timings in the exported
-metrics).  A persistent pool shows ``pool_spawns == 1`` per run (plus one
-per re-fork after a partition refresh or a supervised respawn) where a
-one-shot ``fork_map`` shows one per call — the amortisation is visible in
-the BENCH records.  Every supervised recovery additionally emits a
+Telemetry: every non-serial dispatch runs under a ``pool.dispatch`` span,
+which is its only wall-clock measurement, and emits one
+:class:`~repro.obs.events.PoolDispatch` event (``pool_spawns`` /
+``pool_tasks`` / ``pool_payload_bytes`` counters).  With telemetry off the
+pool reads no timing clock; only supervision's deadline uses
+``time.monotonic``.  A persistent pool shows ``pool_spawns == 1`` per run
+(plus one per re-fork after a partition refresh or a supervised respawn)
+where a one-shot ``fork_map`` shows one per call — the amortisation is
+visible in the BENCH records.  Every supervised recovery additionally emits a
 :class:`~repro.obs.events.PoolRecovery` event
 (``pool_respawns`` / ``pool_deadline_hits`` counters).  When the parent's
 recorder is enabled at dispatch time, fork-mode workers additionally run
@@ -223,7 +224,6 @@ class WorkerPool:
         self._threads: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self._spawn_pending = 0
-        self._spawn_seconds = 0.0
         #: Dispatches that fell back to one-shot ``fork_map`` because the
         #: callable was neither registered before the fork nor picklable by
         #: reference.
@@ -296,7 +296,6 @@ class WorkerPool:
             raise RuntimeError("WorkerPool is closed")
         if self.started or self._mode == "serial":
             return
-        t0 = time.perf_counter()
         if self._mode == "thread":
             parallel._warn_thread_fallback()
             self._threads = ThreadPoolExecutor(max_workers=self._workers)
@@ -313,7 +312,6 @@ class WorkerPool:
             procs = getattr(self._procs, "_pool", None) or ()
             self._worker_pids = {p.pid for p in procs}
         self._spawn_pending += 1
-        self._spawn_seconds += time.perf_counter() - t0
 
     # ------------------------------------------------------------------
     def map(
@@ -355,90 +353,69 @@ class WorkerPool:
             return fork_map(fn, payloads, self._workers)
         self.start()
         rec = get_recorder()
+        payload_bytes = 0  # threads never pickle payloads
         if self._mode == "thread":
-            spawned, spawn_s = self._spawn_pending, self._spawn_seconds
-            self._spawn_pending, self._spawn_seconds = 0, 0.0
             with span("pool.dispatch", mode="thread", tasks=len(payloads)):
-                t0 = time.perf_counter()
                 futures = [self._threads.submit(fn, p) for p in payloads]
-                t1 = time.perf_counter()
                 results = [f.result() for f in futures]
-                t2 = time.perf_counter()
+        else:
+            relay = rec.enabled
+            tasks = [
+                (i, -1 if handle is None else handle,
+                 fn if handle is None else None, p, relay)
+                for i, p in enumerate(payloads)
+            ]
             if rec.enabled:
-                rec.emit(
-                    PoolDispatch(
-                        mode="thread",
-                        tasks=len(payloads),
-                        payload_bytes=0,  # threads never pickle payloads
-                        spawned=spawned,
-                        dispatch_s=spawn_s + (t1 - t0),
-                        collect_s=t2 - t1,
-                    )
+                payload_bytes = len(
+                    pickle.dumps(tasks, protocol=pickle.HIGHEST_PROTOCOL)
                 )
-            return results
-        relay = rec.enabled
-        tasks = [
-            (i, -1 if handle is None else handle,
-             fn if handle is None else None, p, relay)
-            for i, p in enumerate(payloads)
-        ]
-        payload_bytes = (
-            len(pickle.dumps(tasks, protocol=pickle.HIGHEST_PROTOCOL))
-            if rec.enabled
-            else 0
-        )
-        with span("pool.dispatch", mode="fork", tasks=len(payloads)):
-            while True:
-                t0 = time.perf_counter()
-                pending = self._procs.map_async(_pool_invoke, tasks)
-                t1 = time.perf_counter()
-                try:
-                    indexed = self._supervised_get(pending)
-                    t2 = time.perf_counter()
-                    break
-                except _DispatchFailure as failure:
-                    if failure.reason == "deadline":
-                        self.deadline_hits += 1
-                    self._teardown_workers()
-                    respawned = self._try_respawn()
-                    if rec.enabled:
-                        rec.emit(
-                            PoolRecovery(
-                                mode="fork",
-                                reason=failure.reason,
-                                respawned=respawned,
-                                serial_replay=not respawned,
-                                tasks=len(tasks),
+            with span("pool.dispatch", mode="fork", tasks=len(payloads)):
+                while True:
+                    pending = self._procs.map_async(_pool_invoke, tasks)
+                    try:
+                        indexed = self._supervised_get(pending)
+                        break
+                    except _DispatchFailure as failure:
+                        if failure.reason == "deadline":
+                            self.deadline_hits += 1
+                        self._teardown_workers()
+                        respawned = self._try_respawn()
+                        if rec.enabled:
+                            rec.emit(
+                                PoolRecovery(
+                                    mode="fork",
+                                    reason=failure.reason,
+                                    respawned=respawned,
+                                    serial_replay=not respawned,
+                                    tasks=len(tasks),
+                                )
                             )
-                        )
-                    if respawned:
-                        continue
-                    # Respawn budget spent: deterministic serial replay of
-                    # the failed payload slice, and serial maps from now on.
-                    self._broken = True
-                    return [fn(p) for p in payloads]
-            indexed.sort(key=lambda triple: triple[0])
-            if relay:
-                # cross-process trace relay: replay each worker's shipped
-                # events (payload order) under this pool.dispatch span
-                for _, _, relayed in indexed:
-                    replay_events(relayed, rec)
-        spawned, spawn_s = self._spawn_pending, self._spawn_seconds
-        self._spawn_pending, self._spawn_seconds = 0, 0.0
+                        if respawned:
+                            continue
+                        # Respawn budget spent: deterministic serial replay
+                        # of the failed payload slice, and serial maps from
+                        # now on.
+                        self._broken = True
+                        return [fn(p) for p in payloads]
+                indexed.sort(key=lambda triple: triple[0])
+                if relay:
+                    # cross-process trace relay: replay each worker's
+                    # shipped events (payload order) under this
+                    # pool.dispatch span
+                    for _, _, relayed in indexed:
+                        replay_events(relayed, rec)
+            results = [result for _, result, _ in indexed]
+        spawned, self._spawn_pending = self._spawn_pending, 0
         if rec.enabled:
-            # dispatch_s carries the (amortised) spawn plus submission;
-            # collect_s is the wait for payload-ordered results.
             rec.emit(
                 PoolDispatch(
-                    mode="fork",
-                    tasks=len(tasks),
+                    mode=self._mode,
+                    tasks=len(payloads),
                     payload_bytes=payload_bytes,
                     spawned=spawned,
-                    dispatch_s=spawn_s + (t1 - t0),
-                    collect_s=t2 - t1,
                 )
             )
-        return [result for _, result, _ in indexed]
+        return results
 
     # ------------------------------------------------------------------
     def _supervised_get(self, pending) -> List[tuple]:

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.geometry.points import as_points
 from repro.model.system import RFIDSystem, build_system
+from repro.obs.spans import span
 from repro.shard.spec import ShardSpec, interaction_radius
 
 Key = Tuple[int, int]
@@ -237,158 +238,159 @@ class ShardPartition:
         subsystem (and is kept for the runtime's trivial fast path);
         otherwise a trivial partition builds one from the arrays.
         """
-        rpos = as_points(reader_positions, "reader_positions")
-        tpos = (
-            as_points(tag_positions, "tag_positions")
-            if len(np.atleast_1d(tag_positions))
-            else np.empty((0, 2))
-        )
-        R = np.asarray(interference_radii, dtype=np.float64)
-        gamma = np.asarray(interrogation_radii, dtype=np.float64)
-        n, m = len(rpos), len(tpos)
-        if R.shape != (n,) or gamma.shape != (n,):
-            raise ValueError("radii arrays must match number of readers")
-
-        def trivial() -> "ShardPartition":
-            return cls._trivial(rpos, R, gamma, tpos, spec, system)
-
-        if n == 0 or spec.cells == 1:
-            return trivial()
-        all_pts = np.vstack([rpos, tpos]) if m else rpos
-        mins = all_pts.min(axis=0)
-        maxs = all_pts.max(axis=0)
-        w, h = (maxs - mins)
-        extent = float(np.sqrt(max(w, 0.0) * max(h, 0.0)))
-        side = spec.cell_side(R, gamma, extent)
-        if side <= 0.0:
-            return trivial()
-        origin = mins
-
-        reader_keys = _bucket_keys(rpos, origin, side)
-        reader_buckets = _group_by_key(reader_keys)
-        if len(reader_buckets) <= 1:
-            return trivial()
-        tag_buckets = _group_by_key(_bucket_keys(tpos, origin, side))
-
-        cell_keys = sorted(reader_buckets)
-        cell_index = {key: i for i, key in enumerate(cell_keys)}
-        cell_of_reader = np.empty(n, dtype=np.int64)
-        for key, ids in reader_buckets.items():
-            cell_of_reader[ids] = cell_index[key]
-
-        # Tag ownership: cell of the lowest-id covering reader.  Any reader
-        # covering a tag is within gamma_max <= H <= side of it, hence in
-        # the tag bucket's one-ring neighbourhood.
-        owner_of_tag = np.full(m, -1, dtype=np.int64)
-        gamma_sq = gamma * gamma
-        for key, tids in tag_buckets.items():
-            cand_parts = [
-                reader_buckets[k]
-                for k in (
-                    (key[0] + dx, key[1] + dy)
-                    for dx in (-1, 0, 1)
-                    for dy in (-1, 0, 1)
-                )
-                if k in reader_buckets
-            ]
-            if not cand_parts:
-                continue
-            cand = (
-                cand_parts[0]
-                if len(cand_parts) == 1
-                else np.sort(np.concatenate(cand_parts))
+        with span("partition.build", cells=spec.cells):
+            rpos = as_points(reader_positions, "reader_positions")
+            tpos = (
+                as_points(tag_positions, "tag_positions")
+                if len(np.atleast_1d(tag_positions))
+                else np.empty((0, 2))
             )
-            diff = tpos[tids][:, None, :] - rpos[cand][None, :, :]
-            covers = (diff * diff).sum(axis=-1) <= gamma_sq[cand][None, :]
-            covered = covers.any(axis=1)
-            if not covered.any():
-                continue
-            # cand is ascending, so argmax finds the lowest covering id
-            first = np.argmax(covers[covered], axis=1)
-            owner_of_tag[tids[covered]] = cell_of_reader[cand[first]]
+            R = np.asarray(interference_radii, dtype=np.float64)
+            gamma = np.asarray(interrogation_radii, dtype=np.float64)
+            n, m = len(rpos), len(tpos)
+            if R.shape != (n,) or gamma.shape != (n,):
+                raise ValueError("radii arrays must match number of readers")
 
-        cells: List[ShardCell] = []
-        for idx, key in enumerate(cell_keys):
-            owned = reader_buckets[key]
-            x0 = float(origin[0] + key[0] * side)
-            y0 = float(origin[1] + key[1] * side)
-            x1, y1 = x0 + side, y0 + side
-            R_own = float(R[owned].max())
-            g_own = float(gamma[owned].max())
+            def trivial() -> "ShardPartition":
+                return cls._trivial(rpos, R, gamma, tpos, spec, system)
 
-            ring_parts = [
-                reader_buckets[k]
-                for k in ((key[0] + dx, key[1] + dy) for dx, dy in RING_OFFSETS)
-                if k in reader_buckets
-            ]
-            if ring_parts:
-                ring = np.concatenate(ring_parts)
-                dist = _dist_to_rect(rpos[ring], x0, x1, y0, y1)
-                # reader j can conflict with an owned reader
-                # (d <= max(R_j, R_own)) or cover a tag owned here
-                # (d <= gamma_j + g_own); both bounds are <= H <= side,
-                # so the one-ring candidates are exhaustive.
-                reach = np.maximum(np.maximum(R[ring], R_own), gamma[ring] + g_own)
-                halo = np.sort(ring[dist <= reach])
-            else:
-                halo = np.empty(0, dtype=np.int64)
+            if n == 0 or spec.cells == 1:
+                return trivial()
+            all_pts = np.vstack([rpos, tpos]) if m else rpos
+            mins = all_pts.min(axis=0)
+            maxs = all_pts.max(axis=0)
+            w, h = (maxs - mins)
+            extent = float(np.sqrt(max(w, 0.0) * max(h, 0.0)))
+            side = spec.cell_side(R, gamma, extent)
+            if side <= 0.0:
+                return trivial()
+            origin = mins
 
-            all_readers = np.sort(np.concatenate([owned, halo]))
-            owned_reader_mask = np.isin(all_readers, owned, assume_unique=True)
+            reader_keys = _bucket_keys(rpos, origin, side)
+            reader_buckets = _group_by_key(reader_keys)
+            if len(reader_buckets) <= 1:
+                return trivial()
+            tag_buckets = _group_by_key(_bucket_keys(tpos, origin, side))
 
-            g_inc = float(gamma[all_readers].max())
-            tag_parts = [
-                tag_buckets[k]
-                for k in (
-                    (key[0] + dx, key[1] + dy)
-                    for dx in (-1, 0, 1)
-                    for dy in (-1, 0, 1)
+            cell_keys = sorted(reader_buckets)
+            cell_index = {key: i for i, key in enumerate(cell_keys)}
+            cell_of_reader = np.empty(n, dtype=np.int64)
+            for key, ids in reader_buckets.items():
+                cell_of_reader[ids] = cell_index[key]
+
+            # Tag ownership: cell of the lowest-id covering reader.  Any reader
+            # covering a tag is within gamma_max <= H <= side of it, hence in
+            # the tag bucket's one-ring neighbourhood.
+            owner_of_tag = np.full(m, -1, dtype=np.int64)
+            gamma_sq = gamma * gamma
+            for key, tids in tag_buckets.items():
+                cand_parts = [
+                    reader_buckets[k]
+                    for k in (
+                        (key[0] + dx, key[1] + dy)
+                        for dx in (-1, 0, 1)
+                        for dy in (-1, 0, 1)
+                    )
+                    if k in reader_buckets
+                ]
+                if not cand_parts:
+                    continue
+                cand = (
+                    cand_parts[0]
+                    if len(cand_parts) == 1
+                    else np.sort(np.concatenate(cand_parts))
                 )
-                if k in tag_buckets
-            ]
-            if tag_parts:
-                band_cand = np.concatenate(tag_parts)
-                dist = _dist_to_rect(tpos[band_cand], x0, x1, y0, y1)
-                keep = (dist <= g_inc) | (owner_of_tag[band_cand] == idx)
-                tag_ids = np.sort(band_cand[keep])
-            else:
-                tag_ids = np.empty(0, dtype=np.int64)
-            owned_tag_mask = owner_of_tag[tag_ids] == idx
+                diff = tpos[tids][:, None, :] - rpos[cand][None, :, :]
+                covers = (diff * diff).sum(axis=-1) <= gamma_sq[cand][None, :]
+                covered = covers.any(axis=1)
+                if not covered.any():
+                    continue
+                # cand is ascending, so argmax finds the lowest covering id
+                first = np.argmax(covers[covered], axis=1)
+                owner_of_tag[tids[covered]] = cell_of_reader[cand[first]]
 
-            subsystem = build_system(
-                rpos[all_readers], R[all_readers], gamma[all_readers],
-                tpos[tag_ids],
-            )
-            cells.append(
-                ShardCell(
-                    index=idx,
-                    key=key,
-                    bounds=(x0, x1, y0, y1),
-                    reader_ids=owned,
-                    halo_reader_ids=halo,
-                    all_reader_ids=all_readers,
-                    tag_ids=tag_ids,
-                    owned_reader_mask=owned_reader_mask,
-                    owned_tag_mask=owned_tag_mask,
-                    subsystem=subsystem,
+            cells: List[ShardCell] = []
+            for idx, key in enumerate(cell_keys):
+                owned = reader_buckets[key]
+                x0 = float(origin[0] + key[0] * side)
+                y0 = float(origin[1] + key[1] * side)
+                x1, y1 = x0 + side, y0 + side
+                R_own = float(R[owned].max())
+                g_own = float(gamma[owned].max())
+
+                ring_parts = [
+                    reader_buckets[k]
+                    for k in ((key[0] + dx, key[1] + dy) for dx, dy in RING_OFFSETS)
+                    if k in reader_buckets
+                ]
+                if ring_parts:
+                    ring = np.concatenate(ring_parts)
+                    dist = _dist_to_rect(rpos[ring], x0, x1, y0, y1)
+                    # reader j can conflict with an owned reader
+                    # (d <= max(R_j, R_own)) or cover a tag owned here
+                    # (d <= gamma_j + g_own); both bounds are <= H <= side,
+                    # so the one-ring candidates are exhaustive.
+                    reach = np.maximum(np.maximum(R[ring], R_own), gamma[ring] + g_own)
+                    halo = np.sort(ring[dist <= reach])
+                else:
+                    halo = np.empty(0, dtype=np.int64)
+
+                all_readers = np.sort(np.concatenate([owned, halo]))
+                owned_reader_mask = np.isin(all_readers, owned, assume_unique=True)
+
+                g_inc = float(gamma[all_readers].max())
+                tag_parts = [
+                    tag_buckets[k]
+                    for k in (
+                        (key[0] + dx, key[1] + dy)
+                        for dx in (-1, 0, 1)
+                        for dy in (-1, 0, 1)
+                    )
+                    if k in tag_buckets
+                ]
+                if tag_parts:
+                    band_cand = np.concatenate(tag_parts)
+                    dist = _dist_to_rect(tpos[band_cand], x0, x1, y0, y1)
+                    keep = (dist <= g_inc) | (owner_of_tag[band_cand] == idx)
+                    tag_ids = np.sort(band_cand[keep])
+                else:
+                    tag_ids = np.empty(0, dtype=np.int64)
+                owned_tag_mask = owner_of_tag[tag_ids] == idx
+
+                subsystem = build_system(
+                    rpos[all_readers], R[all_readers], gamma[all_readers],
+                    tpos[tag_ids],
                 )
+                cells.append(
+                    ShardCell(
+                        index=idx,
+                        key=key,
+                        bounds=(x0, x1, y0, y1),
+                        reader_ids=owned,
+                        halo_reader_ids=halo,
+                        all_reader_ids=all_readers,
+                        tag_ids=tag_ids,
+                        owned_reader_mask=owned_reader_mask,
+                        owned_tag_mask=owned_tag_mask,
+                        subsystem=subsystem,
+                    )
+                )
+            part = cls(
+                spec=spec,
+                origin=origin,
+                cell_side=side,
+                cells=cells,
+                cell_of_reader=cell_of_reader,
+                owner_of_tag=owner_of_tag,
+                reader_positions=rpos,
+                interference_radii=R,
+                system=system,
             )
-        part = cls(
-            spec=spec,
-            origin=origin,
-            cell_side=side,
-            cells=cells,
-            cell_of_reader=cell_of_reader,
-            owner_of_tag=owner_of_tag,
-            reader_positions=rpos,
-            interference_radii=R,
-            system=system,
-        )
-        part.interrogation_radii = gamma
-        part.tag_positions = tpos
-        part._reader_buckets = reader_buckets
-        part._tag_buckets = tag_buckets
-        return part
+            part.interrogation_radii = gamma
+            part.tag_positions = tpos
+            part._reader_buckets = reader_buckets
+            part._tag_buckets = tag_buckets
+            return part
 
     # ------------------------------------------------------------------
     def retire_readers(self, dead_ids) -> RefreshReport:

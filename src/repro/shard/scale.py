@@ -25,11 +25,13 @@ global state, so :func:`run_scale_schedule` runs the same greedy loop
   live owner cell, never a scan of the 10⁶-tag population per cell.
 
 Being the same loop, it emits the standard driver spans (``mcs.run`` /
-``mcs.slot`` / ``mcs.solve`` / ``mcs.retire``) and events (``SlotStart`` /
-``StageTiming`` / ``CollisionTally`` / ``SlotEnd`` / ``ScheduleDone``), so
-a :class:`~repro.obs.collectors.RunCollector` aggregates a scale run
-exactly like an MCS run and ``BENCH_scale.json`` records validate against
-the ordinary schema (family ``scale``).
+``mcs.slot`` / ``mcs.solve`` / ``mcs.retire``, plus ``scale.verify``
+around each sparse verification and ``partition.build`` around the
+partition) and events (``SlotStart`` / ``CollisionTally`` / ``SlotEnd`` /
+``ScheduleDone``), so a :class:`~repro.obs.collectors.RunCollector`
+aggregates a scale run exactly like an MCS run (stage times are span
+durations) and ``BENCH_scale.json`` records validate against the ordinary
+schema (family ``scale``).
 
 Fault tolerance is the loop's fault layer (``docs/robustness.md``):
 passing ``faults=FaultPlan(...)`` runs the slot loop against the
@@ -54,6 +56,7 @@ from repro.deployment.radii import sample_radii
 from repro.faults import FaultPlan, FaultPolicy
 from repro.geometry.grid import SpatialHashGrid
 from repro.obs.events import get_recorder
+from repro.obs.spans import span
 from repro.shard.partition import ShardPartition
 from repro.shard.runtime import ShardRuntime
 from repro.shard.spec import ShardSpec
@@ -238,9 +241,11 @@ class _ArrayWorld:
         )
 
     def verify(self, active: np.ndarray, unread: np.ndarray) -> np.ndarray:
-        well, rrc, rtc = _slot_verification(
-            active, *self._arrays, self._grid, unread, self._counts, self._owner
-        )
+        with span("scale.verify", active=int(len(active))):
+            well, rrc, rtc = _slot_verification(
+                active, *self._arrays, self._grid, unread, self._counts,
+                self._owner,
+            )
         self._tally = (rrc, rtc)
         return well
 

@@ -43,6 +43,10 @@ def system():
     return SMALL.build()
 
 
+def _negate(x):
+    return -x
+
+
 class _BoobyTrap(Recorder):
     """Disabled recorder whose emit must never be reached."""
 
@@ -94,6 +98,37 @@ class TestNullRecorderOverhead:
         with recording(_BoobyTrap()):
             get_solver("distributed")(system, None, 0)
             run_sweep("x", [1.0], lambda v, s: {"m": v + s}, seeds=[0])
+
+    def test_disabled_pool_reads_no_clock(self, monkeypatch):
+        """With tracing off the worker pool reads no timing clock: its only
+        timer is the ``pool.dispatch`` span, which is off.  Supervision
+        keeps its ``time.monotonic`` deadline clock."""
+        import time as real_time
+
+        from repro.perf import pool as pool_module
+        from repro.perf.pool import WorkerPool
+        from repro.shard import ShardSpec
+
+        class _NoPerfCounter:
+            monotonic = staticmethod(real_time.monotonic)
+            sleep = staticmethod(real_time.sleep)
+
+            @staticmethod
+            def perf_counter():
+                raise AssertionError("pool read perf_counter with tracing off")
+
+        monkeypatch.setattr(pool_module, "time", _NoPerfCounter)
+        with recording(_BoobyTrap()):
+            with WorkerPool(2) as pool:
+                assert pool.map(_negate, [1, 2, 3]) == [-1, -2, -3]
+            system = Scenario(
+                num_readers=60, num_tags=600, side=200.0, seed=5
+            ).build()
+            schedule = greedy_covering_schedule(
+                system, get_solver("ghc"), seed=9,
+                shard=ShardSpec(cells=16, workers=2),
+            )
+        assert schedule.complete
 
     def test_disabled_path_matches_traced_results(self, system):
         """Tracing must be purely observational: identical schedules with

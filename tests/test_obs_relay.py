@@ -507,6 +507,27 @@ class TestReport:
         assert revive_event(event_to_dict(end)) == end
         assert revive_event({"event": "NotAnEvent", "x": 1}) is None
 
+    def test_timeline_rows_show_their_own_solve_span(self):
+        """One trace holding two schedules back to back: every timeline row
+        shows the ``mcs.solve`` span of exactly that slot."""
+        reset_spans()
+        with recording(TraceRecorder()) as rec:
+            for seed in (3, 4):
+                system = Scenario(num_readers=40, num_tags=500, seed=seed).build()
+                greedy_covering_schedule(system, get_solver("exact"), seed=seed)
+        solve_ms = [
+            f"{e.seconds * 1e3:8.2f}"
+            for e in rec.events
+            if isinstance(e, SpanEnd) and e.name == "mcs.solve"
+        ]
+        rows = [
+            line.split("solve ")[1].split(" ms")[0]
+            for line in render_report(rec.events).splitlines()
+            if line.startswith("  slot ")
+        ]
+        assert len(rows) == sum(isinstance(e, SlotEnd) for e in rec.events)
+        assert rows == solve_ms
+
     def test_report_sections_for_sharded_run(self, system):
         events, _ = _trace_schedule(system, shard=ShardSpec(cells=4))
         text = render_report(events)

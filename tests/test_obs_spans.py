@@ -204,7 +204,36 @@ class TestDriverSpanParity:
         with recording(RunCollector()) as collector:
             self.DRIVERS[driver]()
         stages = collector.summary()["stage_seconds_by_name"]
-        assert {"solve", "retire"} <= set(stages)
+        assert {"mcs.solve", "mcs.retire", "partition.build"} <= set(stages)
+
+
+class TestSpanDerivedTimings:
+    def test_collector_timings_are_span_sums(self):
+        """Stage seconds and the two span histograms are exactly the
+        ``SpanEnd`` durations of a pooled, link-layer sharded run."""
+        system = Scenario(num_readers=60, num_tags=600, side=200.0, seed=5).build()
+        collector, trace = RunCollector(), TraceRecorder()
+        reset_spans()
+        with recording(TeeRecorder(collector, trace)):
+            greedy_covering_schedule(
+                system, get_solver("ghc"), seed=9, linklayer="aloha",
+                shard=ShardSpec(cells=16, workers=2),
+            )
+        ends = {}
+        for e in trace.events:
+            if isinstance(e, SpanEnd):
+                ends.setdefault(e.name, []).append(e.seconds)
+        assert {"mcs.solve", "mcs.inventory", "pool.dispatch"} <= set(ends)
+        summary = collector.summary()
+        stages = summary["stage_seconds_by_name"]
+        assert set(stages) == set(ends)
+        for name, seconds in ends.items():
+            assert stages[name] == pytest.approx(sum(seconds))
+        hists = summary["histograms"]
+        assert hists["slot_solve_s"]["count"] == len(ends["mcs.solve"])
+        assert hists["pool_dispatch_s"]["sum"] == pytest.approx(
+            sum(ends["pool.dispatch"])
+        )
 
 
 class TestChromeTrace:

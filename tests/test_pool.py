@@ -146,8 +146,8 @@ class TestWorkerPool:
         assert collector.pool_counters["pool_spawns"] == 1
         assert collector.pool_counters["pool_tasks"] == 15
         assert collector.pool_counters["pool_payload_bytes"] > 0
-        stages = collector.stage_times.labels()
-        assert "pool.dispatch" in stages and "pool.collect" in stages
+        assert collector.stage_times.labels() == ["pool.dispatch"]
+        assert collector.stage_times.count("pool.dispatch") == 5
 
     def test_dispatch_events_report_persistent_mode(self):
         rec = TraceRecorder()
