@@ -23,6 +23,7 @@ from repro.core import (
 from repro.deployment import Scenario
 from repro.faults import FaultPlan, FaultPolicy, FlakyActivation, PermanentCrash
 from repro.obs import (
+    CandidateEvaluation,
     RunCollector,
     SpanStart,
     TeeRecorder,
@@ -71,8 +72,17 @@ class TestSolverGolden:
         assert result.active.tolist() == [0, 1, 4, 6, 7, 8, 11, 12, 13, 14, 19]
 
     def test_ptas(self, system):
-        result = ptas_mwfs(system, k=3)
+        tracer = TraceRecorder()
+        with recording(tracer):
+            result = ptas_mwfs(system, k=3)
         assert result.weight == 103
+        assert result.active.tolist() == [0, 1, 4, 6, 7, 8, 11, 12, 13, 14, 19]
+        assert result.meta["shift"] == (0, 0)
+        assert [
+            e.count
+            for e in tracer.events
+            if isinstance(e, CandidateEvaluation) and e.context == "ptas.dp_cells"
+        ] == [1, 2, 1, 2, 4, 2, 1, 2, 1]
 
     def test_centralized(self, system):
         result = centralized_location_free(system, rho=1.1)
@@ -123,6 +133,17 @@ DENSE_SHARD_FAULTS_COUNTERS = {
     "rtc_silenced": 0, "schedule_degradations": 0, "sets_evaluated": 0,
     "shard_boundary_repairs": 0, "shard_cells": 35, "slots": 9,
     "tags_read": 58,
+}
+DENSE_SHARD_FAULTS_PTAS = (
+    [(43, 425), (42, 195), (31, 105), (28, 75), (24, 28), (14, 18),
+     (10, 11), (6, 5), (3, 2), (3, 3)] + [(0, 0)] * 8,
+    "stalled", "13521b72e504a1fc", "dbc58398281c2ae2",
+)
+DENSE_SHARD_FAULTS_PTAS_COUNTERS = {
+    "readers_failed": 21, "reads_missed": 377, "rrc_blocked": 4,
+    "rtc_silenced": 0, "schedule_degradations": 0, "sets_evaluated": 13168,
+    "shard_boundary_repairs": 3, "shard_cells": 39, "slots": 18,
+    "tags_read": 867,
 }
 LADDER = (
     [(6, 34), (5, 12), (1, 3), (1, 2), (1, 1), (0, 0), (1, 1), (1, 1),
@@ -239,6 +260,29 @@ class TestDriverGolden:
         )
         assert _dense_pin(result) == DENSE_SHARD_FAULTS
         assert counters == DENSE_SHARD_FAULTS_COUNTERS
+        assert refreshes == 1
+
+    def test_dense_shard_faults_ptas(self):
+        """A shrunken ``chaos_shard``: sharded PTAS cells under a fault plan
+        with a tree-walking link layer."""
+        system = Scenario(
+            num_readers=100, num_tags=2400, side=141.0, seed=3
+        ).build()
+        plan = FaultPlan(
+            reader_faults=tuple(FlakyActivation(r, 0.1) for r in range(100))
+            + tuple(PermanentCrash(r, 3) for r in range(0, 100, 20)),
+            miss_rate=0.3,
+            seed=99,
+        )
+        result, counters, refreshes = _collected(
+            lambda: greedy_covering_schedule(
+                system, get_solver("ptas", k=3), seed=3, linklayer="treewalk",
+                faults=plan, policy=FaultPolicy(), max_stall_slots=8,
+                shard=ShardSpec(cells=4),
+            )
+        )
+        assert _dense_pin(result) == DENSE_SHARD_FAULTS_PTAS
+        assert counters == DENSE_SHARD_FAULTS_PTAS_COUNTERS
         assert refreshes == 1
 
     def test_sparse_fault_free(self):
