@@ -183,8 +183,8 @@ class ShiftedHierarchy:
         """The ``(level−1)``-square containing *sq*."""
         if sq.level <= 0:
             raise ValueError("level-0 squares have no parent")
-        col = math.floor((sq.col - self.r) / (self.k + 1))
-        row = math.floor((sq.row - self.s) / (self.k + 1))
+        col = (sq.col - self.r) // (self.k + 1)
+        row = (sq.row - self.s) // (self.k + 1)
         return Square(sq.level - 1, col, row)
 
     def ancestor(self, sq: Square, level: int) -> Square:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import exact_mwfs, ptas_mwfs
-from repro.core.ptas import _enumerate_independent_subsets
+from repro.core.ptas import _enumerate_independent_subsets, _SquareIndex
 from tests.conftest import make_random_system, system_strategy
 
 
@@ -249,3 +249,98 @@ class TestSubsetEnumeration:
             _enumerate_independent_subsets([0, 1, 2], conflict, None, 10_000)
         )
         assert len(subsets) == 8  # all subsets of a 3-element independent set
+
+
+def _shift_indices(system, k):
+    """The PTAS's interned square index for every ``(r, s)``-shift."""
+    from repro.geometry.shifting import ShiftedHierarchy, scale_radii
+
+    scaled, factor = scale_radii(system.interference_radii)
+    centers = system.reader_positions * factor
+    for r in range(k):
+        for s in range(k):
+            yield _SquareIndex(ShiftedHierarchy(centers, scaled, k, r, s))
+
+
+def _reference_view(h, live):
+    """The per-disk ``square_at`` definition of the DP's square contents."""
+    own, occupied, tops = {}, {}, set()
+    for i in h.survive_indices().tolist():
+        if not live(i):
+            continue
+        li = int(h.levels[i])
+        for lev in range(li + 1):
+            sq = h.square_at(lev, h.centers[i])
+            occupied[sq] = occupied.get(sq, 0) + 1
+            if lev == li:
+                own.setdefault(sq, []).append(i)
+            if lev == 0:
+                tops.add(sq)
+    return own, occupied, sorted(tops)
+
+
+class TestSquareIndex:
+    """The interned index against the ``ShiftedHierarchy`` geometry it
+    replaces, over every shift of small random systems."""
+
+    @given(
+        system=system_strategy(max_readers=12, max_tags=0),
+        k=st.sampled_from([2, 3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_ids_sorted_and_children_in_hierarchy_order(self, system, k):
+        for index in _shift_indices(system, k):
+            h, squares = index.h, index.squares
+            assert squares == sorted(set(squares))
+            ids = {sq: sid for sid, sq in enumerate(squares)}
+            for sid, sq in enumerate(squares):
+                assert index.children[sid] == [
+                    ids[c] for c in h.children(sq) if c in ids
+                ]
+
+    @given(
+        system=system_strategy(max_readers=12, max_tags=0),
+        k=st.sampled_from([2, 3]),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_hits_match_intersection_predicate(self, system, k, data):
+        n = system.num_readers
+        bits = st.integers(min_value=0, max_value=(1 << n) - 1)
+        for index in _shift_indices(system, k):
+            if not index.squares:
+                continue
+            sid = st.integers(min_value=0, max_value=len(index.squares) - 1)
+            # repeated queries on one square reuse the lazily filled masks
+            for sq_id, mask in data.draw(st.lists(st.tuples(sid, bits), max_size=8)):
+                sq = index.squares[sq_id]
+                expected = sum(
+                    1 << i
+                    for i in range(n)
+                    if mask >> i & 1 and index.h.disk_intersects_square(i, sq)
+                )
+                assert index.hits(sq_id, mask) == expected
+
+    @given(
+        system=system_strategy(max_readers=12, max_tags=0),
+        k=st.sampled_from([2, 3]),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_live_view_matches_per_disk_definition(self, system, k, data):
+        live_set = data.draw(
+            st.sets(st.integers(min_value=0, max_value=system.num_readers - 1))
+        )
+        for index in _shift_indices(system, k):
+            for live in (live_set.__contains__, lambda i: True):
+                own, occupied, tops = index.view(live)
+                ref_own, ref_occupied, ref_tops = _reference_view(index.h, live)
+                squares = index.squares
+                assert {
+                    squares[sid]: lst for sid, lst in enumerate(own) if lst
+                } == ref_own
+                assert {
+                    squares[sid]: c for sid, c in enumerate(occupied) if c
+                } == ref_occupied
+                assert [squares[sid] for sid in tops] == ref_tops
+            assert index.full == index.view()

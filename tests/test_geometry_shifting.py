@@ -104,6 +104,16 @@ class TestSquareArithmetic:
         for child in h.children(parent):
             assert h.parent(child) == parent
 
+    def test_parent_of_child_with_huge_indices(self):
+        # a float quotient rounds indices past 2**53; parent() must not
+        h = ShiftedHierarchy([[0.3, 0.3]], [0.5], 3, 1, 2)
+        q = 3**40 + 7
+        child = Square(
+            30, h.r + q * (h.k + 1) + h.k, h.s + q * (h.k + 1)
+        )
+        assert h.parent(child) == Square(29, q, q)
+        assert child in h.children(h.parent(child))
+
     def test_parent_of_level0_raises(self):
         h = make_hierarchy([[0.2, 0.2]], [0.5], k=3)
         with pytest.raises(ValueError):
