@@ -160,7 +160,7 @@ LADDER_COUNTERS = {
 }
 #: Dense GHC climb pins on a deployment whose frontiers reach BATCH_MIN, so
 #: the numpy backend scores them in its batched kernels:
-#: solver -> _dense_pin(result).
+#: pin name -> _dense_pin(result).
 GHC_CLIMB = Scenario(num_readers=150, num_tags=3000, side=175.0, seed=13)
 GHC_CLIMB_PINS = {
     "ghc": (
@@ -171,6 +171,24 @@ GHC_CLIMB_PINS = {
         [(25, 474), (37, 332), (33, 133), (16, 32), (14, 16), (1, 1)],
         "complete", "2e0fee0428606201", "8cebd312dd12a29d",
     ),
+    # The feasible-only climb (the variant perfbench's certificate
+    # self-test schedules); on this deployment the weight-gain climb
+    # happens to pick feasible sets anyway, so its pin equals "ghc".
+    "ghc_feasible": (
+        [(76, 809), (39, 161), (9, 17), (1, 1)],
+        "complete", "97eb7816ef478b60", "8cebd312dd12a29d",
+    ),
+    "ghc_naive_feasible": (
+        [(73, 806), (42, 164), (9, 17), (1, 1)],
+        "complete", "2972a3e4a749593b", "8cebd312dd12a29d",
+    ),
+}
+#: Registry name and keyword arguments behind each GHC_CLIMB_PINS entry.
+GHC_CLIMB_SOLVERS = {
+    "ghc": ("ghc", {}),
+    "ghc_naive": ("ghc_naive", {}),
+    "ghc_feasible": ("ghc", {"require_feasible": True}),
+    "ghc_naive_feasible": ("ghc_naive", {"require_feasible": True}),
 }
 SPARSE_SLOTS = [(52, 318), (29, 88), (9, 15), (2, 3)]
 SPARSE_COUNTERS = {
@@ -345,8 +363,9 @@ def test_ghc_climb_schedule(ghc_climb_system, solver, backend):
     """The dense GHC schedule is pinned on both kernel backends: under
     ``numpy`` the climb frontiers go through the batched weight kernels,
     under ``pure`` through the scalar reference."""
+    name, kwargs = GHC_CLIMB_SOLVERS[solver]
     with use_backend(backend):
         result = greedy_covering_schedule(
-            ghc_climb_system, get_solver(solver), seed=3
+            ghc_climb_system, get_solver(name, **kwargs), seed=3
         )
     assert _dense_pin(result) == GHC_CLIMB_PINS[solver]
