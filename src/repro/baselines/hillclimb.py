@@ -10,6 +10,19 @@ GHC does **not** enforce feasibility — it may activate readers that put
 others into RTc; the generalised weight oracle (operational-reader rule of
 Definition 1) charges it for that, which is the intended handicap of this
 baseline.
+
+The climb keeps its state across steps in a
+:class:`~repro.perf.incremental.GeneralizedWeightClimber`: adding a reader
+updates the coverage masks, the well-covered union, the silenced and
+operational reader sets and the per-reader fresh counts, so no step
+rebuilds them from the active list.  A candidate's gain never exceeds its
+fresh count (the unread tags no active reader covers) — nor 0 under the
+weight rule once an active reader silences it — and that bound never
+rises as the set grows.  So a step over a wide frontier scores exactly
+only the ``BATCH_MIN`` best bounds and then the candidates whose bound can
+still reach the best gain; every candidate that could win or tie is
+scored, and the lowest-id maximum — the scalar scan's strict-improvement
+winner — is unchanged.  Frontiers below ``BATCH_MIN`` are scored whole.
 """
 
 from __future__ import annotations
@@ -21,7 +34,9 @@ import numpy as np
 from repro.core.oneshot import OneShotResult, make_result
 from repro.model.system import RFIDSystem
 from repro.perf.backends import kernel_for
+from repro.perf.backends.numpy_batched import BATCH_MIN
 from repro.perf.incremental import GeneralizedWeightClimber
+from repro.perf.packed import bigint_to_bool
 from repro.util.rng import RngLike
 
 
@@ -59,60 +74,62 @@ def greedy_hill_climbing(
         and the climb path is unchanged.
     backend:
         Solver-kernel backend name (``'auto'``/``'pure'``/``'numpy'``;
-        ``None`` follows the process selection).  Each scan evaluates the
-        whole candidate frontier through the selected
-        :class:`~repro.perf.backends.WeightKernel`; taking the first
-        maximum (lowest reader id) of the batched gains reproduces the
-        strict-improvement scalar scan exactly, so the climb path is
-        bit-identical across backends (``docs/backends.md``).
+        ``None`` follows the process selection).  The candidates a step
+        scores are evaluated through the selected
+        :class:`~repro.perf.backends.WeightKernel`; taking the largest gain
+        at the lowest reader id reproduces the strict-improvement scalar
+        scan exactly, so the climb path is bit-identical across backends
+        (``docs/backends.md``).
     """
     if gain_mode not in ("weight", "coverage"):
         raise ValueError(f"gain_mode must be 'weight' or 'coverage', got {gain_mode!r}")
-    n = system.num_readers
-    # The climber carries the once/multi coverage masks and the operational
-    # (RTc) state across the whole climb, so each candidate evaluation is a
-    # few big-int operations; weight_with(r) is bit-identical to
-    # system.weight(active + [r], unread).
+    # The climber carries the coverage masks, the operational (RTc) state
+    # and every reader's fresh count across the whole climb; its weights
+    # are bit-identical to system.weight(active + [r], unread).
     if context is not None:
         climber = GeneralizedWeightClimber(system, unread_bits=context.unread_bits)
     else:
         climber = GeneralizedWeightClimber(system, unread)
     kernel = kernel_for(system, backend)
-    current_w = 0
+    by_weight = gain_mode == "weight"
+
+    def score(cands):
+        if by_weight:
+            return climber.weights_with_many(cands, kernel) - climber.current_weight()
+        return climber.new_coverage_many(cands, kernel)
+
+    def bound(cands):
+        # No gain exceeds the fresh tags a candidate would read itself, and
+        # under the weight rule a silenced candidate reads none of them.
+        fresh = climber.fresh[cands]
+        if by_weight:
+            fresh[bigint_to_bool(climber.silenced, system.num_readers)[cands]] = 0
+        return fresh
+
     # Readers the climb may still add: not active, and (with a context)
     # still covering an unread tag.
     eligible = (
-        context.remaining_counts > 0 if context is not None else np.ones(n, dtype=bool)
+        context.remaining_counts > 0
+        if context is not None
+        else np.ones(system.num_readers, dtype=bool)
     )
 
     while True:
-        cands = np.flatnonzero(eligible).tolist()
+        cands = np.flatnonzero(eligible)
         if require_feasible and climber.active:
-            cands = kernel.filter_compatible(cands, climber.active)
-        if not cands:
+            cands = np.asarray(
+                kernel.filter_compatible(cands, climber.active), dtype=np.intp
+            )
+        if not cands.size:
             break
-        if gain_mode == "weight":
-            ws = climber.weights_with_many(cands, kernel)
-            gains = ws - current_w
-        else:
-            gains = climber.new_coverage_many(cands, kernel)
-        # First maximum in ascending-id order == the scalar scan's strict
-        # (">") improvement winner.
-        idx = int(np.argmax(gains))
-        best_gain = int(gains[idx])
+        best_gain, best_reader = _best_candidate(cands, bound, score)
         if best_gain <= 0:
             break
-        best_reader = cands[idx]
-        best_weight = int(ws[idx]) if gain_mode == "weight" else None
-        if gain_mode == "coverage":
-            # Collision-naive: only an actual weight drop stops the climb.
-            w_after = climber.weight_with(best_reader)
-            if w_after < current_w:
-                break
-            best_weight = w_after
+        # Collision-naive: only an actual weight drop stops the climb.
+        if not by_weight and climber.weight_with(best_reader) < climber.current_weight():
+            break
         climber.add(best_reader)
         eligible[best_reader] = False
-        current_w = best_weight
 
     return make_result(
         system,
@@ -123,3 +140,29 @@ def greedy_hill_climbing(
         require_feasible=require_feasible,
         gain_mode=gain_mode,
     )
+
+
+def _best_candidate(cands, bound, score):
+    """``(gain, reader)`` of the largest *score* among *cands* (ascending
+    ids), lowest id on ties, scoring exactly only the candidates whose
+    *bound* — an upper bound on the gain that never rises as the active
+    set grows — can still win.
+
+    Frontiers below ``BATCH_MIN`` are scored whole.  Larger ones score the
+    ``BATCH_MIN`` best bounds first, then every other candidate whose bound
+    reaches the best gain found (ties included, so the lowest-id maximum is
+    unchanged) or 1 (a climb stops on a non-positive gain)."""
+    if cands.size < BATCH_MIN:
+        gains = score(cands)
+        idx = int(np.argmax(gains))  # first maximum: the lowest id
+        return int(gains[idx]), int(cands[idx])
+    bounds = bound(cands)
+    order = np.argsort(-bounds, kind="stable")
+    top, rest = order[:BATCH_MIN], order[BATCH_MIN:]
+    gains = score(cands[top])
+    rest = rest[bounds[rest] >= max(int(gains.max()), 1)]
+    picked = np.concatenate([top, rest])
+    if rest.size:
+        gains = np.concatenate([gains, score(cands[rest])])
+    best = gains.max()
+    return int(best), int(cands[picked[gains == best]].min())

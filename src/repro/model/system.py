@@ -283,15 +283,16 @@ class RFIDSystem:
         being operational (RTc-free).  *active* need not be feasible."""
         idx = self._normalize_active(active)
         m = self.num_tags
+        if unread is not None:
+            unread = np.asarray(unread, dtype=bool)
+            if unread.shape != (m,):
+                raise ValueError(f"unread mask must have shape ({m},)")
         if idx.size == 0 or m == 0:
             return np.empty(0, dtype=np.int64)
         cov = self._coverage[:, idx]
         counts = cov.sum(axis=1)
         once = counts == 1
         if unread is not None:
-            unread = np.asarray(unread, dtype=bool)
-            if unread.shape != (m,):
-                raise ValueError(f"unread mask must have shape ({m},)")
             once = once & unread
         if not once.any():
             return np.empty(0, dtype=np.int64)

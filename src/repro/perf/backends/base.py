@@ -22,7 +22,10 @@ machine-readable method list it is diffed against by
 Inputs follow one convention: masks are Python big-ints over tag bits
 (bit ``t`` = tag ``t``), candidates/readers are ints indexing the system's
 readers, and batch methods return ``numpy.int64`` arrays aligned with the
-candidate order (empty candidate list → empty array).
+candidate order (empty candidate list → empty array).  The climb method
+takes the climber itself, whose state is those same big-ints plus its
+per-reader fresh counts.  The candidate list is always the last
+positional argument.
 """
 
 from __future__ import annotations
@@ -83,16 +86,17 @@ class WeightKernel(ABC):
     @abstractmethod
     def climb_weights_with(
         self,
-        once: int,
-        multi: int,
-        active: Sequence[int],
-        active_bits: int,
-        unread_bits: int,
+        climb,
         candidates: Sequence[int],
     ) -> np.ndarray:
         """Generalised (operational-reader) rule: the weight of
-        ``active + [c]`` for each candidate ``c``, infeasible sets allowed,
-        matching :meth:`GeneralizedWeightClimber.weight_with` element-wise."""
+        ``climb.active + [c]`` for each candidate ``c``, infeasible sets
+        allowed, matching :meth:`GeneralizedWeightClimber.weight_with`
+        element-wise.  *climb* is the
+        :class:`~repro.perf.incremental.GeneralizedWeightClimber` whose set
+        is being grown: a backend may read its carried state (``well``,
+        ``fresh``, the silenced and operational reader sets) instead of
+        re-deriving it from the active list."""
 
     @abstractmethod
     def new_coverage_counts(

@@ -29,8 +29,6 @@ class PureKernel(WeightKernel):
         packed = system.packed_coverage
         self._packed = packed
         self._masks = packed.masks
-        self._conflicts = conflict_bits(system)
-        self._silencers = silencer_bits(system)
 
     # -- weight batches ----------------------------------------------------
     def solo_weights(self, unread_bits, candidates):
@@ -53,16 +51,16 @@ class PureKernel(WeightKernel):
             out.append(bit_count((once | c) & ~multi_r & u))
         return np.array(out, dtype=np.int64)
 
-    def climb_weights_with(
-        self, once, multi, active, active_bits, unread_bits, candidates
-    ):
-        """Generalised-rule ``w(active ∪ {r})`` per candidate — the
-        :meth:`~repro.perf.incremental.GeneralizedWeightClimber.weight_with`
-        loop, silencer masks included."""
-        u = int(unread_bits)
+    def climb_weights_with(self, climb, candidates):
+        """Generalised-rule ``w(active ∪ {r})`` per candidate, from the
+        definitions: the ``once``/``multi`` masks extended by ``r``, then a
+        loop over the active list for the operational readers' exactly-once
+        tags (silencer masks included)."""
+        u = climb.unread_mask
+        once, multi, active_bits = climb.once, climb.multi, climb.active_bits
         masks = self._masks
-        silencers = self._silencers
-        active = [int(i) for i in active]
+        silencers = silencer_bits(self.system)
+        active = climb.active
         out = []
         for r in candidates:
             r = int(r)
@@ -95,8 +93,6 @@ class PureKernel(WeightKernel):
         The historical best-singleton scan already popcounts the packed
         words (:mod:`repro.perf.packed`); both backends share it
         unchanged."""
-        # The historical best-singleton scan already popcounts the packed
-        # words (repro.perf.packed); both backends share it unchanged.
         return self._packed.covered_counts(unread)
 
     def filter_compatible(self, candidates, blocked) -> List[int]:
@@ -108,5 +104,5 @@ class PureKernel(WeightKernel):
         cands = [int(c) for c in candidates]
         if not blocked_bits:
             return cands
-        conflicts = self._conflicts
+        conflicts = conflict_bits(self.system)
         return [c for c in cands if not conflicts[c] & blocked_bits]

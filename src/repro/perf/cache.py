@@ -51,3 +51,14 @@ def silencer_bits(system: Any) -> Tuple[int, ...]:
         "silencer_bits",
         lambda: pack_square_bool(system.in_interference_range),
     )
+
+
+def silencee_bits(system: Any) -> Tuple[int, ...]:
+    """Per-reader big-int rows of the readers each one silences: bit ``i``
+    of entry ``j`` set iff reader *i* lies inside reader *j*'s
+    interference disk — the transpose of :func:`silencer_bits`."""
+    return system_memo(
+        system,
+        "silencee_bits",
+        lambda: pack_square_bool(system.in_interference_range.T),
+    )

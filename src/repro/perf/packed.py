@@ -16,7 +16,7 @@ integers either way.
 from __future__ import annotations
 
 import sys
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -73,6 +73,24 @@ def bigint_to_words(value: int, num_words: int) -> np.ndarray:
     raw = int(value).to_bytes(num_words * 8, "little")
     packed8 = np.frombuffer(raw, dtype=np.uint8).reshape(1, num_words * 8)
     return _bytes_to_words(packed8, num_words)[0]
+
+
+def iter_bits(value: int) -> Iterator[int]:
+    """Indices of the set bits of a non-negative big-int, ascending."""
+    while value:
+        low = value & -value
+        yield low.bit_length() - 1
+        value ^= low
+
+
+def bigint_to_bool(value: int, length: int) -> np.ndarray:
+    """Unpack a non-negative big-int into a ``(length,)`` boolean array
+    (element ``i`` = bit ``i``); *value* must fit in *length* bits."""
+    raw = int(value).to_bytes((length + 7) // 8, "little")
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8), count=length, bitorder="little"
+    )
+    return bits.view(bool)
 
 
 class PackedCoverage:

@@ -73,6 +73,7 @@ def _random_state(system, rng, *, zero_unread=False):
     else:
         unread = rng.random(m) < 0.7 if m else np.zeros(0, dtype=bool)
     climber = GeneralizedWeightClimber(system, unread)
+    climber.fresh  # materialise, so the adds below maintain it
     oracle = BitsetWeightOracle(system, unread)
     k = int(rng.integers(0, max(n // 2, 1) + 1))
     for r in rng.choice(n, size=k, replace=False) if k else []:
@@ -105,7 +106,7 @@ class TestKernelEquivalence:
                 system, rng, zero_unread=zero_unread
             )
             u = climber.unread_mask
-            once, multi = climber._once, climber._multi
+            once, multi = climber.once, climber.multi
             for cands in ([], [0], list(range(n)), list(range(0, n, 3))):
                 assert np.array_equal(
                     pure.solo_weights(u, cands), fast.solo_weights(u, cands)
@@ -137,12 +138,9 @@ class TestKernelEquivalence:
             climber, _oracle, _unread = _random_state(
                 system, rng, zero_unread=(trial == 3)
             )
-            once, multi = climber._once, climber._multi
-            active, bits = climber.active, climber._active_bits
-            u = climber.unread_mask
             for cands in ([], list(range(n)), list(range(min(n, BATCH_MIN + 4)))):
-                got_pure = pure.climb_weights_with(once, multi, active, bits, u, cands)
-                got_fast = fast.climb_weights_with(once, multi, active, bits, u, cands)
+                got_pure = pure.climb_weights_with(climber, cands)
+                got_fast = fast.climb_weights_with(climber, cands)
                 assert np.array_equal(got_pure, got_fast)
                 expect = [climber.weight_with(c) for c in cands]
                 assert got_pure.tolist() == expect
@@ -165,6 +163,7 @@ def _climbed(system, unread, modes, kernel):
     best weight gain, False: best collision-naive coverage gain), with no
     stopping rule, so the state may be infeasible with silenced actives."""
     climber = GeneralizedWeightClimber(system, unread)
+    climber.fresh  # materialise, so the adds below maintain it
     frontier = list(range(system.num_readers))
     for by_weight in modes:
         if not frontier:
@@ -209,12 +208,8 @@ def test_climb_weights_with_on_climbed_states(
     operational = [i for i in active if not sil[i, active].any()]
     multi_silencers = np.flatnonzero(sil[operational].sum(axis=0) >= 2).tolist()
     cands = [p % n for p in picks] + active + multi_silencers + [picks[0] % n]
-    args = (
-        climber._once, climber._multi, active, climber._active_bits,
-        climber.unread_mask, cands,
-    )
-    got_fast = fast.climb_weights_with(*args)
-    got_pure = pure.climb_weights_with(*args)
+    got_fast = fast.climb_weights_with(climber, cands)
+    got_pure = pure.climb_weights_with(climber, cands)
     assert got_fast.dtype == np.int64
     assert got_fast.tolist() == got_pure.tolist()
     assert got_pure.tolist() == [climber.weight_with(r) for r in cands]
@@ -233,7 +228,7 @@ def test_batch_min_cutoff_is_wallclock_only():
         oracle.push(r)
     assert climber.active
     full, u = system.packed_coverage.full_mask, climber.unread_mask
-    once, multi = climber._once, climber._multi
+    once, multi = climber.once, climber.multi
     for size in (BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 1):
         cands = list(range(size))
         batches = {
@@ -241,9 +236,7 @@ def test_batch_min_cutoff_is_wallclock_only():
             "oracle_weights_with": [
                 (oracle._once, oracle._multi, oracle.unread_mask, cands)
             ],
-            "climb_weights_with": [
-                (once, multi, climber.active, climber._active_bits, u, cands)
-            ],
+            "climb_weights_with": [(climber, cands)],
             "new_coverage_counts": [(once, multi, u, cands)],
         }
         for name, calls in batches.items():

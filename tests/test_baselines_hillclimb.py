@@ -1,11 +1,20 @@
 """Tests for the Greedy Hill-Climbing baseline."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.baselines import greedy_hill_climbing
+from repro.baselines import greedy_hill_climbing, hillclimb
 from repro.core import exact_mwfs
+from repro.perf.backends import PureKernel, kernel_for
+from repro.perf.backends.numpy_batched import BATCH_MIN
+from repro.perf.incremental import GeneralizedWeightClimber
+from repro.perf.packed import bigint_to_bool
+from repro.perf.slotdelta import ScheduleContext
+from repro.util.compat import bit_count
 from tests.conftest import make_random_system, system_strategy
 
 
@@ -89,3 +98,180 @@ class TestProperties:
     def test_reported_weight_honest(self, system):
         ghc = greedy_hill_climbing(system)
         assert ghc.weight == system.weight(ghc.active)
+
+
+# ---------------------------------------------------------------------------
+# carried climb state and the bound-pruned frontier
+# ---------------------------------------------------------------------------
+def _retired_context(system):
+    """A schedule context after one served GHC slot, so the next climb
+    sees retired readers and a shrunken unread population."""
+    context = ScheduleContext(system)
+    first = greedy_hill_climbing(system, context=context)
+    context.retire_tags(system.well_covered_tags(first.active, context.unread))
+    return context
+
+
+def _full_frontier_scan(system, unread, live, gain_mode, require_feasible):
+    """The climb with no pruning: every step scores every eligible reader
+    from the definitions (``weight_with`` loops over the active list) and
+    takes the first maximum in ascending-id order."""
+    climber = GeneralizedWeightClimber(system, unread)
+    eligible = np.array(live, dtype=bool)
+    current = 0
+    while True:
+        cands = [
+            int(r)
+            for r in np.flatnonzero(eligible)
+            if not (require_feasible and system.conflict[r, climber.active].any())
+        ]
+        if not cands:
+            break
+        if gain_mode == "weight":
+            gains = [climber.weight_with(r) - current for r in cands]
+        else:
+            gains = [climber.new_coverage(r) for r in cands]
+        idx = int(np.argmax(gains))
+        if gains[idx] <= 0:
+            break
+        best = cands[idx]
+        after = climber.weight_with(best)
+        if gain_mode == "coverage" and after < current:
+            break
+        climber.add(best)
+        eligible[best] = False
+        current = after
+    return climber.active
+
+
+def _pruned_climb(system, **kwargs):
+    """``greedy_hill_climbing``'s result and the climber it grew (whose
+    ``active`` keeps insertion order)."""
+    made = []
+
+    class Spy(GeneralizedWeightClimber):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            made.append(self)
+
+    with mock.patch.object(hillclimb, "GeneralizedWeightClimber", Spy):
+        result = greedy_hill_climbing(system, **kwargs)
+    return result, made[0]
+
+
+def _assert_state_matches_definitions(system, climber, unread):
+    """The carried state against from-scratch recomputation: fresh counts
+    (forced to sync first), the silenced and operational reader sets, the
+    well-covered union, and fresh — zero for a silenced reader — as an
+    upper bound on every reader's exact gain."""
+    n, active = system.num_readers, climber.active
+    everyone = list(range(n))
+    fresh = climber.fresh.copy()
+    scratch = PureKernel(system).new_coverage_counts(
+        climber.once, climber.multi, climber.unread_mask, everyone
+    )
+    assert fresh.tolist() == scratch.tolist()
+    silenced = system.in_interference_range[:, active].any(axis=1)
+    assert bigint_to_bool(climber.silenced, n).tolist() == silenced.tolist()
+    operational = np.flatnonzero(bigint_to_bool(climber.operational, n))
+    assert operational.tolist() == system.operational_readers(active).tolist()
+    assert bit_count(climber.well) == system.weight(active, unread)
+    assert climber.current_weight() == bit_count(climber.well)
+    for r in everyone:
+        gain = climber.weight_with(r) - climber.current_weight()
+        assert gain <= (0 if silenced[r] else fresh[r])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, BATCH_MIN + 24),
+    m=st.integers(0, 300),
+    side=st.floats(30.0, 70.0),
+    modes=st.lists(st.booleans(), max_size=16),
+    use_unread=st.booleans(),
+)
+@example(seed=5, n=BATCH_MIN + 12, m=240, side=45.0, modes=[True] * 12,
+         use_unread=True)
+@example(seed=6, n=BATCH_MIN + 24, m=300, side=40.0,
+         modes=[False, True] * 8, use_unread=False)
+def test_carried_state_matches_definitions_along_climbs(
+    seed, n, m, side, modes, use_unread
+):
+    """At every step of a real climb (best weight gain or best coverage
+    gain, no stopping rule, so silenced actives occur), the maintained
+    fresh counts equal a from-scratch new_coverage_counts, fresh bounds
+    every exact gain, and popcount(well) is the system's weight."""
+    system = make_random_system(n, m, side, 9.0, 5.0, seed)
+    rng = np.random.default_rng(seed)
+    unread = rng.random(m) < 0.7 if use_unread else None
+    climber = GeneralizedWeightClimber(system, unread)
+    kernel = PureKernel(system)
+    frontier = list(range(n))
+    _assert_state_matches_definitions(system, climber, unread)
+    for by_weight in modes:
+        if not frontier:
+            break
+        if by_weight:
+            gains = climber.weights_with_many(frontier, kernel)
+        else:
+            gains = climber.new_coverage_many(frontier, kernel)
+        climber.add(frontier.pop(int(np.argmax(gains))))
+        _assert_state_matches_definitions(system, climber, unread)
+
+
+@pytest.mark.parametrize("backend", ["pure", "numpy"])
+@pytest.mark.parametrize("retired", [False, True], ids=["no_context", "retired"])
+@pytest.mark.parametrize("require_feasible", [False, True], ids=["any", "feasible"])
+@pytest.mark.parametrize("gain_mode", ["weight", "coverage"])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**16), wide=st.booleans())
+@example(seed=11, wide=False)
+@example(seed=12, wide=True)
+def test_pruned_climb_matches_full_frontier_scan(
+    gain_mode, require_feasible, retired, backend, seed, wide
+):
+    """The pruned climb adds exactly the readers, in exactly the order, of
+    a full-frontier scan from the definitions — on frontiers below
+    BATCH_MIN (scored whole) and well above it (bound-pruned), with and
+    without a context whose earlier slot retired readers."""
+    n = BATCH_MIN + 24 if wide else 14
+    system = make_random_system(n, 7 * n, 8.0 * np.sqrt(n), 9.0, 5.0, seed)
+    kwargs = dict(gain_mode=gain_mode, require_feasible=require_feasible,
+                  backend=backend)
+    if retired:
+        context = _retired_context(system)
+        unread, live = context.unread.copy(), context.remaining_counts > 0
+        kwargs.update(unread=unread, context=context)
+    else:
+        unread, live = None, np.ones(n, dtype=bool)
+    expect = _full_frontier_scan(system, unread, live, gain_mode, require_feasible)
+    result, climber = _pruned_climb(system, **kwargs)
+    assert climber.active == expect
+    assert result.weight == system.weight(expect, unread)
+    _assert_state_matches_definitions(system, climber, unread)
+
+
+@pytest.mark.parametrize("backend", ["pure", "numpy"])
+def test_wide_frontier_is_pruned(backend):
+    """Above BATCH_MIN the climb scores the BATCH_MIN best bounds and then
+    only candidates whose bound can still win — far fewer than the whole
+    frontier per step — and still matches the full scan."""
+    system = make_random_system(120, 2400, 110.0, 9.0, 5.0, 21)
+    kernel = kernel_for(system, backend)
+    scored = []
+    weigh = kernel.climb_weights_with
+
+    def counting(climb, candidates):
+        scored.append(len(candidates))
+        return weigh(climb, candidates)
+
+    with mock.patch.object(kernel, "climb_weights_with", counting):
+        _, climber = _pruned_climb(system, backend=backend)
+    assert climber.active == _full_frontier_scan(
+        system, None, np.ones(120, dtype=bool), "weight", False
+    )
+    steps = len(climber.active) + 1  # the last scan finds no positive gain
+    frontier = sum(120 - k for k in range(steps))
+    assert BATCH_MIN in scored
+    assert sum(scored) < frontier / 2

@@ -122,6 +122,15 @@ class TestWeight:
         with pytest.raises(ValueError):
             line_system.weight([0], np.array([True]))
 
+    def test_unread_mask_shape_checked_for_empty_active_set(self, line_system):
+        """A mis-sized mask is rejected even when no reader is active (the
+        empty set used to return 0 before looking at the mask)."""
+        short = np.ones(line_system.num_tags - 1, dtype=bool)
+        for method in (line_system.weight, line_system.well_covered_tags):
+            with pytest.raises(ValueError, match="unread mask"):
+                method([], short)
+        assert line_system.weight([], np.ones(line_system.num_tags, dtype=bool)) == 0
+
     def test_out_of_range_reader(self, line_system):
         with pytest.raises(IndexError):
             line_system.weight([7])
