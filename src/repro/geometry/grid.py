@@ -1,20 +1,41 @@
 """Uniform spatial hash grid.
 
 Bucketing points into square cells turns "who is within distance d of p?"
-into a constant number of bucket scans.  The deployment generators use it to
-answer coverage queries while placing tags, and the interference-graph
-builder uses it to avoid the full O(n²) distance matrix for large n.
+into a constant number of bucket scans.  The array-first scale driver
+(:mod:`repro.shard.scale`) uses it for per-active-reader tag coverage
+lookups, and the shard partition buckets readers and tags with the same
+:func:`group_by_key`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.geometry.points import as_points
 from repro.util.validation import check_positive
+
+
+def group_by_key(keys: np.ndarray) -> Dict[Tuple[int, int], np.ndarray]:
+    """Row indices of the ``(k, 2)`` integer *keys*, grouped by key.
+
+    One lexsort over the keys; lexsort is stable, so every group is
+    ascending and queries need no per-bucket sort.
+    """
+    if len(keys) == 0:
+        return {}
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    sorted_keys = keys[order]
+    change = np.flatnonzero((sorted_keys[1:] != sorted_keys[:-1]).any(axis=1))
+    starts = np.concatenate(([0], change + 1))
+    ends = np.append(starts[1:], len(order))
+    return {
+        (kx, ky): order[s:e]
+        for (kx, ky), s, e in zip(
+            sorted_keys[starts].tolist(), starts.tolist(), ends.tolist()
+        )
+    }
 
 
 class SpatialHashGrid:
@@ -32,15 +53,9 @@ class SpatialHashGrid:
     def __init__(self, points: np.ndarray, cell_size: float):
         self._points = as_points(points, "points")
         self._cell = check_positive("cell_size", cell_size)
-        lists: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        keys = np.floor(self._points / self._cell).astype(np.int64)
-        for idx, (kx, ky) in enumerate(keys):
-            lists[(int(kx), int(ky))].append(idx)
-        # Freeze buckets as index arrays; insertion order is ascending, so
-        # each bucket is already sorted and queries need no per-bucket sort.
-        self._buckets: Dict[Tuple[int, int], np.ndarray] = {
-            key: np.asarray(idxs, dtype=np.int64) for key, idxs in lists.items()
-        }
+        self._buckets: Dict[Tuple[int, int], np.ndarray] = group_by_key(
+            np.floor(self._points / self._cell).astype(np.int64)
+        )
 
     def __len__(self) -> int:
         return len(self._points)

@@ -36,6 +36,13 @@ lets the runtime preserve their incremental ``ScheduleContext``s across the
 refresh.  Dead readers may linger in an *untouched* neighbour's halo — they
 are advisory only, permanently suspected, and never activated, so this is
 harmless and avoids cascading rebuilds.
+
+Non-trivial partitions also hold the reader **conflict graph** — every
+pair with ``d <= max(R_i, R_j)`` as a symmetric CSR, built once from the
+reader buckets.  The boundary merge and the scale driver's RTc
+verification both read it through :meth:`ShardPartition.active_conflicts`
+instead of a dense pass over the slot's active set.  Refreshes keep it:
+it depends on positions and radii alone.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.geometry.grid import group_by_key
 from repro.geometry.points import as_points
 from repro.model.system import RFIDSystem, build_system
 from repro.obs.spans import span
@@ -56,6 +64,8 @@ Key = Tuple[int, int]
 RING_OFFSETS: Tuple[Key, ...] = tuple(
     (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
 )
+#: The bucket itself plus its one ring.
+NEIGHBOURHOOD: Tuple[Key, ...] = ((0, 0),) + RING_OFFSETS
 
 
 def _bucket_keys(points: np.ndarray, origin: np.ndarray, side: float) -> np.ndarray:
@@ -65,21 +75,46 @@ def _bucket_keys(points: np.ndarray, origin: np.ndarray, side: float) -> np.ndar
     return np.floor((points - origin[None, :]) / side).astype(np.int64)
 
 
-def _group_by_key(keys: np.ndarray) -> Dict[Key, np.ndarray]:
-    """Indices grouped by grid key; each bucket ascending (stable sort)."""
-    buckets: Dict[Key, np.ndarray] = {}
-    if len(keys) == 0:
-        return buckets
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    sorted_keys = keys[order]
-    change = np.flatnonzero(
-        (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
-    )
-    starts = np.concatenate(([0], change + 1, [len(order)]))
-    for s, e in zip(starts[:-1], starts[1:]):
-        kx, ky = sorted_keys[s]
-        buckets[(int(kx), int(ky))] = np.sort(order[s:e])
-    return buckets
+def _gather(buckets: Dict[Key, np.ndarray], key: Key, offsets) -> np.ndarray:
+    """Concatenated ids of the buckets at *key* + each of *offsets*."""
+    parts = [
+        buckets[k]
+        for k in ((key[0] + dx, key[1] + dy) for dx, dy in offsets)
+        if k in buckets
+    ]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _conflict_graph(
+    rpos: np.ndarray, R: np.ndarray, reader_buckets: Dict[Key, np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Symmetric CSR ``(indptr, ids)`` of every reader pair ``i != j`` with
+    ``d² <= max(R_i, R_j)²`` — the paper's conflict relation.
+
+    Built per bucket as owned × (own bucket ∪ one-ring), which is
+    exhaustive because ``max(R) <= H <= side``.  ``d²`` is the
+    ``(diff*diff).sum(-1)`` of the merge and verification checks it
+    replaces, so pairs at exactly ``d == max(R_i, R_j)`` are decided
+    bit-identically.  Rows are ascending.
+    """
+    n = len(rpos)
+    src_parts: List[np.ndarray] = []
+    dst_parts: List[np.ndarray] = []
+    for key, owned in reader_buckets.items():
+        cand = _gather(reader_buckets, key, NEIGHBOURHOOD)
+        diff = rpos[owned][:, None, :] - rpos[cand][None, :, :]
+        d2 = (diff * diff).sum(axis=-1)
+        rmax = np.maximum(R[owned][:, None], R[cand][None, :])
+        hit = (d2 <= rmax * rmax) & (owned[:, None] != cand[None, :])
+        i, j = np.nonzero(hit)
+        src_parts.append(owned[i])
+        dst_parts.append(cand[j])
+    src = np.concatenate(src_parts)
+    dst = np.concatenate(dst_parts)
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order]
 
 
 def _dist_to_rect(
@@ -157,6 +192,12 @@ class ShardPartition:
     is_trivial:
         True when the deployment collapses to at most one cell; the sharded
         driver then short-circuits to a direct full-system solve.
+    conflict_indptr, conflict_ids:
+        The reader conflict graph ``d <= max(R_i, R_j)`` as a symmetric
+        CSR (row *i* is ``conflict_ids[conflict_indptr[i]:
+        conflict_indptr[i + 1]]``, ascending); ``None`` on trivial
+        partitions.  :meth:`active_conflicts` restricts it to an active
+        set.
     """
 
     def __init__(
@@ -191,6 +232,12 @@ class ShardPartition:
         self.tag_positions: Optional[np.ndarray] = None
         self._reader_buckets: Optional[Dict[Key, np.ndarray]] = None
         self._tag_buckets: Optional[Dict[Key, np.ndarray]] = None
+        #: Reader conflict graph as a symmetric CSR over reader ids
+        #: (:func:`_conflict_graph`; non-trivial partitions only).  It
+        #: depends on positions and radii alone, so refreshes keep it: dead
+        #: readers are never active, and their stale edges are harmless.
+        self.conflict_indptr: Optional[np.ndarray] = None
+        self.conflict_ids: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
@@ -208,6 +255,23 @@ class ShardPartition:
         """Halo reader slots summed over cells (readers counted once per
         cell that imports them)."""
         return int(sum(len(c.halo_reader_ids) for c in self.cells))
+
+    def active_conflicts(self, active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The conflict graph restricted to the distinct reader ids
+        *active*, as ``(rows, cols)`` index pairs into *active*: one entry
+        per ordered pair, both directions, *rows* ascending."""
+        active = np.asarray(active, dtype=np.int64)
+        indptr = self.conflict_indptr
+        starts = indptr[active]
+        lens = indptr[active + 1] - starts
+        rows = np.repeat(np.arange(len(active)), lens)
+        flat = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        nbrs = self.conflict_ids[flat + np.arange(len(flat))]
+        where = np.full(len(self.reader_positions), -1, dtype=np.int64)
+        where[active] = np.arange(len(active))
+        cols = where[nbrs]
+        keep = cols >= 0
+        return rows[keep], cols[keep]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -266,17 +330,15 @@ class ShardPartition:
                 return trivial()
             origin = mins
 
-            reader_keys = _bucket_keys(rpos, origin, side)
-            reader_buckets = _group_by_key(reader_keys)
+            reader_buckets = group_by_key(_bucket_keys(rpos, origin, side))
             if len(reader_buckets) <= 1:
                 return trivial()
-            tag_buckets = _group_by_key(_bucket_keys(tpos, origin, side))
+            tag_buckets = group_by_key(_bucket_keys(tpos, origin, side))
 
             cell_keys = sorted(reader_buckets)
-            cell_index = {key: i for i, key in enumerate(cell_keys)}
             cell_of_reader = np.empty(n, dtype=np.int64)
-            for key, ids in reader_buckets.items():
-                cell_of_reader[ids] = cell_index[key]
+            for idx, key in enumerate(cell_keys):
+                cell_of_reader[reader_buckets[key]] = idx
 
             # Tag ownership: cell of the lowest-id covering reader.  Any reader
             # covering a tag is within gamma_max <= H <= side of it, hence in
@@ -284,22 +346,9 @@ class ShardPartition:
             owner_of_tag = np.full(m, -1, dtype=np.int64)
             gamma_sq = gamma * gamma
             for key, tids in tag_buckets.items():
-                cand_parts = [
-                    reader_buckets[k]
-                    for k in (
-                        (key[0] + dx, key[1] + dy)
-                        for dx in (-1, 0, 1)
-                        for dy in (-1, 0, 1)
-                    )
-                    if k in reader_buckets
-                ]
-                if not cand_parts:
+                cand = np.sort(_gather(reader_buckets, key, NEIGHBOURHOOD))
+                if not cand.size:
                     continue
-                cand = (
-                    cand_parts[0]
-                    if len(cand_parts) == 1
-                    else np.sort(np.concatenate(cand_parts))
-                )
                 diff = tpos[tids][:, None, :] - rpos[cand][None, :, :]
                 covers = (diff * diff).sum(axis=-1) <= gamma_sq[cand][None, :]
                 covered = covers.any(axis=1)
@@ -309,77 +358,11 @@ class ShardPartition:
                 first = np.argmax(covers[covered], axis=1)
                 owner_of_tag[tids[covered]] = cell_of_reader[cand[first]]
 
-            cells: List[ShardCell] = []
-            for idx, key in enumerate(cell_keys):
-                owned = reader_buckets[key]
-                x0 = float(origin[0] + key[0] * side)
-                y0 = float(origin[1] + key[1] * side)
-                x1, y1 = x0 + side, y0 + side
-                R_own = float(R[owned].max())
-                g_own = float(gamma[owned].max())
-
-                ring_parts = [
-                    reader_buckets[k]
-                    for k in ((key[0] + dx, key[1] + dy) for dx, dy in RING_OFFSETS)
-                    if k in reader_buckets
-                ]
-                if ring_parts:
-                    ring = np.concatenate(ring_parts)
-                    dist = _dist_to_rect(rpos[ring], x0, x1, y0, y1)
-                    # reader j can conflict with an owned reader
-                    # (d <= max(R_j, R_own)) or cover a tag owned here
-                    # (d <= gamma_j + g_own); both bounds are <= H <= side,
-                    # so the one-ring candidates are exhaustive.
-                    reach = np.maximum(np.maximum(R[ring], R_own), gamma[ring] + g_own)
-                    halo = np.sort(ring[dist <= reach])
-                else:
-                    halo = np.empty(0, dtype=np.int64)
-
-                all_readers = np.sort(np.concatenate([owned, halo]))
-                owned_reader_mask = np.isin(all_readers, owned, assume_unique=True)
-
-                g_inc = float(gamma[all_readers].max())
-                tag_parts = [
-                    tag_buckets[k]
-                    for k in (
-                        (key[0] + dx, key[1] + dy)
-                        for dx in (-1, 0, 1)
-                        for dy in (-1, 0, 1)
-                    )
-                    if k in tag_buckets
-                ]
-                if tag_parts:
-                    band_cand = np.concatenate(tag_parts)
-                    dist = _dist_to_rect(tpos[band_cand], x0, x1, y0, y1)
-                    keep = (dist <= g_inc) | (owner_of_tag[band_cand] == idx)
-                    tag_ids = np.sort(band_cand[keep])
-                else:
-                    tag_ids = np.empty(0, dtype=np.int64)
-                owned_tag_mask = owner_of_tag[tag_ids] == idx
-
-                subsystem = build_system(
-                    rpos[all_readers], R[all_readers], gamma[all_readers],
-                    tpos[tag_ids],
-                )
-                cells.append(
-                    ShardCell(
-                        index=idx,
-                        key=key,
-                        bounds=(x0, x1, y0, y1),
-                        reader_ids=owned,
-                        halo_reader_ids=halo,
-                        all_reader_ids=all_readers,
-                        tag_ids=tag_ids,
-                        owned_reader_mask=owned_reader_mask,
-                        owned_tag_mask=owned_tag_mask,
-                        subsystem=subsystem,
-                    )
-                )
             part = cls(
                 spec=spec,
                 origin=origin,
                 cell_side=side,
-                cells=cells,
+                cells=[],
                 cell_of_reader=cell_of_reader,
                 owner_of_tag=owner_of_tag,
                 reader_positions=rpos,
@@ -390,6 +373,12 @@ class ShardPartition:
             part.tag_positions = tpos
             part._reader_buckets = reader_buckets
             part._tag_buckets = tag_buckets
+            part.cells = [
+                part._build_cell(idx, key) for idx, key in enumerate(cell_keys)
+            ]
+            part.conflict_indptr, part.conflict_ids = _conflict_graph(
+                rpos, R, reader_buckets
+            )
             return part
 
     # ------------------------------------------------------------------
@@ -460,7 +449,7 @@ class ShardPartition:
             if ci in emptied:
                 self._empty_cell(ci)
             else:
-                self._rebuild_cell(ci)
+                self.cells[ci] = self._build_cell(ci, self.cells[ci].key)
                 rebuilt.append(ci)
         return RefreshReport(
             retired=tuple(dead.tolist()),
@@ -488,76 +477,55 @@ class ShardPartition:
             subsystem=cell.subsystem,
         )
 
-    def _rebuild_cell(self, idx: int) -> None:
-        """Rebuild one dirtied cell's halo subsystem over the alive fleet
-        and the current ``owner_of_tag`` map — the same construction as
-        :meth:`from_arrays`, restricted to one cell."""
-        cell = self.cells[idx]
-        key = cell.key
-        x0, x1, y0, y1 = cell.bounds
-        rpos = self.reader_positions
-        tpos = self.tag_positions
-        R = self.interference_radii
-        gamma = self.interrogation_radii
-        owned_all = self._reader_buckets[key]
-        owned = owned_all[self.reader_alive[owned_all]]
+    def _build_cell(self, idx: int, key: Key) -> ShardCell:
+        """Cell *idx* at bucket *key* over the alive fleet and the current
+        ``owner_of_tag`` map: its alive owned readers, the one-ring halo
+        that can conflict with them or cover a tag they own, the tag band,
+        and the halo-augmented subsystem.  Builds every cell of
+        :meth:`from_arrays` and rebuilds each cell a refresh dirties."""
+        rpos, tpos = self.reader_positions, self.tag_positions
+        R, gamma = self.interference_radii, self.interrogation_radii
+        alive = self.reader_alive
+        side = self.cell_side
+        x0 = float(self.origin[0] + key[0] * side)
+        y0 = float(self.origin[1] + key[1] * side)
+        x1, y1 = x0 + side, y0 + side
+        owned = self._reader_buckets[key]
+        owned = owned[alive[owned]]
         R_own = float(R[owned].max())
         g_own = float(gamma[owned].max())
 
-        ring_parts = [
-            self._reader_buckets[k]
-            for k in ((key[0] + dx, key[1] + dy) for dx, dy in RING_OFFSETS)
-            if k in self._reader_buckets
-        ]
-        if ring_parts:
-            ring = np.concatenate(ring_parts)
-            ring = ring[self.reader_alive[ring]]
-        else:
-            ring = np.empty(0, dtype=np.int64)
-        if ring.size:
-            dist = _dist_to_rect(rpos[ring], x0, x1, y0, y1)
-            reach = np.maximum(np.maximum(R[ring], R_own), gamma[ring] + g_own)
-            halo = np.sort(ring[dist <= reach])
-        else:
-            halo = np.empty(0, dtype=np.int64)
+        ring = _gather(self._reader_buckets, key, RING_OFFSETS)
+        ring = ring[alive[ring]]
+        dist = _dist_to_rect(rpos[ring], x0, x1, y0, y1)
+        # reader j can conflict with an owned reader (d <= max(R_j, R_own))
+        # or cover a tag owned here (d <= gamma_j + g_own); both bounds are
+        # <= H <= side, so the one-ring candidates are exhaustive.
+        reach = np.maximum(np.maximum(R[ring], R_own), gamma[ring] + g_own)
+        halo = np.sort(ring[dist <= reach])
 
         all_readers = np.sort(np.concatenate([owned, halo]))
         owned_reader_mask = np.isin(all_readers, owned, assume_unique=True)
 
         g_inc = float(gamma[all_readers].max())
-        tag_parts = [
-            self._tag_buckets[k]
-            for k in (
-                (key[0] + dx, key[1] + dy)
-                for dx in (-1, 0, 1)
-                for dy in (-1, 0, 1)
-            )
-            if k in self._tag_buckets
-        ]
-        if tag_parts:
-            band_cand = np.concatenate(tag_parts)
-            dist = _dist_to_rect(tpos[band_cand], x0, x1, y0, y1)
-            keep = (dist <= g_inc) | (self.owner_of_tag[band_cand] == idx)
-            tag_ids = np.sort(band_cand[keep])
-        else:
-            tag_ids = np.empty(0, dtype=np.int64)
-        owned_tag_mask = self.owner_of_tag[tag_ids] == idx
-
-        subsystem = build_system(
-            rpos[all_readers], R[all_readers], gamma[all_readers],
-            tpos[tag_ids],
-        )
-        self.cells[idx] = ShardCell(
-            index=cell.index,
+        band = _gather(self._tag_buckets, key, NEIGHBOURHOOD)
+        dist = _dist_to_rect(tpos[band], x0, x1, y0, y1)
+        keep = (dist <= g_inc) | (self.owner_of_tag[band] == idx)
+        tag_ids = np.sort(band[keep])
+        return ShardCell(
+            index=idx,
             key=key,
-            bounds=cell.bounds,
+            bounds=(x0, x1, y0, y1),
             reader_ids=owned,
             halo_reader_ids=halo,
             all_reader_ids=all_readers,
             tag_ids=tag_ids,
             owned_reader_mask=owned_reader_mask,
-            owned_tag_mask=owned_tag_mask,
-            subsystem=subsystem,
+            owned_tag_mask=self.owner_of_tag[tag_ids] == idx,
+            subsystem=build_system(
+                rpos[all_readers], R[all_readers], gamma[all_readers],
+                tpos[tag_ids],
+            ),
         )
 
     # ------------------------------------------------------------------

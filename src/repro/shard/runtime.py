@@ -387,51 +387,52 @@ class ShardRuntime:
 
     # ------------------------------------------------------------------
     def _owner_counts(self, readers: np.ndarray) -> np.ndarray:
-        """Each reader's remaining covered-unread count in its owner cell."""
+        """Each reader's remaining covered-unread count in its owner cell:
+        one searchsorted per owner cell."""
+        cells = self.partition.cell_of_reader[readers]
+        order = np.argsort(cells, kind="stable")
+        groups, starts = np.unique(cells[order], return_index=True)
         vals = np.empty(len(readers), dtype=np.int64)
-        for i, g in enumerate(readers):
-            c = int(self.partition.cell_of_reader[g])
+        for c, sel in zip(groups.tolist(), np.split(order, starts[1:])):
             cell = self.partition.cells[c]
-            loc = int(np.searchsorted(cell.all_reader_ids, g))
-            vals[i] = self._contexts[c].remaining_counts[loc]
+            loc = np.searchsorted(cell.all_reader_ids, readers[sel])
+            vals[sel] = self._contexts[c].remaining_counts[loc]
         return vals
 
     def _reconcile(self, active: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Drop readers until the merged set has no cross-cell conflict.
+        """Drop readers until the sorted merged set *active* has no
+        cross-cell conflict; returns ``(kept, repairs)``.
 
         Intra-cell pairs are the cell solver's responsibility and are never
-        touched.  Among readers in a surviving cross-cell conflict, the one
-        with the smallest owner-cell remaining count is dropped (ties to
-        the highest global id — keep the longest-serving candidates), and
-        the pass repeats until clean.  Deterministic: pure function of the
-        merged set and the cells' unread state.
+        touched.  The rule: while a cross-cell conflict survives, drop the
+        conflicted reader with the smallest owner-cell remaining count
+        (ties to the highest global id — keep the longest-serving
+        candidates).  One pass over the partition's conflict graph applies
+        it exactly: visit the initially conflicted readers once in (count
+        ascending, id descending) order and drop each that still has a live
+        cross-cell neighbour.  The counts are fixed during the pass, and a
+        reader visited and kept has no live neighbour — drops only remove
+        neighbours — so it never becomes conflicted again; each reader
+        dropped is therefore the current minimum conflicted reader.
+        Deterministic: pure function of the merged set and the cells'
+        unread state.
         """
-        k = int(len(active))
-        if k <= 1:
-            return active, 0
-        pos = self.partition.reader_positions[active]
-        R = self.partition.interference_radii[active]
+        rows, cols = self.partition.active_conflicts(active)
         owner = self.partition.cell_of_reader[active]
-        diff = pos[:, None, :] - pos[None, :, :]
-        d2 = (diff * diff).sum(axis=-1)
-        rmax = np.maximum(R[:, None], R[None, :])
-        cross = (d2 <= rmax * rmax) & (owner[:, None] != owner[None, :])
-        if not cross.any():
+        cross = owner[rows] != owner[cols]
+        rows, cols = rows[cross], cols[cross]
+        if rows.size == 0:
             return active, 0
-        vals = self._owner_counts(active)
-        live = np.ones(k, dtype=bool)
+        cand, starts = np.unique(rows, return_index=True)
+        ends = np.append(starts[1:], len(rows))
+        vals = self._owner_counts(active[cand])
+        live = np.ones(len(active), dtype=bool)
         repairs = 0
-        while True:
-            conflicted = (cross & live[None, :]).any(axis=1) & live
-            if not conflicted.any():
-                break
-            cand = np.flatnonzero(conflicted)
-            v = vals[cand]
-            # min value loses; tie -> drop the highest global id (active is
-            # sorted ascending, so the last minimum is the highest id)
-            drop = cand[np.flatnonzero(v == v.min())[-1]]
-            live[drop] = False
-            repairs += 1
+        # active is ascending, so -cand orders ties by descending id
+        for t in np.lexsort((-cand, vals)).tolist():
+            if live[cols[starts[t]:ends[t]]].any():
+                live[cand[t]] = False
+                repairs += 1
         return active[live], repairs
 
     # ------------------------------------------------------------------

@@ -17,7 +17,8 @@ global state, so :func:`run_scale_schedule` runs the same greedy loop
 * the global well-covered verification (Definition 1) is computed sparsely:
   per-active-reader tag lookups through a
   :class:`~repro.geometry.grid.SpatialHashGrid` give exact coverage counts,
-  and RTc suppression is a dense check only over the *active* readers;
+  and RTc suppression walks the partition's reader conflict graph
+  restricted to the *active* readers;
 * the singleton fallback uses owned-cell counts
   (:meth:`~repro.shard.runtime.ShardRuntime.best_singleton`);
 * retirement updates the per-cell contexts through
@@ -141,9 +142,7 @@ class ScaleScheduleResult:
 
 def _slot_verification(
     active: np.ndarray,
-    reader_positions: np.ndarray,
-    interference_radii: np.ndarray,
-    interrogation_radii: np.ndarray,
+    partition: ShardPartition,
     tag_grid: SpatialHashGrid,
     unread: np.ndarray,
     counts: np.ndarray,
@@ -151,27 +150,30 @@ def _slot_verification(
 ) -> Tuple[np.ndarray, int, int]:
     """Exact well-covered tags of *active* (Definition 1), sparsely.
 
-    Uses per-active-reader grid lookups for coverage and a dense directed
-    RTc check over just the active set.  *counts*/*owner* are reusable
-    scratch arrays over the tag population; returns ``(well_covered_tags,
-    rrc_blocked, rtc_silenced)``.
+    Uses per-active-reader grid lookups for coverage.  RTc is checked over
+    the partition's conflict graph restricted to *active*: reader *i* is
+    silenced iff some active neighbour *j* has ``d² <= R_j²``, and any such
+    *j* is a neighbour because ``R_j <= max(R_i, R_j)``.  *counts*/*owner*
+    are reusable scratch arrays over the tag population; returns
+    ``(well_covered_tags, rrc_blocked, rtc_silenced)``.
     """
     k = int(len(active))
     empty = np.empty(0, dtype=np.int64)
     if k == 0:
         return empty, 0, 0
-    pos = reader_positions[active]
-    diff = pos[:, None, :] - pos[None, :, :]
+    rpos = partition.reader_positions
+    R = partition.interference_radii
+    gamma = partition.interrogation_radii
+    rows, cols = partition.active_conflicts(active)
+    near = active[cols]
+    diff = rpos[active[rows]] - rpos[near]
     d2 = (diff * diff).sum(axis=-1)
-    in_range = d2 <= interference_radii[active][None, :] ** 2
-    np.fill_diagonal(in_range, False)
-    suffering = in_range.any(axis=1)
+    suffering = np.zeros(k, dtype=bool)
+    suffering[rows[d2 <= R[near] ** 2]] = True
 
     touched_parts: List[np.ndarray] = []
     for i, a in enumerate(active):
-        hits = tag_grid.query_radius(
-            reader_positions[a], float(interrogation_radii[a])
-        )
+        hits = tag_grid.query_radius(rpos[a], float(gamma[a]))
         if hits.size:
             counts[hits] += 1
             owner[hits] = i  # local index into the active set
@@ -201,25 +203,18 @@ class _ArrayWorld:
     """
 
     def __init__(
-        self,
-        runtime: ShardRuntime,
-        solver,
-        takes_context: bool,
-        rpos: np.ndarray,
-        interference: np.ndarray,
-        interrogation: np.ndarray,
-        tpos: np.ndarray,
-        rec,
+        self, runtime: ShardRuntime, solver, takes_context: bool, rec
     ) -> None:
         self.runtime = runtime
         self.solver = solver
         self.takes_context = takes_context
         self.rec = rec
+        partition = runtime.partition
         #: coverable tags not yet read (orphans of a refresh included)
-        self.unread = runtime.partition.owner_of_tag >= 0
-        self._arrays = (rpos, interference, interrogation)
+        self.unread = partition.owner_of_tag >= 0
+        tpos = partition.tag_positions
         self._grid = SpatialHashGrid(
-            tpos, cell_size=max(float(interrogation.max()), 1.0)
+            tpos, cell_size=max(float(partition.interrogation_radii.max()), 1.0)
         )
         m = len(tpos)
         self._counts = np.zeros(m, dtype=np.int32)
@@ -243,8 +238,8 @@ class _ArrayWorld:
     def verify(self, active: np.ndarray, unread: np.ndarray) -> np.ndarray:
         with span("scale.verify", active=int(len(active))):
             well, rrc, rtc = _slot_verification(
-                active, *self._arrays, self._grid, unread, self._counts,
-                self._owner,
+                active, self.runtime.partition, self._grid, unread,
+                self._counts, self._owner,
             )
         self._tally = (rrc, rtc)
         return well
@@ -330,10 +325,7 @@ def run_scale_schedule(
     fault_layer = FaultLayer.engage(
         faults, policy, deployment.num_readers, len(tpos)
     )
-    world = _ArrayWorld(
-        runtime, solver_fn, takes_context, rpos, interference, interrogation,
-        tpos, rec,
-    )
+    world = _ArrayWorld(runtime, solver_fn, takes_context, rec)
     uncoverable = int((~world.unread).sum())
     cap = (
         max_slots if max_slots is not None else 4 * deployment.num_readers + 64

@@ -92,3 +92,26 @@ class TestPairsWithin:
             if np.hypot(*(pts[i] - pts[j])) <= radius
         }
         assert got == want
+
+
+class TestBuckets:
+    @given(
+        seed=st.integers(0, 500),
+        n=st.integers(0, 60),
+        cell=st.floats(0.3, 8.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_buckets_match_per_point_loop(self, seed, n, cell):
+        """The lexsort bucketing equals the per-point append loop it
+        replaced: same keys, each bucket ascending."""
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-10, 10, size=(n, 2))
+        # integer coordinates put points exactly on bucket edges
+        pts[: n // 2] = np.round(pts[: n // 2])
+        grid = SpatialHashGrid(pts, cell)
+        want = {}
+        keys = np.floor(pts / cell).astype(np.int64)
+        for idx, (kx, ky) in enumerate(keys):
+            want.setdefault((int(kx), int(ky)), []).append(idx)
+        got = {key: bucket.tolist() for key, bucket in grid._buckets.items()}
+        assert got == want

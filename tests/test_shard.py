@@ -13,6 +13,8 @@ Covers the three certificates of ``docs/scale.md``:
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core import get_solver, greedy_covering_schedule
 from repro.deployment.scenario import Scenario
@@ -542,3 +544,214 @@ class TestRuntime:
         with pytest.raises(RuntimeError):
             runtime.live_cells()
         runtime.retire(np.array([0, 1]))  # no-op, must not raise
+
+
+# ----------------------------------------------------------------------
+# Sparse conflict graph, one-pass merge and sparse verification, each
+# against the dense code path it replaced (kept here as the reference).
+
+
+@st.composite
+def shard_deployments(draw):
+    """Random multi-cell deployments as ``(rpos, R, gamma, tpos)``.
+
+    Interrogation radii never exceed interference radii.  Integer
+    deployments add *twin* readers placed exactly
+    ``max(R_i, R_j)`` from an existing reader (axis-aligned, or a 3-4-5
+    triangle), so boundary pairs ``d == max(R_i, R_j)`` occur every time.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(4, 30))
+    m = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        rpos = rng.integers(0, 30, size=(n, 2)).astype(float)
+        R = rng.integers(1, 6, size=n).astype(float)
+        gamma = rng.integers(1, 3, size=n).astype(float)
+        tpos = rng.integers(0, 30, size=(m, 2)).astype(float)
+        twins = []
+        for i in rng.choice(n, size=min(n, 8), replace=False):
+            r = R[i]
+            step = [(r, 0.0), (0.0, r), (-r, 0.0)][int(rng.integers(3))]
+            if r == 5.0 and rng.integers(2):
+                step = (3.0, 4.0)
+            twins.append((rpos[i] + step, float(rng.integers(1, r + 1))))
+        rpos = np.vstack([rpos] + [p[None, :] for p, _ in twins])
+        R = np.concatenate([R, [r for _, r in twins]])
+        gamma = np.concatenate([gamma, rng.integers(1, 3, size=len(twins))])
+        gamma = gamma.astype(float)
+    else:
+        rpos = rng.uniform(0, 40, size=(n, 2))
+        R = rng.exponential(3.0, size=n) + 0.5
+        gamma = rng.exponential(1.0, size=n) + 0.2
+        tpos = rng.uniform(0, 40, size=(m, 2))
+    return rpos, R, np.minimum(gamma, R), tpos
+
+
+def multi_cell_partition(deployment):
+    partition = ShardPartition.from_arrays(*deployment, ShardSpec(cells=0))
+    assume(not partition.is_trivial)
+    return partition
+
+
+def dense_conflicts(rpos, R):
+    """Every ordered pair ``i != j`` with ``d² <= max(R_i, R_j)²``."""
+    diff = rpos[:, None, :] - rpos[None, :, :]
+    d2 = (diff * diff).sum(axis=-1)
+    rmax = np.maximum(R[:, None], R[None, :])
+    hit = d2 <= rmax * rmax
+    np.fill_diagonal(hit, False)
+    return hit
+
+
+def dense_reconcile(runtime, active):
+    """The dense iterate-until-clean merge the one-pass version replaced."""
+    partition = runtime.partition
+    k = int(len(active))
+    if k <= 1:
+        return active, 0
+    pos = partition.reader_positions[active]
+    R = partition.interference_radii[active]
+    owner = partition.cell_of_reader[active]
+    diff = pos[:, None, :] - pos[None, :, :]
+    d2 = (diff * diff).sum(axis=-1)
+    rmax = np.maximum(R[:, None], R[None, :])
+    cross = (d2 <= rmax * rmax) & (owner[:, None] != owner[None, :])
+    if not cross.any():
+        return active, 0
+    vals = np.empty(k, dtype=np.int64)
+    for i, g in enumerate(active):
+        cell = partition.cells[int(partition.cell_of_reader[g])]
+        loc = int(np.searchsorted(cell.all_reader_ids, g))
+        vals[i] = runtime._contexts[cell.index].remaining_counts[loc]
+    live = np.ones(k, dtype=bool)
+    repairs = 0
+    while True:
+        conflicted = (cross & live[None, :]).any(axis=1) & live
+        if not conflicted.any():
+            break
+        cand = np.flatnonzero(conflicted)
+        v = vals[cand]
+        live[cand[np.flatnonzero(v == v.min())[-1]]] = False
+        repairs += 1
+    return active[live], repairs
+
+
+def dense_verification(active, rpos, R, gamma, tpos, unread):
+    """Definition 1 over dense reader-reader and tag-reader matrices."""
+    empty = np.empty(0, dtype=np.int64)
+    if len(active) == 0:
+        return empty, 0, 0
+    pos = rpos[active]
+    diff = pos[:, None, :] - pos[None, :, :]
+    in_range = (diff * diff).sum(axis=-1) <= R[active][None, :] ** 2
+    np.fill_diagonal(in_range, False)
+    suffering = in_range.any(axis=1)
+    dx = tpos[:, 0][:, None] - pos[None, :, 0]
+    dy = tpos[:, 1][:, None] - pos[None, :, 1]
+    g = gamma[active]
+    cov = dx * dx + dy * dy <= (g * g)[None, :]
+    counts = cov.sum(axis=1)
+    once = unread & (counts == 1)
+    well = np.flatnonzero(once & ~suffering[np.argmax(cov, axis=1)])
+    rrc = int((unread & (counts >= 2)).sum())
+    return well, rrc, int(suffering.sum())
+
+
+def random_active(rng, readers):
+    """A sorted random subset of *readers*."""
+    keep = rng.random(len(readers)) < rng.uniform(0.2, 1.0)
+    return np.sort(readers[keep])
+
+
+class TestConflictGraph:
+    @given(deployment=shard_deployments())
+    @settings(max_examples=60, deadline=None)
+    def test_csr_equals_all_pairs(self, deployment):
+        partition = multi_cell_partition(deployment)
+        rpos, R = deployment[0], deployment[1]
+        n = len(rpos)
+        indptr, ids = partition.conflict_indptr, partition.conflict_ids
+        assert indptr.shape == (n + 1,)
+        got = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            row = ids[indptr[i]:indptr[i + 1]]
+            assert (np.diff(row) > 0).all()
+            got[i, row] = True
+        assert np.array_equal(got, dense_conflicts(rpos, R))
+
+    @given(deployment=shard_deployments(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_active_conflicts_restrict_the_graph(self, deployment, data):
+        partition = multi_cell_partition(deployment)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        active = rng.permutation(len(deployment[0]))[: rng.integers(0, 10)]
+        rows, cols = partition.active_conflicts(active)
+        assert (np.diff(rows) >= 0).all()
+        hit = dense_conflicts(deployment[0], deployment[1])
+        want = set(zip(*np.nonzero(hit[np.ix_(active, active)])))
+        assert set(zip(rows.tolist(), cols.tolist())) == want
+
+
+class TestReconcileDifferential:
+    """The one-pass merge returns the same set and repair count as the
+    dense iterate-until-clean rule."""
+
+    @staticmethod
+    def _check(runtime, rng, readers):
+        for _ in range(5):
+            active = random_active(rng, readers)
+            got, got_repairs = runtime._reconcile(active)
+            want, want_repairs = dense_reconcile(runtime, active)
+            assert np.array_equal(got, want)
+            assert got_repairs == want_repairs
+
+    @given(deployment=shard_deployments(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_rule(self, deployment, data):
+        partition = multi_cell_partition(deployment)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        runtime = ShardRuntime(partition)
+        coverable = np.flatnonzero(partition.owner_of_tag >= 0)
+        runtime.retire(coverable[rng.random(len(coverable)) < 0.4])
+        self._check(runtime, rng, np.arange(len(deployment[0])))
+
+    @given(deployment=shard_deployments(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_rule_after_refresh(self, deployment, data):
+        partition = multi_cell_partition(deployment)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        runtime = ShardRuntime(partition)
+        graph = (partition.conflict_indptr, partition.conflict_ids)
+        n = len(deployment[0])
+        dead = rng.choice(n, size=int(rng.integers(1, n // 2 + 1)), replace=False)
+        runtime.refresh(dead)
+        # the graph depends on positions and radii only: refresh keeps it
+        assert partition.conflict_indptr is graph[0]
+        assert partition.conflict_ids is graph[1]
+        self._check(runtime, rng, np.flatnonzero(partition.reader_alive))
+
+
+class TestSparseVerification:
+    @given(deployment=shard_deployments(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_reference(self, deployment, data):
+        from repro.geometry.grid import SpatialHashGrid
+        from repro.shard.scale import _slot_verification
+
+        partition = multi_cell_partition(deployment)
+        rpos, R, gamma, tpos = deployment
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        m = len(tpos)
+        grid = SpatialHashGrid(tpos, cell_size=max(float(gamma.max()), 1.0))
+        counts = np.zeros(m, dtype=np.int32)
+        owner = np.zeros(m, dtype=np.int64)
+        for _ in range(5):
+            active = random_active(rng, np.arange(len(rpos)))
+            unread = rng.random(m) < 0.7
+            well, rrc, rtc = _slot_verification(
+                active, partition, grid, unread, counts, owner
+            )
+            ref = dense_verification(active, rpos, R, gamma, tpos, unread)
+            assert np.array_equal(well, ref[0])
+            assert (rrc, rtc) == ref[1:]
+            assert not counts.any()  # scratch reset for the next slot
