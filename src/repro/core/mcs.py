@@ -71,7 +71,7 @@ from repro.faults import FaultInjector, FaultPlan, FaultPolicy, HeartbeatMonitor
 from repro.linklayer.session import InventoryResult, run_inventory_session
 from repro.model.collisions import rrc_blocked_tags, rtc_victims
 from repro.model.state import ReadState
-from repro.model.system import RFIDSystem, build_system
+from repro.model.system import ReducedSystems, RFIDSystem
 from repro.obs.events import (
     CollisionTally,
     ReaderFailed,
@@ -243,9 +243,9 @@ class FaultLayer:
 
     def refresh(self, slot: int, world) -> bool:
         """Retire this slot's confirmed permanent crashes from *world*'s
-        partition (``policy.partition_refresh``) under a ``shard.refresh``
-        span; returns whether the world is left without solvable work."""
-        if not self.policy.partition_refresh or world.retired_readers is None:
+        partition under a ``shard.refresh`` span; returns whether the world
+        is left without solvable work."""
+        if world.retired_readers is None:
             return False
         dead = self.monitor.confirmed_permanent(
             slot, exclude=world.retired_readers
@@ -367,7 +367,7 @@ class _DenseWorld:
         self.shard = shard
         self.ladder = ladder
         self.rec = get_recorder()
-        self._views: dict = {}
+        self._views = ReducedSystems()
 
     @property
     def unread(self) -> np.ndarray:
@@ -393,24 +393,11 @@ class _DenseWorld:
     def _candidate_view(self, suspected):
         """``(system, live_ids)`` the solver should see: the full system
         (``live_ids`` ``None``) when nothing is suspected, else a reduced
-        system over the live readers, cached per suspicion pattern
-        (``None`` when every reader is suspected)."""
+        system over the live readers (``None`` when every reader is
+        suspected) from the bounded per-pattern cache."""
         if suspected is None or not suspected.any():
             return self.system, None
-        key = suspected.tobytes()
-        entry = self._views.get(key)
-        if entry is None:
-            live = np.flatnonzero(~suspected)
-            sub = None
-            if live.size:
-                sub = build_system(
-                    self.system.reader_positions[live],
-                    self.system.interference_radii[live],
-                    self.system.interrogation_radii[live],
-                    self.system.tag_positions,
-                )
-            entry = self._views[key] = (sub, live)
-        return entry
+        return self._views.get(self.system, suspected)
 
     def solve(self, slot: int, rng, suspected):
         """The slot's proposed active set and solver meta."""
@@ -704,8 +691,7 @@ def greedy_covering_schedule(
         are unchanged.  Composes with ``faults``/``policy``: affected cells
         solve degraded subsystems over their unsuspected local readers, and
         confirmed permanent crashes trigger an incremental partition
-        refresh when ``policy.partition_refresh`` is on (``docs/scale.md``
-        and ``docs/robustness.md``).
+        refresh (``docs/scale.md`` and ``docs/robustness.md``).
     """
     if read_mode not in ("all", "single"):
         raise ValueError(f"read_mode must be 'all' or 'single', got {read_mode!r}")
@@ -719,16 +705,14 @@ def greedy_covering_schedule(
     uncovered = np.flatnonzero(~coverable & state.unread_mask)
     cap = max_slots if max_slots is not None else 4 * system.num_readers + 64
 
+    context = ScheduleContext(system, state.unread_mask & coverable)
     shard_rt: Optional[ShardRuntime] = None
     if shard is not None:
         partition = ShardPartition.from_system(system, shard)
         # a trivial partition runs the unsharded world, keeping cells == 1
         # bit-identical to shard=None
         if not partition.is_trivial:
-            shard_rt = ShardRuntime(
-                partition, initial_unread=state.unread_mask & coverable
-            )
-    context = ScheduleContext(system, state.unread_mask & coverable)
+            shard_rt = ShardRuntime(partition, context.unread)
     ladder = None
     if fault_layer is not None and shard_rt is None:
         ladder = _DeadlineLadder(fault_layer.policy, solver)

@@ -55,14 +55,6 @@ class FaultPolicy:
     max_stall_slots:
         Consecutive zero-progress slots before the schedule terminates with
         ``ScheduleOutcome.stalled``.
-    partition_refresh:
-        Sharded solves only: when True (the default), a suspected reader
-        that is *confirmed* permanently crashed triggers an incremental
-        partition refresh — its orphaned tags are re-bucketed to their new
-        lowest-id covering reader's cell and only the dirtied cells are
-        rebuilt (see ``docs/scale.md``).  When False the partition is left
-        alone and the crashed reader is merely excluded from candidate
-        sets, like any other suspected reader.
     """
 
     heartbeat_timeout: int = 2
@@ -71,7 +63,6 @@ class FaultPolicy:
     backoff_factor: float = 2.0
     fallback_solver: Optional[Union[str, Callable]] = None
     max_stall_slots: int = 32
-    partition_refresh: bool = True
 
     def __post_init__(self) -> None:
         check_nonnegative_int("heartbeat_timeout", self.heartbeat_timeout, minimum=1)

@@ -199,11 +199,6 @@ class ShiftedHierarchy:
     # ------------------------------------------------------------------
     # hit / survive predicates
     # ------------------------------------------------------------------
-    def _hits_shifted_lines(self, x: float, radius: float, level: int, residue: int) -> bool:
-        """Whether the interval ``[x − R, x + R)`` contains a shifted line
-        coordinate ``v·sp`` with ``v ≡ residue (mod k)``."""
-        return _interval_hits_lines(x, radius, self.spacing(level), self.k, residue)
-
     def survives(self, i: int) -> bool:
         """Whether disk *i* survives this shifting (Section IV): it hits no
         shifted line of its own level, hence lies strictly inside one

@@ -385,3 +385,44 @@ def build_system(
         np.array(interrogation_radii, dtype=np.float64, order="C"),
         np.array(tag_positions, dtype=np.float64, order="C"),
     )
+
+
+class ReducedSystems:
+    """Systems restricted to unsuspected readers, cached per suspicion
+    pattern — the candidate view of a fault-tolerant solve.
+
+    Entries are keyed by ``(key, suspected.tobytes())``, so one cache can
+    serve several base systems (one *key* each).  Flaky worlds churn
+    patterns, so the cache is emptied whenever it reaches :attr:`cap`
+    entries.
+    """
+
+    cap = 128
+
+    def __init__(self) -> None:
+        self._cache: dict = {}
+
+    def get(self, system: RFIDSystem, suspected: np.ndarray, key=None):
+        """``(reduced, live)``: *system* rebuilt over the readers
+        *suspected* leaves out (``None`` when it leaves none) and their
+        ids in *system*."""
+        k = (key, suspected.tobytes())
+        entry = self._cache.get(k)
+        if entry is None:
+            live = np.flatnonzero(~suspected)
+            reduced = None
+            if live.size:
+                reduced = build_system(
+                    system.reader_positions[live],
+                    system.interference_radii[live],
+                    system.interrogation_radii[live],
+                    system.tag_positions,
+                )
+            if len(self._cache) >= self.cap:
+                self._cache.clear()
+            entry = self._cache[k] = (reduced, live)
+        return entry
+
+    def clear(self) -> None:
+        """Drop every cached system (base systems changed)."""
+        self._cache.clear()

@@ -1,7 +1,7 @@
 """Persistent worker pool: fork once, dispatch per slot.
 
-The repository's only fork/thread dispatch implementation.  A sharded
-covering schedule dispatches once per slot, so paying process startup and
+The repository's only fork/thread dispatch implementation.  A dense
+sharded covering schedule dispatches once per slot, so paying process startup and
 teardown per dispatch would dominate it; :class:`WorkerPool` merges results
 in payload order (byte-identical to the serial loop) and holds its workers
 for the life of a run, so the fork/pickle tax is paid once and every later

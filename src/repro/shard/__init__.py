@@ -10,8 +10,9 @@ that the dense global matrices cannot reach.
   interaction-radius cell-sizing rule;
 * :mod:`repro.shard.partition` — :class:`ShardPartition`: cells, halos and
   ownership maps;
-* :mod:`repro.shard.runtime` — :class:`ShardRuntime`: per-slot concurrent
-  cell solves, merge and reconciliation, cross-slot cell state;
+* :mod:`repro.shard.runtime` — :class:`ShardRuntime`: per-slot cell
+  solves (concurrent in the dense sharded driver), merge and
+  reconciliation, cross-slot cell state;
 * :mod:`repro.shard.scale` — the array-first sparse driver for
   deployments too large for a global :class:`~repro.model.system.
   RFIDSystem`;

@@ -167,11 +167,6 @@ class ShardCell:
     owned_tag_mask: np.ndarray
     subsystem: RFIDSystem = field(repr=False)
 
-    @property
-    def num_owned_tags(self) -> int:
-        """Count of tags owned by this cell."""
-        return int(self.owned_tag_mask.sum())
-
 
 class ShardPartition:
     """A sharded view of a deployment: cells, halos and ownership maps.

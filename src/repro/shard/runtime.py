@@ -6,10 +6,11 @@ cell's **owned** unread tags (halo tags start read locally, so each tag's
 weight is credited to exactly one cell).  Every slot it
 
 1. solves each *live* cell (one with owned unread tags left) independently
-   on its halo-augmented subsystem — concurrently on the persistent
-   :class:`~repro.perf.pool.WorkerPool` of :meth:`ShardRuntime.pool_scope`
-   when ``spec.workers`` asks for it, with per-cell child seeds drawn from
-   the driver's stream so worker count never changes results;
+   on its halo-augmented subsystem — in process, or concurrently on the
+   persistent :class:`~repro.perf.pool.WorkerPool` of
+   :meth:`ShardRuntime.pool_scope` when the dense sharded driver holds one
+   (``spec.workers``) — with per-cell child seeds drawn from the driver's
+   stream so worker count never changes results;
 2. keeps only each cell's **owned** activations (halo readers are advisory:
    they model neighbour interference but only their owner cell may activate
    them);
@@ -24,22 +25,24 @@ Intra-cell feasibility is the cell solver's business and is left untouched
 — the driver's well-covered extraction (Definition 1 generalised) is
 computed on the full system afterwards, exactly as for unsharded solves.
 
-Trivial partitions (one cell) never get here: the MCS driver solves them
-as an unsharded system, making ``cells == 1`` bit-identical to the
-unsharded driver (certified by ``tests/test_shard.py`` and the paired
-BENCH_scale records).
+Trivial partitions (one cell) are rejected at construction: both drivers
+solve them as an unsharded system, making ``cells == 1`` bit-identical to
+the unsharded driver (certified by ``tests/test_shard.py`` and the paired
+BENCH_scale records).  The runtime holds the driver's live unread mask by
+reference and never writes it; the driver retires confirmed tags there.
 
 Fault composition (``docs/robustness.md``): when the driver runs a fault
 plan, :meth:`ShardRuntime.solve_slot` takes the global *suspected* mask and
 each affected cell solves a **degraded subsystem** over its unsuspected
-local readers (cached per suspicion pattern — the sharded analogue of the
-unsharded driver's reduced candidate view).  The mask is part of the
-per-cell payload, so the degraded world is a pure function of
-``(plan.seed, slot)`` and worker count still cannot change results.
+local readers (:class:`~repro.model.system.ReducedSystems`, the same
+bounded per-pattern cache as the unsharded driver's candidate view).  The
+mask is part of the per-cell payload, so the degraded world is a pure
+function of ``(plan.seed, slot)`` and worker count still cannot change
+results.
 Confirmed permanent crashes are applied by :meth:`ShardRuntime.refresh`:
 the partition re-buckets orphaned tags and rebuilds dirtied cells
 (:meth:`~repro.shard.partition.ShardPartition.retire_readers`), the runtime
-rebuilds exactly those cells' contexts from its global unread mask —
+rebuilds exactly those cells' contexts from the driver's unread mask —
 surviving contexts are preserved — and an active persistent pool is
 respawned so workers fork the refreshed state.
 
@@ -68,7 +71,7 @@ import numpy as np
 from repro.obs.events import ShardMerge, recording
 from repro.obs.relay import RelayRecorder, relay_payload, replay_events
 from repro.obs.spans import span
-from repro.model.system import build_system
+from repro.model.system import ReducedSystems
 from repro.perf.parallel import in_pool_worker
 from repro.perf.pool import WorkerPool
 from repro.perf.slotdelta import ScheduleContext
@@ -82,67 +85,56 @@ class ShardRuntime:
     Parameters
     ----------
     partition:
-        The :class:`~repro.shard.partition.ShardPartition` to run over.
-    initial_unread:
-        Global boolean unread mask (the driver's coverable-unread
-        population); defaults to everything unread.  Each cell's context
-        starts from this mask restricted to the cell's owned tags.  Cell
-        solves receive their cell's live
-        :class:`~repro.perf.slotdelta.ScheduleContext` when the solver
+        The non-trivial :class:`~repro.shard.partition.ShardPartition` to
+        run over; a trivial one raises ``ValueError``.
+    unread:
+        The driver's live global unread mask (its coverable-unread
+        population), held by reference and never written here.  Each
+        cell's context starts from it restricted to the cell's owned tags,
+        and :meth:`refresh` rebuilds dirtied cells from it, so the driver
+        must retire confirmed tags in it.  Cell solves receive their cell's
+        live :class:`~repro.perf.slotdelta.ScheduleContext` when the solver
         accepts a ``context``.
     """
 
-    def __init__(
-        self,
-        partition: ShardPartition,
-        initial_unread: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, partition: ShardPartition, unread: np.ndarray):
+        if partition.is_trivial:
+            raise ValueError(
+                "trivial partition: solve a single cell as an unsharded system"
+            )
         self.partition = partition
-        self._contexts: Optional[List[ScheduleContext]] = None
+        self._unread = unread
+        self._contexts = [self._context(cell) for cell in partition.cells]
         #: Readers retired by :meth:`refresh` (confirmed permanent crashes).
         self.retired_readers = np.zeros(
             len(partition.reader_positions), dtype=bool
         )
-        self._unread_global: Optional[np.ndarray] = None
-        if not partition.is_trivial:
-            m = len(partition.owner_of_tag)
-            unread_global = (
-                np.ones(m, dtype=bool)
-                if initial_unread is None
-                else np.asarray(initial_unread, dtype=bool).copy()
-            )
-            self._unread_global = unread_global
-            contexts = []
-            for cell in partition.cells:
-                local_unread = cell.owned_tag_mask & unread_global[cell.tag_ids]
-                contexts.append(
-                    ScheduleContext(cell.subsystem, local_unread)
-                )
-            self._contexts = contexts
         # per-solve scratch shared with forked workers (set before the fork)
         self._solver = None
         self._takes_context = False
         self._collect = False
-        # degraded per-cell subsystems, keyed by (cell, suspicion bytes);
+        # degraded per-cell subsystems, keyed by (cell, suspicion pattern);
         # per-process (workers fill their own copies deterministically)
-        self._fault_systems = {}
+        self._views = ReducedSystems()
         # persistent-pool state (active only inside pool_scope)
         self._pool: Optional[WorkerPool] = None
         self._retired_logs: Optional[List[List[np.ndarray]]] = None
         self._pool_applied: Optional[List[int]] = None
 
+    def _context(self, cell) -> ScheduleContext:
+        """A fresh context over *cell*'s owned tags still unread."""
+        return ScheduleContext(
+            cell.subsystem, cell.owned_tag_mask & self._unread[cell.tag_ids]
+        )
+
     # ------------------------------------------------------------------
     @property
     def num_unread(self) -> int:
-        """Unread owned tags summed over cells (non-trivial runtimes only)."""
-        if self._contexts is None:
-            raise RuntimeError("trivial runtime does not track unread tags")
+        """Unread owned tags summed over cells."""
         return sum(ctx.num_unread for ctx in self._contexts)
 
     def live_cells(self) -> List[int]:
         """Indices of cells with owned unread tags remaining, ascending."""
-        if self._contexts is None:
-            raise RuntimeError("trivial runtime does not track unread tags")
         return [
             i for i, ctx in enumerate(self._contexts) if ctx.num_unread > 0
         ]
@@ -163,15 +155,13 @@ class ShardRuntime:
         workers, so no child can leak.
 
         Yields ``None`` and holds no pool — :meth:`solve_slot` then solves
-        the live cells in an in-process loop — for trivial partitions and
-        whenever the pool would run serially: one worker, or inside a pool
-        worker (the nested-parallelism rule of :mod:`repro.perf.parallel`,
-        counted and warned once by the pool).  A serial pool would only ship
-        and replay every retirement log a second time.
+        the live cells in an in-process loop — whenever the pool would run
+        serially: one worker, or inside a pool worker (the
+        nested-parallelism rule of :mod:`repro.perf.parallel`, counted and
+        warned once by the pool).  A serial pool would only ship and replay
+        every retirement log a second time.  Only the dense sharded driver
+        enters this scope; the array-first driver always solves in process.
         """
-        if self.partition.is_trivial:
-            yield None
-            return
         pool = WorkerPool(self.partition.spec.workers)
         if pool.mode == "serial":
             yield None
@@ -235,8 +225,7 @@ class ShardRuntime:
         degraded subsystem over its unsuspected local readers.  The mask
         travels in the per-cell payloads, so suspicion-aware solves stay a
         pure function of the payload and worker count cannot change
-        results.  Trivial runtimes raise (the drivers solve one cell as an
-        unsharded system).
+        results.
         """
         live = self.live_cells()
         # one child seed per live cell, from the driver's stream — worker
@@ -324,15 +313,16 @@ class ShardRuntime:
         """Worker body: solve one cell with its own seeded rng.
 
         Runs in a pool worker (through :meth:`_solve_cell_pool`) or inline
-        when serial.  A non-empty local suspicion mask *susp* routes the
-        solve through a degraded subsystem over the unsuspected local
-        readers (no warm-start context — the cell context indexes the full
-        subsystem).  Returns ``(owned active readers as global ids, relay
-        payload, solve seconds)`` — the relay payload
-        (:func:`repro.obs.relay.relay_payload`, ``None`` with telemetry
-        off) carries the solve's full captured trace, spans included; the
-        seconds are the solver call's wall time measured here, in the
-        worker.  Only picklable values cross the process boundary.
+        when serial.  A local suspicion mask *susp* (``None`` for an
+        unaffected cell) routes the solve through a degraded subsystem over
+        the unsuspected local readers (no warm-start context — the cell
+        context indexes the full subsystem).  Returns ``(owned active
+        readers as global ids, relay payload, solve seconds)`` — the relay
+        payload (:func:`repro.obs.relay.relay_payload`, ``None`` with
+        telemetry off) carries the solve's full captured trace, spans
+        included; the seconds are the solver call's wall time measured
+        here, in the worker.  Only picklable values cross the process
+        boundary.
         """
         cell = self.partition.cells[idx]
         ctx = self._contexts[idx]
@@ -340,14 +330,14 @@ class ShardRuntime:
         system = cell.subsystem
         live_local = None
         kwargs = {}
-        if susp is not None and bool(susp.any()):
-            live_local = np.flatnonzero(~susp)
-            if live_local.size == 0:
-                # nothing to solve; ship an empty relay payload so the
-                # parent still opens the cell's shard.solve span
+        if susp is not None:
+            system, live_local = self._views.get(cell.subsystem, susp, idx)
+            if system is None:
+                # every local reader suspected: nothing to solve; ship an
+                # empty relay payload so the parent still opens the cell's
+                # shard.solve span
                 empty = relay_payload(RelayRecorder()) if self._collect else None
                 return np.empty(0, dtype=np.int64), empty, 0.0
-            system = self._degraded_subsystem(idx, cell, susp, live_local)
         elif self._takes_context:
             kwargs["context"] = ctx
         local = RelayRecorder() if self._collect else None
@@ -361,29 +351,6 @@ class ShardRuntime:
             active_local = live_local[active_local]
         owned = active_local[cell.owned_reader_mask[active_local]]
         return cell.all_reader_ids[owned], relayed, solve_s
-
-    def _degraded_subsystem(self, idx: int, cell, susp, live_local):
-        """The cell's subsystem restricted to unsuspected local readers —
-        the sharded analogue of the unsharded driver's reduced candidate
-        view.  Cached per ``(cell, suspicion pattern)`` with a hard size cap
-        (flaky worlds churn patterns); per-process, deterministic either
-        way.  :meth:`refresh` clears the cache — rebuilt cells invalidate
-        their local id maps."""
-        key = (idx, susp.tobytes())
-        cached = self._fault_systems.get(key)
-        if cached is not None:
-            return cached
-        s = cell.subsystem
-        sub = build_system(
-            s.reader_positions[live_local],
-            s.interference_radii[live_local],
-            s.interrogation_radii[live_local],
-            s.tag_positions,
-        )
-        if len(self._fault_systems) >= 128:
-            self._fault_systems.clear()
-        self._fault_systems[key] = sub
-        return sub
 
     # ------------------------------------------------------------------
     def _owner_counts(self, readers: np.ndarray) -> np.ndarray:
@@ -442,17 +409,12 @@ class ShardRuntime:
         A tag is unread only in its owner cell (halo tags start read
         locally), so confirmed tags are bucketed by owner and each owner
         context retires its own — one searchsorted per live owner cell, not
-        per cell over the whole confirmed set.  No-op on trivial runtimes
-        (the driver's own state is authoritative there).
+        per cell over the whole confirmed set.  The driver updates its own
+        unread mask.
         """
-        if self._contexts is None:
-            return
         tags = np.asarray(confirmed, dtype=np.int64).ravel()
         if tags.size == 0:
             return
-        # keep the global truth current: refresh() rebuilds cell contexts
-        # from this mask, so already-read tags must never resurface
-        self._unread_global[tags] = False
         owners = self.partition.owner_of_tag[tags]
         keep = owners >= 0
         tags, owners = tags[keep], owners[keep]
@@ -477,33 +439,20 @@ class ShardRuntime:
 
         Delegates the re-bucketing and cell rebuilds to
         :meth:`~repro.shard.partition.ShardPartition.retire_readers`, then
-        rebuilds exactly the dirtied cells' contexts from the runtime's
-        global unread mask (already-read tags stay read; surviving cells
-        keep their contexts object-identically), drops emptied cells'
-        contexts to zero unread, and — when a persistent pool is active —
-        respawns it so workers fork the refreshed partition instead of
-        their stale snapshot.  Degraded-subsystem caches are cleared: a
+        rebuilds exactly the dirtied cells' contexts from the driver's
+        unread mask (already-read tags stay read; surviving cells keep
+        their contexts object-identically; emptied cells own nothing, so
+        their contexts hold zero unread), and — when a persistent pool is
+        active — respawns it so workers fork the refreshed partition instead
+        of their stale snapshot.  Degraded-subsystem caches are cleared: a
         rebuilt cell's local id map changed.
         """
-        if self._contexts is None:
-            raise RuntimeError("trivial runtime does not refresh")
         report = self.partition.retire_readers(dead_ids)
         if report.retired:
             self.retired_readers[list(report.retired)] = True
-            self._fault_systems.clear()
-            for idx in report.rebuilt_cells:
-                cell = self.partition.cells[idx]
-                local_unread = (
-                    cell.owned_tag_mask & self._unread_global[cell.tag_ids]
-                )
-                self._contexts[idx] = ScheduleContext(
-                    cell.subsystem, local_unread
-                )
-            for idx in report.emptied_cells:
-                cell = self.partition.cells[idx]
-                self._contexts[idx] = ScheduleContext(
-                    cell.subsystem, np.zeros(len(cell.tag_ids), dtype=bool)
-                )
+            self._views.clear()
+            for idx in report.rebuilt_cells + report.emptied_cells:
+                self._contexts[idx] = self._context(self.partition.cells[idx])
             if self._pool is not None:
                 self._respawn_pool()
         return report
@@ -537,8 +486,6 @@ class ShardRuntime:
         suspected the fallback returns ``None`` and the slot makes no
         progress (bounded by the policy's stall guard).
         """
-        if self._contexts is None:
-            raise RuntimeError("trivial runtime does not track unread tags")
         best: Optional[Tuple[int, int]] = None
         for cell, ctx in zip(self.partition.cells, self._contexts):
             if ctx.num_unread == 0:

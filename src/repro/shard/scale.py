@@ -13,7 +13,10 @@ global state, so :func:`run_scale_schedule` runs the same greedy loop
   the interaction-radius sizing rule;
 * each slot's active set comes from :class:`~repro.shard.runtime.
   ShardRuntime` (cell solves plus boundary reconciliation), exactly as in
-  the sharded MCS driver;
+  the sharded MCS driver — but always in process: ``spec.workers`` is a
+  setting of the dense sharded driver only, because on this driver's
+  small GHC cells parallel solves lost to serial end to end
+  (``docs/scale.md``);
 * the global well-covered verification (Definition 1) is computed sparsely:
   per-active-reader tag lookups through a
   :class:`~repro.geometry.grid.SpatialHashGrid` give exact coverage counts,
@@ -40,9 +43,9 @@ deterministic degraded world — heartbeat suspicion via
 :class:`~repro.faults.HeartbeatMonitor`, suspicion-aware cell solves and
 singleton fallbacks, ACK-based retirement of only the confirmed reads, a
 stall guard, and incremental partition refresh on confirmed permanent
-crashes (``policy.partition_refresh``).  A refresh that orphans every
-remaining tag ends the run ``stalled`` at once.  With ``faults=None`` the
-loop is bit-identical to the fault-free scale driver.
+crashes.  A refresh that orphans every remaining tag ends the run
+``stalled`` at once.  With ``faults=None`` the loop is bit-identical to
+the fault-free scale driver.
 """
 
 from __future__ import annotations
@@ -193,8 +196,9 @@ def _slot_verification(
 class _ArrayWorld:
     """The slot loop's world over raw deployment arrays.
 
-    Slots are solved by *runtime* (:meth:`ShardRuntime.solve_slot`) and
-    verified sparsely by :func:`_slot_verification` over a
+    Slots are solved by a :class:`ShardRuntime` over *partition*
+    (:meth:`ShardRuntime.solve_slot`), which shares this world's unread
+    mask, and verified sparsely by :func:`_slot_verification` over a
     :class:`~repro.geometry.grid.SpatialHashGrid` of the tags; the
     singleton fallback uses owned-cell counts
     (:meth:`ShardRuntime.best_singleton`).  Only the runtime's owned tags
@@ -203,15 +207,14 @@ class _ArrayWorld:
     """
 
     def __init__(
-        self, runtime: ShardRuntime, solver, takes_context: bool, rec
+        self, partition: ShardPartition, solver, takes_context: bool, rec
     ) -> None:
-        self.runtime = runtime
         self.solver = solver
         self.takes_context = takes_context
         self.rec = rec
-        partition = runtime.partition
         #: coverable tags not yet read (orphans of a refresh included)
         self.unread = partition.owner_of_tag >= 0
+        self.runtime = ShardRuntime(partition, self.unread)
         tpos = partition.tag_positions
         self._grid = SpatialHashGrid(
             tpos, cell_size=max(float(partition.interrogation_radii.max()), 1.0)
@@ -284,10 +287,11 @@ def run_scale_schedule(
     """Run the sparse greedy covering schedule over a scale deployment.
 
     *solver* is a registry name resolved via
-    :func:`repro.core.oneshot.get_solver` and applied per cell.  *spec*
-    must yield a non-trivial partition — a deployment that collapses to
-    one cell belongs in :func:`repro.core.mcs.greedy_covering_schedule`,
-    which this function refuses to duplicate.
+    :func:`repro.core.oneshot.get_solver` and applied per cell, in
+    process (``spec.workers`` is ignored here).  *spec* must yield a
+    non-trivial partition — a deployment that collapses to one cell
+    belongs in :func:`repro.core.mcs.greedy_covering_schedule`, which this
+    function refuses to duplicate.
 
     Termination mirrors the MCS driver: a slot that would read nothing
     activates the best owned singleton
@@ -317,7 +321,6 @@ def run_scale_schedule(
             "deployment collapses to a single cell; use "
             "greedy_covering_schedule (optionally with shard=) instead"
         )
-    runtime = ShardRuntime(partition)
     solver_fn = get_solver(solver)
     takes_context = accepts_context(solver_fn)
     rng = as_rng(seed)
@@ -325,18 +328,15 @@ def run_scale_schedule(
     fault_layer = FaultLayer.engage(
         faults, policy, deployment.num_readers, len(tpos)
     )
-    world = _ArrayWorld(runtime, solver_fn, takes_context, rec)
+    world = _ArrayWorld(partition, solver_fn, takes_context, rec)
     uncoverable = int((~world.unread).sum())
     cap = (
         max_slots if max_slots is not None else 4 * deployment.num_readers + 64
     )
-    # one persistent worker pool for the whole schedule (no-op when serial;
-    # see ShardRuntime.pool_scope)
-    with runtime.pool_scope(solver_fn, takes_context, rec):
-        slots, total_read, complete, outcome = run_slot_loop(
-            world, rng, cap, fault_layer, max_stall_slots,
-            solver=getattr(solver_fn, "__name__", solver),
-        )
+    slots, total_read, complete, outcome = run_slot_loop(
+        world, rng, cap, fault_layer, max_stall_slots,
+        solver=getattr(solver_fn, "__name__", solver),
+    )
     return ScaleScheduleResult(
         slots=slots,
         tags_read_total=total_read,

@@ -67,32 +67,28 @@ class ShardSpec:
         short-circuits to a direct full-system solve (bit-identical to the
         unsharded driver; certified by ``tests/test_shard.py``).  Values
         above 1 are a *target*: the actual side is clamped to at least the
-        interaction radius (scaled by ``halo_scale``), so the realised cell
-        count never exceeds what the one-ring halo contract allows.
+        interaction radius, so the realised cell count never exceeds what
+        the one-ring halo contract allows.
     workers:
-        Worker processes for concurrent cell solves on one persistent
+        Dense sharded driver only
+        (``greedy_covering_schedule(..., shard=)``): worker processes for
+        concurrent cell solves on one persistent
         :class:`~repro.perf.pool.WorkerPool` per run, in the
         :func:`~repro.perf.parallel.resolve_workers` convention (``None``/
         ``0`` solves cells serially; negative means CPU count).  Worker
         count never changes results — cell solves are merged in
-        deterministic cell order.
-    halo_scale:
-        Safety multiplier (``>= 1``) applied to the interaction radius when
-        sizing cells.  ``1.0`` is always sufficient; larger values trade
-        fewer, bigger cells for smaller halo fractions.
+        deterministic cell order.  The array-first
+        :func:`~repro.shard.scale.run_scale_schedule` ignores it and
+        always solves cells in process, where the pool lost to serial end
+        to end (``docs/scale.md``).
     """
 
     cells: int = 0
     workers: Optional[int] = None
-    halo_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.cells < 0:
             raise ValueError(f"cells must be >= 0, got {self.cells}")
-        if not self.halo_scale >= 1.0:
-            raise ValueError(
-                f"halo_scale must be >= 1.0, got {self.halo_scale}"
-            )
 
     def cell_side(
         self,
@@ -102,11 +98,8 @@ class ShardSpec:
     ) -> float:
         """The cell side length for a deployment of bounding-box area
         ``extent**2``: the side implied by the ``cells`` target, clamped
-        from below to ``halo_scale * H`` so the one-ring halo contract
-        always holds."""
-        floor = self.halo_scale * interaction_radius(
-            interference_radii, interrogation_radii
-        )
+        from below to ``H`` so the one-ring halo contract always holds."""
+        floor = interaction_radius(interference_radii, interrogation_radii)
         if self.cells > 1 and extent > 0.0:
             target = float(extent) / float(np.sqrt(self.cells))
             return max(target, floor)

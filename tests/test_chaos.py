@@ -38,7 +38,8 @@ def _pinned(metrics):
     return {
         k: v for k, v in metrics.items()
         if not k.endswith(("_s", "_by_name"))
-        and not k.startswith("pool_")
+        # dispatch telemetry, present only on parallel runs
+        and not k.startswith(("pool_", "relay_"))
         and k != "histograms"  # wall-clock distributions, machine-local
     }
 

@@ -22,6 +22,7 @@ Plus the ``REPRO_WORKERS`` environment default honoured by every
 ``--workers`` CLI flag (precedence CLI > env > serial).
 """
 
+import functools
 import multiprocessing
 import os
 import signal
@@ -30,6 +31,8 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core import get_solver, greedy_covering_schedule
+from repro.model.system import build_system
 from repro.obs.collectors import RunCollector
 from repro.obs.events import PoolDispatch, PoolRecovery, TraceRecorder, recording
 from repro.perf import parallel as parallel_module
@@ -61,7 +64,8 @@ TIMING = (
 
 
 def run_scale(spec, record=True):
-    """One pinned scale schedule; returns ``(result, metrics-or-None)``."""
+    """One pinned array-first scale schedule; returns ``(result,
+    metrics-or-None)``."""
     if not record:
         result = run_scale_schedule(
             DEPLOYMENT, spec, solver="ghc", seed=SEED, max_slots=MAX_SLOTS
@@ -73,6 +77,37 @@ def run_scale(spec, record=True):
             DEPLOYMENT, spec, solver="ghc", seed=SEED, max_slots=MAX_SLOTS
         )
     return result, collector.summary()
+
+
+@functools.lru_cache(maxsize=1)
+def dense_system():
+    return build_system(*DEPLOYMENT.materialize())
+
+
+def run_sharded(spec, record=True):
+    """The same deployment through the dense sharded driver, the one that
+    holds a worker pool; returns ``(result, metrics-or-None)``."""
+
+    def run():
+        return greedy_covering_schedule(
+            dense_system(), get_solver("ghc"), seed=SEED,
+            max_slots=MAX_SLOTS, shard=spec,
+        )
+
+    if not record:
+        return run(), None
+    collector = RunCollector()
+    with recording(collector):
+        result = run()
+    return result, collector.summary()
+
+
+def assert_same_schedule(a, b):
+    assert a.size == b.size
+    for sa, sb in zip(a.slots, b.slots):
+        assert np.array_equal(sa.active, sb.active)
+        assert np.array_equal(sa.tags_read, sb.tags_read)
+    assert a.tags_read_total == b.tags_read_total
 
 
 def strip_timing(summary):
@@ -354,17 +389,26 @@ class TestShardedBitIdentity:
 
     @pytest.fixture(scope="class")
     def serial(self):
-        return run_scale(ShardSpec(cells=CELLS))
+        return run_sharded(ShardSpec(cells=CELLS))
 
     def test_pool_matches_serial(self, serial):
         result, metrics = serial
-        pooled, pooled_metrics = run_scale(ShardSpec(cells=CELLS, workers=2))
-        assert pooled.slots == result.slots
-        assert pooled.tags_read_total == result.tags_read_total
+        pooled, pooled_metrics = run_sharded(ShardSpec(cells=CELLS, workers=2))
+        assert_same_schedule(pooled, result)
         assert strip_timing(pooled_metrics) == strip_timing(metrics)
         # the tentpole claim: one fork for the whole run
         assert pooled_metrics["pool_spawns"] == 1
         assert "pool_spawns" not in metrics  # serial records keep their shape
+
+    def test_array_driver_solves_in_process(self):
+        """``run_scale_schedule`` ignores ``workers``: it never spawns a
+        pool and matches its serial run."""
+        result, metrics = run_scale(ShardSpec(cells=CELLS))
+        asked, asked_metrics = run_scale(ShardSpec(cells=CELLS, workers=2))
+        assert asked.slots == result.slots
+        assert asked.tags_read_total == result.tags_read_total
+        assert strip_timing(asked_metrics) == strip_timing(metrics)
+        assert "pool_spawns" not in asked_metrics
 
     def test_nested_run_holds_no_pool_and_matches_serial(
         self, serial, monkeypatch
@@ -376,25 +420,24 @@ class TestShardedBitIdentity:
         monkeypatch.setattr(parallel_module, "_IN_POOL_WORKER", True)
         monkeypatch.setattr(parallel_module, "_NESTED_WARNED", True)
         spec = ShardSpec(cells=CELLS, workers=2)
-        runtime = ShardRuntime(
-            ShardPartition.from_arrays(*DEPLOYMENT.materialize(), spec)
-        )
+        partition = ShardPartition.from_arrays(*DEPLOYMENT.materialize(), spec)
+        runtime = ShardRuntime(partition, partition.owner_of_tag >= 0)
         before = parallel_module.nested_serial_calls
         with runtime.pool_scope(_double, False, get_recorder()) as pool:
             assert pool is None and runtime._pool is None
         assert parallel_module.nested_serial_calls == before + 1
         result, _ = serial
-        nested, _ = run_scale(spec, record=False)
-        assert nested.slots == result.slots
-        assert nested.tags_read_total == result.tags_read_total
+        nested, _ = run_sharded(spec, record=False)
+        assert_same_schedule(nested, result)
 
     def test_thread_mode_matches_serial(self, serial, monkeypatch):
         monkeypatch.setattr(pool_module, "fork_available", lambda: False)
         monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", True)
         result, _ = serial
-        threaded, _ = run_scale(ShardSpec(cells=CELLS, workers=2), record=False)
-        assert threaded.slots == result.slots
-        assert threaded.tags_read_total == result.tags_read_total
+        threaded, _ = run_sharded(
+            ShardSpec(cells=CELLS, workers=2), record=False
+        )
+        assert_same_schedule(threaded, result)
 
     def test_solver_exception_closes_pool_and_resets_runtime(self):
         from repro.shard.partition import ShardPartition
@@ -405,7 +448,7 @@ class TestShardedBitIdentity:
         partition = ShardPartition.from_arrays(
             *DEPLOYMENT.materialize(), ShardSpec(cells=CELLS, workers=2)
         )
-        runtime = ShardRuntime(partition)
+        runtime = ShardRuntime(partition, partition.owner_of_tag >= 0)
 
         def exploding_solver(system, unread, rng, **kwargs):
             raise RuntimeError("solver blew up")
@@ -459,12 +502,17 @@ class TestReproWorkersEnv:
 @pytest.mark.scale_smoke
 def test_scale_smoke_pool_honours_repro_workers():
     """The CI leg runs this under ``REPRO_WORKERS=2``: the env-selected
-    worker count must leave the schedule bit-identical to serial, and a
-    parallel run must show exactly one pool spawn."""
+    worker count must leave both drivers' schedules bit-identical to
+    serial.  The array-first driver solves in process (zero pool spawns);
+    a parallel dense sharded run shows exactly one pool spawn."""
     workers = env_default_workers(None)
     serial_result, _ = run_scale(ShardSpec(cells=CELLS), record=False)
     result, metrics = run_scale(ShardSpec(cells=CELLS, workers=workers))
     assert result.slots == serial_result.slots
     assert result.tags_read_total == serial_result.tags_read_total
+    assert "pool_spawns" not in metrics
+    serial_sharded, _ = run_sharded(ShardSpec(cells=CELLS), record=False)
+    sharded, metrics = run_sharded(ShardSpec(cells=CELLS, workers=workers))
+    assert_same_schedule(sharded, serial_sharded)
     if workers is not None and workers > 1 and os.cpu_count() is not None:
         assert metrics["pool_spawns"] == 1

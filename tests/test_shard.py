@@ -90,8 +90,6 @@ class TestSpec:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ShardSpec(cells=-1)
-        with pytest.raises(ValueError):
-            ShardSpec(halo_scale=0.5)
         # auto, trivial and explicit targets are all fine
         ShardSpec(cells=0)
         ShardSpec(cells=1)
@@ -360,26 +358,6 @@ class TestShardFaultComposition:
         ]
         assert not reachable.any()
 
-    def test_partition_refresh_opt_out(self, medium_system):
-        from repro.faults import FaultPlan, FaultPolicy
-        from repro.faults.plan import PermanentCrash
-        from repro.obs.events import SpanStart, TraceRecorder
-
-        plan = FaultPlan(
-            reader_faults=(PermanentCrash(reader=2, at_slot=0),), seed=11
-        )
-        tracer = TraceRecorder()
-        with recording(tracer):
-            greedy_covering_schedule(
-                medium_system, get_solver("ghc"), seed=9, faults=plan,
-                policy=FaultPolicy(partition_refresh=False),
-                shard=ShardSpec(cells=16),
-            )
-        assert not any(
-            isinstance(e, SpanStart) and e.name == "shard.refresh"
-            for e in tracer.events
-        )
-
     def test_retire_readers_rebuckets_orphans(self, medium_system):
         """Direct partition-level check: killing a cell's reader re-homes
         its tags to surviving covering readers or orphans them."""
@@ -511,10 +489,16 @@ class TestBoundaryScenarios:
         assert np.array_equal(shard.uncovered_tags, base.uncovered_tags)
 
 
+def owned_runtime(partition):
+    """A runtime over every coverable tag unread, as the array driver
+    starts."""
+    return ShardRuntime(partition, partition.owner_of_tag >= 0)
+
+
 class TestRuntime:
     def test_retire_advances_unread_counts(self, medium_system):
         partition = ShardPartition.from_system(medium_system, ShardSpec(cells=16))
-        runtime = ShardRuntime(partition)
+        runtime = owned_runtime(partition)
         before = runtime.num_unread
         coverable = np.flatnonzero(partition.owner_of_tag >= 0)
         confirmed = coverable[: min(25, len(coverable))]
@@ -526,7 +510,7 @@ class TestRuntime:
 
     def test_best_singleton_is_max_coverage_owned_reader(self, medium_system):
         partition = ShardPartition.from_system(medium_system, ShardSpec(cells=16))
-        runtime = ShardRuntime(partition)
+        runtime = owned_runtime(partition)
         best = runtime.best_singleton()
         cov = medium_system.coverage  # (m, n)
         coverable = partition.owner_of_tag >= 0
@@ -535,15 +519,26 @@ class TestRuntime:
         # ties break to the lowest global id
         assert best == int(np.argmax(counts == counts.max()))
 
-    def test_trivial_runtime_guards(self, medium_system):
-        runtime = ShardRuntime(
-            ShardPartition.from_system(medium_system, ShardSpec(cells=1))
-        )
-        with pytest.raises(RuntimeError):
-            runtime.num_unread
-        with pytest.raises(RuntimeError):
-            runtime.live_cells()
-        runtime.retire(np.array([0, 1]))  # no-op, must not raise
+    def test_trivial_partition_rejected(self, medium_system):
+        partition = ShardPartition.from_system(medium_system, ShardSpec(cells=1))
+        assert partition.is_trivial
+        with pytest.raises(ValueError, match="trivial partition"):
+            ShardRuntime(partition, np.ones(medium_system.num_tags, dtype=bool))
+
+    def test_refresh_rebuilds_from_the_driver_mask(self, medium_system):
+        """The runtime reads the driver's unread mask by reference: tags
+        the driver retired stay read in rebuilt cells."""
+        partition = ShardPartition.from_system(medium_system, ShardSpec(cells=16))
+        unread = partition.owner_of_tag >= 0
+        runtime = ShardRuntime(partition, unread)
+        victim = int(partition.cells[0].reader_ids[0])
+        read = np.flatnonzero(partition.owner_of_tag == 0)
+        runtime.retire(read)
+        unread[read] = False
+        report = runtime.refresh([victim])
+        assert report.rebuilt_cells or report.emptied_cells
+        owned = unread & (partition.owner_of_tag >= 0)
+        assert runtime.num_unread == int(owned.sum())
 
 
 # ----------------------------------------------------------------------
@@ -710,7 +705,7 @@ class TestReconcileDifferential:
     def test_matches_dense_rule(self, deployment, data):
         partition = multi_cell_partition(deployment)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        runtime = ShardRuntime(partition)
+        runtime = owned_runtime(partition)
         coverable = np.flatnonzero(partition.owner_of_tag >= 0)
         runtime.retire(coverable[rng.random(len(coverable)) < 0.4])
         self._check(runtime, rng, np.arange(len(deployment[0])))
@@ -720,7 +715,7 @@ class TestReconcileDifferential:
     def test_matches_dense_rule_after_refresh(self, deployment, data):
         partition = multi_cell_partition(deployment)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        runtime = ShardRuntime(partition)
+        runtime = owned_runtime(partition)
         graph = (partition.conflict_indptr, partition.conflict_ids)
         n = len(deployment[0])
         dead = rng.choice(n, size=int(rng.integers(1, n // 2 + 1)), replace=False)
