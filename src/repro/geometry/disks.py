@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geometry.points import as_points, pairwise_sq_distances
+from repro.geometry.points import _sq_distances, as_points
 from repro.util.validation import check_positive
 
 
@@ -92,8 +92,13 @@ def mutual_interference_matrix(centers: np.ndarray, radii: np.ndarray) -> np.nda
         raise ValueError(
             f"radii must have shape ({len(centers)},), got {radii.shape}"
         )
-    sq = pairwise_sq_distances(centers, centers)
-    m = sq <= (radii[None, :] ** 2)
+    return _containment(centers, radii)
+
+
+def _containment(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """The unvalidated core of :func:`mutual_interference_matrix`, for a
+    float64 ``(n, 2)`` array and ``(n,)`` radii validated upstream."""
+    m = _sq_distances(centers, centers) <= (radii[None, :] ** 2)
     np.fill_diagonal(m, False)
     return m
 

@@ -28,13 +28,18 @@ def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Uses the expansion ``|a-b|^2 = |a|^2 + |b|^2 - 2 a.b`` so the heavy
     lifting is a single matrix product; negatives from round-off are clipped.
     """
-    a = as_points(a, "a")
-    b = as_points(b, "b")
-    a_sq = np.einsum("ij,ij->i", a, a)
-    b_sq = np.einsum("ij,ij->i", b, b)
-    sq = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
+    sq = _sq_distances(as_points(a, "a"), as_points(b, "b"))
     np.maximum(sq, 0.0, out=sq)
     return sq
+
+
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The unvalidated, unclipped core of :func:`pairwise_sq_distances`,
+    for float64 ``(n, 2)`` arrays validated upstream.  Round-off may leave
+    tiny negatives, which is harmless against a non-negative threshold."""
+    a_sq = np.einsum("ij,ij->i", a, a)
+    b_sq = np.einsum("ij,ij->i", b, b)
+    return a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

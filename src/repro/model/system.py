@@ -32,11 +32,58 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.disks import mutual_interference_matrix
-from repro.geometry.points import as_points, pairwise_sq_distances
+from repro.geometry.disks import _containment
+from repro.geometry.points import as_points
 from repro.model.reader import Reader
 from repro.model.tag import Tag
 from repro.obs.spans import span
+
+
+#: Most float64 elements one chunk of :func:`_coverage_matrix` holds per
+#: buffer (2 MiB).
+COVERAGE_CHUNK = 1 << 18
+
+
+def _coverage_matrix(
+    tags: np.ndarray,
+    readers: np.ndarray,
+    gamma: np.ndarray,
+    chunk: int = COVERAGE_CHUNK,
+) -> np.ndarray:
+    """Boolean ``(m, n)``: ``|t - r|² <= γ²``, decided on
+    :func:`~repro.geometry.points.pairwise_sq_distances`'s
+    ``(|t|² + |r|²) − 2·(t @ rᵀ)`` bit for bit.
+
+    Tag rows go in chunks of about *chunk* elements through two reused
+    ``out=`` buffers, so the float transient stays bounded however large
+    the deployment.  The squared norms are taken once over all points,
+    and no chunk has a single row: BLAS routes a one-row product through
+    gemv, which rounds differently from the gemm the other rows take.
+    """
+    m, n = len(tags), len(readers)
+    r2 = gamma[None, :] ** 2
+    t_sq = np.einsum("ij,ij->i", tags, tags)
+    r_sq = np.einsum("ij,ij->i", readers, readers)
+    step = min(max(2, chunk // n), m)
+    rows = min(max(step, 3), m)
+    sq = np.empty((rows, n))
+    ab = np.empty((rows, n))
+    cov = np.empty((m, n), dtype=bool)
+    lo = 0
+    while lo < m:
+        hi = min(lo + step, m)
+        if m - hi == 1:
+            # never leave a one-row tail: shorten this chunk, or take the
+            # row in when that would leave it a single row itself
+            hi = hi - 1 if hi - lo > 2 else m
+        k = hi - lo
+        np.matmul(tags[lo:hi], readers.T, out=ab[:k])
+        np.multiply(2.0, ab[:k], out=ab[:k])
+        np.add(t_sq[lo:hi, None], r_sq[None, :], out=sq[:k])
+        np.subtract(sq[:k], ab[:k], out=sq[:k])
+        np.less_equal(sq[:k], r2, out=cov[lo:hi])
+        lo = hi
+    return cov
 
 
 class RFIDSystem:
@@ -106,27 +153,14 @@ class RFIDSystem:
         m = len(tag_pos)
 
         if n and m:
-            r2 = interrogation_radii[None, :] ** 2
-            if n * m <= 4_000_000:
-                sq = pairwise_sq_distances(tag_pos, reader_pos)
-                self._coverage = sq <= r2
-            else:
-                # Chunk tag rows so the float64 squared-distance transient
-                # stays bounded (~32 MB) however large the deployment; the
-                # boolean result is identical to the one-shot computation.
-                self._coverage = np.empty((m, n), dtype=bool)
-                step = max(1, 4_000_000 // n)
-                for lo in range(0, m, step):
-                    hi = min(lo + step, m)
-                    sq = pairwise_sq_distances(tag_pos[lo:hi], reader_pos)
-                    self._coverage[lo:hi] = sq <= r2
+            self._coverage = _coverage_matrix(
+                tag_pos, reader_pos, interrogation_radii
+            )
         else:
             self._coverage = np.zeros((m, n), dtype=bool)
 
         if n:
-            self._in_range = mutual_interference_matrix(
-                reader_pos, interference_radii
-            )
+            self._in_range = _containment(reader_pos, interference_radii)
         else:
             self._in_range = np.zeros((0, 0), dtype=bool)
         # i, j conflict iff either lies in the other's disk; the diagonal of
@@ -361,6 +395,23 @@ def build_system(
     n = len(reader_positions)
     if interference_radii.shape != (n,) or interrogation_radii.shape != (n,):
         raise ValueError("radii arrays must match number of reader positions")
+    check_radii(reader_positions, interference_radii, interrogation_radii)
+    return RFIDSystem._from_arrays(
+        np.array(reader_positions, dtype=np.float64, order="C"),
+        np.array(interference_radii, dtype=np.float64, order="C"),
+        np.array(interrogation_radii, dtype=np.float64, order="C"),
+        np.array(tag_positions, dtype=np.float64, order="C"),
+    )
+
+
+def check_radii(
+    reader_positions: np.ndarray,
+    interference_radii: np.ndarray,
+    interrogation_radii: np.ndarray,
+) -> None:
+    """Raise unless every reader's radii pass :class:`~repro.model.reader.
+    Reader`'s checks (finite, ``> 0``, ``γ ≤ R`` up to ``1e-12``), with the
+    entity's message for the first reader that fails."""
     valid = (
         np.isfinite(interference_radii)
         & (interference_radii > 0)
@@ -379,50 +430,42 @@ def build_system(
             interference_radius=float(interference_radii[i]),
             interrogation_radius=float(interrogation_radii[i]),
         )
-    return RFIDSystem._from_arrays(
-        np.array(reader_positions, dtype=np.float64, order="C"),
-        np.array(interference_radii, dtype=np.float64, order="C"),
-        np.array(interrogation_radii, dtype=np.float64, order="C"),
-        np.array(tag_positions, dtype=np.float64, order="C"),
-    )
 
 
 class ReducedSystems:
-    """Systems restricted to unsuspected readers, cached per suspicion
-    pattern — the candidate view of a fault-tolerant solve.
+    """Systems restricted to unsuspected readers — the candidate view of a
+    fault-tolerant solve — holding the latest suspicion pattern per key.
 
-    Entries are keyed by ``(key, suspected.tobytes())``, so one cache can
-    serve several base systems (one *key* each).  Flaky worlds churn
-    patterns, so the cache is emptied whenever it reaches :attr:`cap`
-    entries.
+    One cache serves several base systems, one *key* each.  A flaky world
+    draws a new pattern almost every slot and seldom returns to an older
+    one, so each key keeps only its latest reduced system: memory stays
+    at one system per key, and a repeated pattern is still served from
+    the cache.
     """
 
-    cap = 128
-
     def __init__(self) -> None:
-        self._cache: dict = {}
+        self._latest: dict = {}
 
     def get(self, system: RFIDSystem, suspected: np.ndarray, key=None):
         """``(reduced, live)``: *system* rebuilt over the readers
         *suspected* leaves out (``None`` when it leaves none) and their
         ids in *system*."""
-        k = (key, suspected.tobytes())
-        entry = self._cache.get(k)
-        if entry is None:
+        pattern = suspected.tobytes()
+        entry = self._latest.get(key)
+        if entry is None or entry[0] != pattern:
             live = np.flatnonzero(~suspected)
             reduced = None
             if live.size:
-                reduced = build_system(
-                    system.reader_positions[live],
-                    system.interference_radii[live],
-                    system.interrogation_radii[live],
-                    system.tag_positions,
+                # slices of a validated system; the tag array is shared
+                reduced = RFIDSystem._from_arrays(
+                    system._reader_pos[live],
+                    system._interference_radii[live],
+                    system._interrogation_radii[live],
+                    system._tag_pos,
                 )
-            if len(self._cache) >= self.cap:
-                self._cache.clear()
-            entry = self._cache[k] = (reduced, live)
-        return entry
+            entry = self._latest[key] = (pattern, reduced, live)
+        return entry[1], entry[2]
 
     def clear(self) -> None:
         """Drop every cached system (base systems changed)."""
-        self._cache.clear()
+        self._latest.clear()

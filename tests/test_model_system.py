@@ -7,8 +7,11 @@ more tags, the key non-monotonicity of the weight function.
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.geometry.points import pairwise_sq_distances
 from repro.model import RFIDSystem, Reader, Tag, build_system
+from repro.model.system import COVERAGE_CHUNK, ReducedSystems, _coverage_matrix
 from tests.conftest import system_strategy
 
 
@@ -351,3 +354,121 @@ class TestArrayValidation:
     def test_non_finite_position(self, pos, tags):
         with pytest.raises(ValueError, match="non-finite"):
             self._build([2.0, 2.0], [1.0, 1.0], pos=pos, tags=tags)
+
+
+class TestChunkedCoverage:
+    """``_coverage_matrix`` decides each tag row in chunks exactly as the
+    one-shot ``pairwise_sq_distances(tags, readers) <= γ²``."""
+
+    @staticmethod
+    def _one_shot(tags, readers, gamma):
+        return pairwise_sq_distances(tags, readers) <= gamma[None, :] ** 2
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_chunked_equals_one_shot(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        n = data.draw(st.integers(1, 25))
+        m = data.draw(st.integers(1, 120))
+        if data.draw(st.booleans()):
+            # integer points and radii: many tags lie exactly on a circle
+            readers = rng.integers(0, 20, size=(n, 2)).astype(float)
+            tags = rng.integers(0, 20, size=(m, 2)).astype(float)
+            gamma = rng.integers(1, 6, size=n).astype(float)
+        else:
+            readers = rng.uniform(0, 50, size=(n, 2))
+            tags = rng.uniform(0, 50, size=(m, 2))
+            # each radius reaches one tag as the one-shot rounds it
+            sq = pairwise_sq_distances(tags, readers)
+            gamma = np.sqrt(sq[rng.integers(0, m, size=n), np.arange(n)])
+            gamma = np.maximum(gamma, 1e-3)
+        chunk = data.draw(st.integers(1, n * m + n))
+        got = _coverage_matrix(tags, readers, gamma, chunk=chunk)
+        assert got.dtype == bool and got.shape == (m, n)
+        np.testing.assert_array_equal(got, self._one_shot(tags, readers, gamma))
+
+    @pytest.mark.parametrize(
+        "m, n, chunk",
+        [
+            (300, 17, 23 * 17),  # 23-row chunks would leave a one-row tail
+            (7, 3, 6),  # two-row chunks: the tail joins the last chunk
+            (10, 3, 9),
+            (5, 1, 2),
+            (1, 4, 1),
+        ],
+    )
+    def test_odd_tails_match_one_shot(self, m, n, chunk):
+        rng = np.random.default_rng(m * 31 + n)
+        readers = rng.uniform(0, 100, size=(n, 2))
+        tags = rng.uniform(0, 100, size=(m, 2))
+        # radii between the two roundings of the last tag row: the gemm of
+        # the one-shot product and the gemv a one-row tail would take
+        gemm = pairwise_sq_distances(tags, readers)[-1]
+        gemv = pairwise_sq_distances(tags[-1:], readers)[0]
+        low = np.minimum(gemm, gemv)
+        gamma = np.sqrt(low)
+        for _ in range(4):
+            gamma = np.where(gamma ** 2 < low, np.nextafter(gamma, np.inf), gamma)
+        got = _coverage_matrix(tags, readers, gamma, chunk=chunk)
+        np.testing.assert_array_equal(got, self._one_shot(tags, readers, gamma))
+
+    def test_system_coverage_is_the_chunked_matrix(self):
+        rng = np.random.default_rng(3)
+        readers = rng.uniform(0, 100, size=(40, 2))
+        tags = rng.uniform(0, 100, size=(COVERAGE_CHUNK // 40 * 3 + 1, 2))
+        gamma = rng.uniform(1.0, 9.0, size=40)
+        system = build_system(readers, gamma, gamma, tags)
+        np.testing.assert_array_equal(
+            system.coverage, self._one_shot(tags, readers, gamma)
+        )
+
+
+class TestReducedSystems:
+    """The fault path's candidate views: the latest pattern per key."""
+
+    @staticmethod
+    def _system():
+        rng = np.random.default_rng(5)
+        pos = rng.uniform(0, 30, size=(8, 2))
+        R = rng.uniform(3.0, 6.0, size=8)
+        return build_system(pos, R, R / 2, rng.uniform(0, 30, size=(50, 2)))
+
+    def test_reduced_system_matches_build_system(self):
+        system = self._system()
+        suspected = np.zeros(8, dtype=bool)
+        suspected[[1, 4]] = True
+        reduced, live = ReducedSystems().get(system, suspected)
+        np.testing.assert_array_equal(live, [0, 2, 3, 5, 6, 7])
+        want = build_system(
+            system.reader_positions[live],
+            system.interference_radii[live],
+            system.interrogation_radii[live],
+            system.tag_positions,
+        )
+        for name in ("coverage", "in_interference_range", "conflict",
+                     "reader_positions", "tag_positions"):
+            np.testing.assert_array_equal(
+                getattr(reduced, name), getattr(want, name), err_msg=name
+            )
+
+    def test_keeps_only_the_latest_pattern_per_key(self):
+        system = self._system()
+        views = ReducedSystems()
+        a = np.zeros(8, dtype=bool)
+        a[0] = True
+        b = np.zeros(8, dtype=bool)
+        b[3] = True
+        first = views.get(system, a)[0]
+        assert views.get(system, a.copy())[0] is first
+        other = views.get(system, b, key=1)[0]
+        assert views.get(system, a)[0] is first  # another key's pattern
+        views.get(system, b)
+        assert views.get(system, a)[0] is not first
+        assert views.get(system, b, key=1)[0] is other
+        views.clear()
+        assert views.get(system, b, key=1)[0] is not other
+
+    def test_all_suspected_leaves_no_system(self):
+        system = self._system()
+        reduced, live = ReducedSystems().get(system, np.ones(8, dtype=bool))
+        assert reduced is None and live.size == 0

@@ -750,3 +750,167 @@ class TestSparseVerification:
             assert np.array_equal(well, ref[0])
             assert (rrc, rtc) == ref[1:]
             assert not counts.any()  # scratch reset for the next slot
+
+
+# ----------------------------------------------------------------------
+# The batched cell builder against the per-cell builder it replaced
+# (kept here as the reference) and a dense ownership rule.
+
+
+def reference_cell(partition, idx, key):
+    """Cell *idx* at bucket *key*, built alone as the per-cell builder
+    did: one-ring gather, halo by rectangle distance, band by ``γ_max``."""
+    from repro.model.system import build_system
+    from repro.shard.partition import RING_OFFSETS, NEIGHBOURHOOD, ShardCell
+
+    def gather(buckets, offsets):
+        parts = [
+            buckets[(key[0] + dx, key[1] + dy)]
+            for dx, dy in offsets
+            if (key[0] + dx, key[1] + dy) in buckets
+        ]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+    def dist_to_rect(points):
+        dx = np.clip(points[:, 0], x0, x1) - points[:, 0]
+        dy = np.clip(points[:, 1], y0, y1) - points[:, 1]
+        return np.hypot(dx, dy)
+
+    rpos, tpos = partition.reader_positions, partition.tag_positions
+    R, gamma = partition.interference_radii, partition.interrogation_radii
+    alive = partition.reader_alive
+    side = partition.cell_side
+    x0 = float(partition.origin[0] + key[0] * side)
+    y0 = float(partition.origin[1] + key[1] * side)
+    x1, y1 = x0 + side, y0 + side
+    owned = partition._reader_buckets[key]
+    owned = owned[alive[owned]]
+    R_own = float(R[owned].max())
+    g_own = float(gamma[owned].max())
+    ring = gather(partition._reader_buckets, RING_OFFSETS)
+    ring = ring[alive[ring]]
+    reach = np.maximum(np.maximum(R[ring], R_own), gamma[ring] + g_own)
+    halo = np.sort(ring[dist_to_rect(rpos[ring]) <= reach])
+    all_readers = np.sort(np.concatenate([owned, halo]))
+    g_inc = float(gamma[all_readers].max())
+    band = gather(partition._tag_buckets, NEIGHBOURHOOD)
+    keep = (dist_to_rect(tpos[band]) <= g_inc) | (
+        partition.owner_of_tag[band] == idx
+    )
+    tag_ids = np.sort(band[keep])
+    return ShardCell(
+        index=idx,
+        key=key,
+        bounds=(x0, x1, y0, y1),
+        reader_ids=owned,
+        halo_reader_ids=halo,
+        all_reader_ids=all_readers,
+        tag_ids=tag_ids,
+        owned_reader_mask=np.isin(all_readers, owned, assume_unique=True),
+        owned_tag_mask=partition.owner_of_tag[tag_ids] == idx,
+        subsystem=build_system(
+            rpos[all_readers], R[all_readers], gamma[all_readers], tpos[tag_ids]
+        ),
+    )
+
+
+def reference_owners(deployment, partition):
+    """Owner cell of each tag's lowest-id alive covering reader (``-1``
+    when none), decided on ``(diff*diff).sum(-1)`` over every reader."""
+    rpos, _, gamma, tpos = deployment
+    diff = tpos[:, None, :] - rpos[None, :, :]
+    covers = (diff * diff).sum(axis=-1) <= (gamma * gamma)[None, :]
+    covers &= partition.reader_alive[None, :]
+    first = np.argmax(covers, axis=1)
+    return np.where(
+        covers.any(axis=1), partition.cell_of_reader[first], -1
+    )
+
+
+CELL_ARRAYS = (
+    "reader_ids",
+    "halo_reader_ids",
+    "all_reader_ids",
+    "tag_ids",
+    "owned_reader_mask",
+    "owned_tag_mask",
+)
+SUBSYSTEM_ARRAYS = (
+    "reader_positions",
+    "interference_radii",
+    "interrogation_radii",
+    "tag_positions",
+    "coverage",
+    "in_interference_range",
+    "conflict",
+)
+
+
+def assert_same_cell(got, want):
+    assert (got.index, got.key, got.bounds) == (want.index, want.key, want.bounds)
+    for name in CELL_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    for name in SUBSYSTEM_ARRAYS:
+        a, b = getattr(got.subsystem, name), getattr(want.subsystem, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+class TestBatchedCellBuilder:
+    """``ShardPartition._build_cells`` equals the per-cell reference on
+    every field, at construction and after a refresh."""
+
+    @given(deployment=shard_deployments(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_cell_builder(self, deployment, data):
+        partition = multi_cell_partition(deployment)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        np.testing.assert_array_equal(
+            partition.owner_of_tag, reference_owners(deployment, partition)
+        )
+        indptr, ids = partition.conflict_indptr, partition.conflict_ids
+        got = np.zeros((len(deployment[0]),) * 2, dtype=bool)
+        got[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), ids] = True
+        np.testing.assert_array_equal(
+            got, dense_conflicts(deployment[0], deployment[1])
+        )
+        for cell in partition.cells:
+            assert_same_cell(cell, reference_cell(partition, cell.index, cell.key))
+
+        before = list(partition.cells)
+        n = len(deployment[0])
+        dead = rng.choice(n, size=int(rng.integers(1, n // 2 + 1)), replace=False)
+        report = partition.retire_readers(dead)
+        np.testing.assert_array_equal(
+            partition.owner_of_tag, reference_owners(deployment, partition)
+        )
+        for idx in report.rebuilt_cells:
+            cell = partition.cells[idx]
+            assert_same_cell(cell, reference_cell(partition, idx, cell.key))
+        for idx in report.emptied_cells:
+            assert partition.cells[idx].reader_ids.size == 0
+        touched = set(report.rebuilt_cells) | set(report.emptied_cells)
+        for idx, cell in enumerate(partition.cells):
+            if idx not in touched:
+                assert cell is before[idx]
+
+    def test_blocks_do_not_change_cells(self, monkeypatch):
+        from repro.shard import partition as partition_module
+
+        deployment = Scenario(
+            num_readers=150, num_tags=3000, side=170.0, seed=4
+        ).build()
+        arrays = (
+            deployment.reader_positions,
+            deployment.interference_radii,
+            deployment.interrogation_radii,
+            deployment.tag_positions,
+        )
+        one = ShardPartition.from_arrays(*arrays, ShardSpec(cells=0))
+        monkeypatch.setattr(partition_module, "BUILD_BLOCK", 1)
+        many = ShardPartition.from_arrays(*arrays, ShardSpec(cells=0))
+        assert many.num_cells == one.num_cells > 1
+        for a, b in zip(many.cells, one.cells):
+            assert_same_cell(a, b)
