@@ -172,8 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="shard_cells",
         help="with --schedule: solve through the spatial sharding tier with "
-        "this target cell count (0 = auto-size, 1 = bit-identical trivial "
-        "partition; see docs/scale.md)",
+        "this target cell count (0 = auto-size, 1 = no partition, "
+        "bit-identical to unsharded; see docs/scale.md)",
     )
     solve.add_argument(
         "--workers",
@@ -306,13 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="LABEL",
         help="with --scale: run only the points with these labels "
         "(e.g. s_ident_r120t1500 for a cheap identity-pair append)",
-    )
-    bench.add_argument(
-        "--memory",
-        action="store_true",
-        help="also record peak-memory metrics (peak_tracemalloc_kb / "
-        "peak_rss_kb) for the oneshot/mcs families; the scale family "
-        "records them always",
     )
 
     chaos = sub.add_parser(
@@ -670,12 +663,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_bench_scale(args: argparse.Namespace) -> int:
     import dataclasses
 
+    from repro.obs.bench import write_bench_files
     from repro.shard.bench import (
         FULL_POINTS,
         QUICK_POINTS,
         format_scale_table,
         run_scale_matrix,
-        write_scale_files,
     )
 
     points = list(QUICK_POINTS if args.quick else FULL_POINTS)
@@ -712,7 +705,7 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
     if args.dry_run:
         print("dry run: BENCH files not written")
         return 0
-    paths = write_scale_files(records, args.out_dir)
+    paths = write_bench_files(records, args.out_dir)
     for family in sorted(paths):
         print(f"appended {len(records[family])} {family} runs to {paths[family]}")
     return 0
@@ -742,10 +735,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{resolve_backend(args.backend)})"
     )
     records = run_bench_matrix(
-        matrix,
-        workers=args.workers,
-        backend=args.backend,
-        measure_memory=args.memory,
+        matrix, workers=args.workers, backend=args.backend
     )
     print(format_bench_table(records))
     if args.profile:
@@ -770,8 +760,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         format_chaos_table,
         run_chaos_sweep,
         run_scale_chaos_sweep,
-        write_chaos_files,
     )
+    from repro.obs.bench import write_bench_files
 
     if args.shard_cells is not None and not args.scale:
         print("error: --shard-cells requires --scale", file=sys.stderr)
@@ -831,7 +821,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.dry_run:
         print("dry run: BENCH_chaos.json not written")
         return 0
-    path = write_chaos_files(records, args.out_dir)
+    path = write_bench_files({"chaos": records}, args.out_dir)["chaos"]
     print(f"appended {len(records)} chaos runs to {path}")
     return 0
 

@@ -51,8 +51,9 @@ subsystems over unsuspected readers, suspicion masks shipped inside the
 deterministic per-cell payloads (worker count still cannot change results),
 and confirmed permanent crashes applied as an incremental partition refresh
 (``shard.refresh`` span) that re-buckets orphaned tags and rebuilds only
-the dirtied cells.  Trivial partitions run the unsharded world, keeping
-``cells == 1`` bit-identical to ``shard=None``.
+the dirtied cells.  A deployment that collapses to one cell has no
+partition and runs the unsharded world, keeping ``cells == 1``
+bit-identical to ``shard=None``.
 """
 
 from __future__ import annotations
@@ -339,9 +340,9 @@ class _DenseWorld:
     """The slot loop's world over a dense :class:`RFIDSystem`.
 
     Slots are solved on the full system — through the deadline ladder over
-    the reduced candidate view when faults are engaged — or, for a
-    non-trivial partition, cell by cell through *shard*
-    (:meth:`ShardRuntime.solve_slot`).  Verification, the singleton
+    the reduced candidate view when faults are engaged — or, given a
+    *partition*, cell by cell through the :class:`ShardRuntime` built over
+    it (:meth:`ShardRuntime.solve_slot`).  Verification, the singleton
     fallback (full-system counts) and retirement always run on the full
     system, so coverage guarantees do not depend on sharding.  The unread
     population lives in one :class:`~repro.perf.slotdelta.ScheduleContext`
@@ -352,19 +353,23 @@ class _DenseWorld:
         self,
         system: RFIDSystem,
         solver: OneShotSolver,
+        takes_context: bool,
         state: ReadState,
         read_mode: str,
         context: ScheduleContext,
-        shard: Optional[ShardRuntime],
+        partition: Optional[ShardPartition],
         ladder: Optional[_DeadlineLadder],
     ) -> None:
         self.system = system
         self.solver = solver
-        self.takes_context = accepts_context(solver)
+        self.takes_context = takes_context
         self.state = state
         self.read_mode = read_mode
         self.context = context
-        self.shard = shard
+        self.shard = (
+            None if partition is None
+            else ShardRuntime(partition, context.unread, solver, takes_context)
+        )
         self.ladder = ladder
         self.rec = get_recorder()
         self._views = ReducedSystems()
@@ -402,10 +407,7 @@ class _DenseWorld:
     def solve(self, slot: int, rng, suspected):
         """The slot's proposed active set and solver meta."""
         if self.shard is not None:
-            return self.shard.solve_slot(
-                slot, self.solver, rng, self.rec,
-                takes_context=self.takes_context, suspected=suspected,
-            )
+            return self.shard.solve_slot(slot, rng, self.rec, suspected)
         kind, _, solver = (
             ("primary", None, self.solver) if self.ladder is None
             else self.ladder.rung
@@ -706,24 +708,23 @@ def greedy_covering_schedule(
     cap = max_slots if max_slots is not None else 4 * system.num_readers + 64
 
     context = ScheduleContext(system, state.unread_mask & coverable)
-    shard_rt: Optional[ShardRuntime] = None
-    if shard is not None:
-        partition = ShardPartition.from_system(system, shard)
-        # a trivial partition runs the unsharded world, keeping cells == 1
-        # bit-identical to shard=None
-        if not partition.is_trivial:
-            shard_rt = ShardRuntime(partition, context.unread)
+    # a deployment collapsing to one cell has no partition and runs the
+    # unsharded world, keeping cells == 1 bit-identical to shard=None
+    partition = (
+        None if shard is None else ShardPartition.from_system(system, shard)
+    )
     ladder = None
-    if fault_layer is not None and shard_rt is None:
+    if fault_layer is not None and partition is None:
         ladder = _DeadlineLadder(fault_layer.policy, solver)
     world = _DenseWorld(
-        system, solver, state, read_mode, context, shard_rt, ladder
+        system, solver, accepts_context(solver), state, read_mode, context,
+        partition, ladder,
     )
     # one persistent worker pool for every slot of a sharded run (no-op for
     # serial specs; see ShardRuntime.pool_scope)
     pool_cm = (
-        shard_rt.pool_scope(solver, world.takes_context, world.rec)
-        if shard_rt is not None
+        world.shard.pool_scope(world.rec)
+        if world.shard is not None
         else nullcontext()
     )
     with pool_cm:

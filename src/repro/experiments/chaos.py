@@ -30,16 +30,13 @@ count-independent, so the drift gate covers the sharded fault world too.
 from __future__ import annotations
 
 import time
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.faults import FaultPlan
 from repro.obs.collectors import RunCollector
 from repro.obs.events import recording
-from repro.obs.export import merge_run, run_record
+from repro.obs.export import run_record
 from repro.perf.pool import WorkerPool
-
-PathLike = Union[str, Path]
 
 #: Scenario of the default chaos sweep: small enough for CI, dense enough
 #: that excluded readers actually change the candidate sets.
@@ -81,9 +78,10 @@ def _run_point(
     max_slots: int,
     shard=None,
 ):
-    """One schedule under *plan* (None = fault-free), traced; returns
-    ``(ScheduleResult, metrics, wall_clock_s)``.  *shard* routes the run
-    through the sharded driver (scale-tier leg)."""
+    """One schedule under *plan* (None = fault-free), traced; returns the
+    picklable ``(slots, complete, outcome, tags_read, metrics,
+    wall_clock_s)``.  *shard* routes the run through the sharded driver
+    (scale-tier leg)."""
     from repro.core.mcs import greedy_covering_schedule
     from repro.core.oneshot import get_solver
     from repro.experiments.figures import SOLVER_KWARGS
@@ -97,7 +95,45 @@ def _run_point(
             max_slots=max_slots, shard=shard,
         )
     wall = time.perf_counter() - t0
-    return result, collector.summary(), wall
+    return (
+        int(result.size),
+        bool(result.complete),
+        result.outcome.value,
+        int(result.tags_read_total),
+        collector.summary(),
+        wall,
+    )
+
+
+def _chaos_record(
+    label: str,
+    solver_name: str,
+    scenario: dict,
+    rates: Tuple[float, float],
+    point: tuple,
+    coverable: int,
+    baseline_slots: int,
+) -> dict:
+    """The ``bench="chaos"`` record of one grid point: *point* is
+    :func:`_run_point`'s tuple under the ``(fail_rate, miss_rate)``
+    *rates*, priced against the fault-free *baseline_slots*."""
+    fail_rate, miss_rate = rates
+    size, complete, outcome, tags_read, metrics, wall = point
+    metrics["slots_to_completion"] = size
+    metrics["complete"] = complete
+    metrics["outcome"] = outcome
+    metrics["coverage_fraction"] = tags_read / coverable if coverable else 1.0
+    metrics["slowdown"] = size / baseline_slots
+    metrics["fault_fail_rate"] = float(fail_rate)
+    metrics["fault_miss_rate"] = float(miss_rate)
+    return run_record(
+        bench="chaos",
+        label=f"{label}_f{fail_rate:g}_m{miss_rate:g}",
+        solver=solver_name,
+        scenario=scenario,
+        metrics=metrics,
+        wall_clock_s=wall,
+    )
 
 
 def run_chaos_sweep(
@@ -141,56 +177,33 @@ def run_chaos_sweep(
                 miss_rate=miss_rate,
                 seed=fault_seed,
             )
-            result, metrics, wall = _run_point(
+            return _run_point(
                 system, solver_name, scenario.seed, plan, max_slots
-            )
-            # only picklable scalars cross the worker boundary
-            return (
-                int(result.size),
-                bool(result.complete),
-                result.outcome.value,
-                int(result.tags_read_total),
-                metrics,
-                wall,
             )
 
         return run_grid_point
 
     grid_fns = {name: _make_grid_fn(name) for name in solvers}
+    record_scenario = dict(
+        scenario_kwargs or DEFAULT_SCENARIO, fault_seed=fault_seed
+    )
     records: List[dict] = []
     with WorkerPool(workers) as pool:
         for fn in grid_fns.values():
             pool.register(fn)  # before the first map: closures must fork
         for solver_name in solvers:
-            baseline, _, _ = _run_point(
+            baseline = _run_point(
                 system, solver_name, scenario.seed, None, max_slots
             )
-            baseline_slots = max(1, baseline.size)
+            baseline_slots = max(1, baseline[0])
             outputs = pool.map(grid_fns[solver_name], pairs)
-            for (fail_rate, miss_rate), out in zip(pairs, outputs):
-                size, complete, outcome, tags_read, metrics, wall = out
-                metrics["slots_to_completion"] = size
-                metrics["complete"] = complete
-                metrics["outcome"] = outcome
-                metrics["coverage_fraction"] = (
-                    tags_read / coverable if coverable else 1.0
+            records += [
+                _chaos_record(
+                    solver_name, solver_name, record_scenario, pair, out,
+                    coverable, baseline_slots,
                 )
-                metrics["slowdown"] = size / baseline_slots
-                metrics["fault_fail_rate"] = float(fail_rate)
-                metrics["fault_miss_rate"] = float(miss_rate)
-                records.append(
-                    run_record(
-                        bench="chaos",
-                        label=f"{solver_name}_f{fail_rate:g}_m{miss_rate:g}",
-                        solver=solver_name,
-                        scenario=dict(
-                            scenario_kwargs or DEFAULT_SCENARIO,
-                            fault_seed=fault_seed,
-                        ),
-                        metrics=metrics,
-                        wall_clock_s=wall,
-                    )
-                )
+                for pair, out in zip(pairs, outputs)
+            ]
     return records
 
 
@@ -223,13 +236,18 @@ def run_scale_chaos_sweep(
     coverable = int(system.covered_by_any().sum())
     pairs = [(f, m) for f in fail_rates for m in miss_rates]
     spec = ShardSpec(cells=shard_cells, workers=workers)
+    record_scenario = dict(
+        scenario_kwargs or SCALE_SCENARIO,
+        fault_seed=fault_seed,
+        shard_cells=shard_cells,
+    )
 
     records: List[dict] = []
     for solver_name in solvers:
-        baseline, _, _ = _run_point(
+        baseline = _run_point(
             system, solver_name, scenario.seed, None, max_slots, shard=spec
         )
-        baseline_slots = max(1, baseline.size)
+        baseline_slots = max(1, baseline[0])
         for fail_rate, miss_rate in pairs:
             plan = FaultPlan.uniform_flaky(
                 system.num_readers,
@@ -237,31 +255,14 @@ def run_scale_chaos_sweep(
                 miss_rate=miss_rate,
                 seed=fault_seed,
             )
-            result, metrics, wall = _run_point(
+            point = _run_point(
                 system, solver_name, scenario.seed, plan, max_slots,
                 shard=spec,
             )
-            metrics["slots_to_completion"] = int(result.size)
-            metrics["complete"] = bool(result.complete)
-            metrics["outcome"] = result.outcome.value
-            metrics["coverage_fraction"] = (
-                result.tags_read_total / coverable if coverable else 1.0
-            )
-            metrics["slowdown"] = result.size / baseline_slots
-            metrics["fault_fail_rate"] = float(fail_rate)
-            metrics["fault_miss_rate"] = float(miss_rate)
             records.append(
-                run_record(
-                    bench="chaos",
-                    label=f"s_{solver_name}_f{fail_rate:g}_m{miss_rate:g}",
-                    solver=solver_name,
-                    scenario=dict(
-                        scenario_kwargs or SCALE_SCENARIO,
-                        fault_seed=fault_seed,
-                        shard_cells=shard_cells,
-                    ),
-                    metrics=metrics,
-                    wall_clock_s=wall,
+                _chaos_record(
+                    f"s_{solver_name}", solver_name, record_scenario,
+                    (fail_rate, miss_rate), point, coverable, baseline_slots,
                 )
             )
     return records
@@ -288,15 +289,3 @@ def format_chaos_table(records: Sequence[dict]) -> str:
         rows.append("(no chaos records)")
     return "\n".join(rows)
 
-
-def write_chaos_files(
-    records: Sequence[dict], out_dir: PathLike = "."
-) -> Path:
-    """Append *records* to ``BENCH_chaos.json`` in *out_dir*; returns the
-    path written."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "BENCH_chaos.json"
-    for record in records:
-        merge_run(path, record)
-    return path

@@ -12,6 +12,11 @@ version reproduces the same *work* counters (``sets_evaluated``,
 with the host.  ``--quick`` runs a small matrix suited to CI smoke tests;
 the full matrix runs the paper-scale workload.
 
+Every family measures a run with :func:`measure_run`: an untimed
+:class:`PeakMemory` pass first, then the timed pass whose wall clock,
+work counters and outcome the record keeps, so tracemalloc never slows a
+recorded wall.
+
 Records are appended to ``BENCH_oneshot.json`` / ``BENCH_mcs.json`` via
 :func:`repro.obs.export.merge_run`, growing the repo's performance
 trajectory one run at a time.
@@ -25,7 +30,7 @@ import time
 import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.collectors import RunCollector
 from repro.obs.events import recording
@@ -52,10 +57,8 @@ class PeakMemory:
     restarted and tracing is left running on exit.
 
     Tracemalloc hooks every allocation, so a profiled region pays a
-    measurable wall-clock overhead — which is why memory profiling is
-    opt-in (``measure_memory=``) for the oneshot/mcs families whose
-    wall-clock trajectories predate it, and always-on only for the scale
-    family (``docs/scale.md``).
+    measurable wall-clock overhead; :func:`measure_run` therefore takes
+    the peaks in a separate, untimed pass of the run.
     """
 
     def __enter__(self) -> "PeakMemory":
@@ -135,115 +138,121 @@ FULL_MATRIX: Tuple[BenchPoint, ...] = (
 )
 
 
-def run_oneshot_bench(
-    point: BenchPoint,
-    backend: Optional[str] = None,
-    measure_memory: bool = False,
+def measure_run(
+    bench: str,
+    label: str,
+    solver: str,
+    scenario: dict,
+    backend: Optional[str],
+    prepare: Callable[[], Callable[[], Any]],
+    outcome: Callable[[Any], dict],
 ) -> dict:
+    """Measure one benchmark run; returns its run record.
+
+    *prepare* builds the run's inputs, untimed, and returns the callable
+    to measure; it is called once per pass, so both passes start from
+    fresh inputs and caches.  The first pass runs under
+    :class:`PeakMemory` and is not timed; it runs first so the process
+    peak RSS holds no leftovers of the timed pass.  The second pass runs
+    under a :class:`~repro.obs.collectors.RunCollector` and the wall
+    clock, and its return value goes to *outcome*, whose metrics join the
+    collector summary and the memory peaks.  Both passes run on the
+    resolved *backend*, which the record names.
+    """
+    name = resolve_backend(backend)
+    run = prepare()
+    mem = PeakMemory()
+    with mem, use_backend(name), recording(RunCollector()):
+        run()
+    run = prepare()
+    collector = RunCollector()
+    t0 = time.perf_counter()
+    with use_backend(name), recording(collector):
+        result = run()
+    wall = time.perf_counter() - t0
+    metrics = mem.update_metrics(collector.summary())
+    metrics.update(outcome(result))
+    return run_record(
+        bench=bench,
+        label=label,
+        solver=solver,
+        scenario=scenario,
+        metrics=metrics,
+        wall_clock_s=wall,
+        backend=name,
+    )
+
+
+def run_oneshot_bench(point: BenchPoint, backend: Optional[str] = None) -> dict:
     """Measure one solver invocation at *point*; returns a run record.
 
     *backend* selects the solver-kernel backend for the measured run
     (resolved via :func:`repro.perf.backends.resolve_backend`); the record
     carries the resolved name in its ``backend`` field.  The point's label
     is unchanged, so the WORK_COUNTERS drift check automatically enforces
-    bit-identical work across backends within a trajectory group.
-
-    ``measure_memory=True`` additionally records ``peak_tracemalloc_kb`` /
-    ``peak_rss_kb`` via :class:`PeakMemory` (opt-in: tracing slows the
-    measured region, and wall-clock trajectories must stay comparable)."""
+    bit-identical work across backends within a trajectory group.  The
+    wall clock times the solver call alone (:func:`measure_run`)."""
     from repro.core.oneshot import get_solver
 
-    name = resolve_backend(backend)
     scenario = point.build()
-    system = scenario.build()
-    solver = get_solver(point.solver, **point.solver_kwargs)
-    collector = RunCollector()
-    mem = PeakMemory() if measure_memory else None
-    t0 = time.perf_counter()
-    if mem is None:
-        with use_backend(name), recording(collector):
-            result = solver(system, None, scenario.seed)
-    else:
-        with mem, use_backend(name), recording(collector):
-            result = solver(system, None, scenario.seed)
-    wall = time.perf_counter() - t0
-    metrics = collector.summary()
-    if mem is not None:
-        mem.update_metrics(metrics)
-    metrics["weight"] = int(result.weight)
-    metrics["active_readers"] = int(result.size)
-    metrics["feasible"] = bool(result.feasible)
-    return run_record(
-        bench="oneshot",
-        label=point.label,
-        solver=point.solver,
-        scenario=dataclasses.asdict(scenario),
-        metrics=metrics,
-        wall_clock_s=wall,
-        backend=name,
+
+    def prepare():
+        system = scenario.build()
+        solver = get_solver(point.solver, **point.solver_kwargs)
+        return lambda: solver(system, None, scenario.seed)
+
+    return measure_run(
+        "oneshot", point.label, point.solver, dataclasses.asdict(scenario),
+        backend, prepare,
+        lambda result: {
+            "weight": int(result.weight),
+            "active_readers": int(result.size),
+            "feasible": bool(result.feasible),
+        },
     )
 
 
-def run_mcs_bench(
-    point: BenchPoint,
-    backend: Optional[str] = None,
-    measure_memory: bool = False,
-) -> dict:
+def run_mcs_bench(point: BenchPoint, backend: Optional[str] = None) -> dict:
     """Measure a full greedy covering schedule at *point*; returns a run
     record.
 
     *backend* selects the solver-kernel backend (see
     :func:`run_oneshot_bench`); the resolved name lands in the record's
-    ``backend`` field, never in the label.  ``measure_memory=True`` opts
-    into the :class:`PeakMemory` metrics, as in :func:`run_oneshot_bench`.
+    ``backend`` field, never in the label.  The wall clock times the
+    schedule alone (:func:`measure_run`).
     """
     from repro.core.mcs import greedy_covering_schedule
     from repro.core.oneshot import get_solver
 
-    name = resolve_backend(backend)
     scenario = point.build()
-    system = scenario.build()
-    solver = get_solver(point.solver, **point.solver_kwargs)
-    collector = RunCollector()
-    mem = PeakMemory() if measure_memory else None
-    t0 = time.perf_counter()
-    if mem is None:
-        with use_backend(name), recording(collector):
-            schedule = greedy_covering_schedule(
-                system, solver, seed=scenario.seed
-            )
-    else:
-        with mem, use_backend(name), recording(collector):
-            schedule = greedy_covering_schedule(
-                system, solver, seed=scenario.seed
-            )
-    wall = time.perf_counter() - t0
-    metrics = collector.summary()
-    if mem is not None:
-        mem.update_metrics(metrics)
-    metrics["slots_to_completion"] = int(schedule.size)
-    metrics["complete"] = bool(schedule.complete)
-    return run_record(
-        bench="mcs",
-        label=point.label,
-        solver=point.solver,
-        scenario=dataclasses.asdict(scenario),
-        metrics=metrics,
-        wall_clock_s=wall,
-        backend=name,
+
+    def prepare():
+        system = scenario.build()
+        solver = get_solver(point.solver, **point.solver_kwargs)
+        return lambda: greedy_covering_schedule(
+            system, solver, seed=scenario.seed
+        )
+
+    return measure_run(
+        "mcs", point.label, point.solver, dataclasses.asdict(scenario),
+        backend, prepare,
+        lambda schedule: {
+            "slots_to_completion": int(schedule.size),
+            "complete": bool(schedule.complete),
+        },
     )
 
 
-def _run_bench_job(job: Tuple[str, BenchPoint, Optional[str], bool]) -> dict:
-    """Dispatch one (family, point, backend, measure_memory) job —
-    module-level for worker processes."""
-    family, point, backend, measure_memory = job
+def _run_bench_job(job: Tuple[str, BenchPoint, Optional[str]]) -> dict:
+    """Dispatch one (family, point, backend) job — module-level for worker
+    processes."""
+    family, point, backend = job
     run = run_oneshot_bench if family == "oneshot" else run_mcs_bench
-    return run(point, backend=backend, measure_memory=measure_memory)
+    return run(point, backend=backend)
 
 
 def _dispatch_bench_jobs(
-    jobs: List[Tuple[str, BenchPoint, Optional[str], bool]],
+    jobs: List[Tuple[str, BenchPoint, Optional[str]]],
     workers: Optional[int],
 ) -> List[dict]:
     """Run the job tuples through one worker pool, in job order.
@@ -262,7 +271,6 @@ def run_bench_matrix(
     points: Sequence[BenchPoint],
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    measure_memory: bool = False,
 ) -> Dict[str, List[dict]]:
     """Run both bench families over *points*; returns records keyed by
     family (``"oneshot"`` / ``"mcs"``).
@@ -276,15 +284,12 @@ def run_bench_matrix(
     *backend* is resolved once here, in the parent — workers inherit the
     resolved name through the job tuples, so forked and serial runs select
     identically even when the parent's environment differs from a fresh
-    worker's.
-
-    ``measure_memory=True`` opts every job into the :class:`PeakMemory`
-    metrics; under forked workers each job traces its own process, so the
-    peaks are per-run, not per-pool.
+    worker's.  Under forked workers the :class:`PeakMemory` tracemalloc
+    peak is still per run; the RSS peak is per worker process.
     """
     name = resolve_backend(backend)
     jobs = [
-        (family, p, name, measure_memory)
+        (family, p, name)
         for family in ("oneshot", "mcs")
         for p in points
     ]

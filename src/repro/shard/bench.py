@@ -7,7 +7,8 @@ append-only trajectory discipline as the oneshot/mcs families; see
 * the **identity pair** — the same pinned scenario run unsharded and with
   ``ShardSpec(cells=1)`` under the *same label*, so the
   ``bench compare --against`` work-counter drift gate doubles as a
-  bit-identity certificate for the trivial sharded path;
+  bit-identity certificate for the one-cell path, which builds no
+  partition;
 * the **quick pair** — a ≈2·10³-reader / 5·10⁴-tag point run unsharded and
   sharded (different labels, so each forms its own trajectory), recording
   the scale tier's solver wall-clock win and its coverage equivalence;
@@ -15,28 +16,23 @@ append-only trajectory discipline as the oneshot/mcs families; see
   array-first driver (:func:`repro.shard.scale.run_scale_schedule`),
   bounded to a fixed slot budget so CI can afford it.
 
-Unlike the oneshot/mcs families, every scale record carries the
-:class:`~repro.obs.bench.PeakMemory` metrics.  They are taken in a
-separate, untimed pass of each point, so the recorded wall clock is never
-measured under tracemalloc.
+Like the oneshot/mcs families, each point is measured by
+:func:`repro.obs.bench.measure_run`: the
+:class:`~repro.obs.bench.PeakMemory` metrics come from a separate,
+untimed pass, so the recorded wall clock is never measured under
+tracemalloc.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.bench import PeakMemory, write_bench_files
-from repro.obs.collectors import RunCollector
-from repro.obs.events import recording
-from repro.obs.export import run_record
-from repro.perf.backends import resolve_backend, use_backend
+from repro.obs.bench import measure_run
+from repro.perf.backends import resolve_backend
 from repro.shard.scale import ScaleDeployment, run_scale_schedule
 from repro.shard.spec import ShardSpec
-
-PathLike = Union[str, Path]
 
 
 @dataclass(frozen=True)
@@ -47,11 +43,13 @@ class ScalePoint:
     :func:`repro.core.mcs.greedy_covering_schedule` over a fully built
     system (optionally sharded via ``shard_cells``), ``"array"`` runs the
     sparse :func:`repro.shard.scale.run_scale_schedule` straight from
-    arrays (``shard_cells`` then must request a non-trivial partition).
+    arrays (``shard_cells`` then must yield a partition of two or more
+    cells).
     ``shard_cells=None`` means unsharded; note ``0`` requests auto-sizing
     (finest safe cells), which is only meaningful for the array driver.
-    Sharded parallel solves run on one persistent
-    :class:`~repro.perf.pool.WorkerPool` per run.
+    ``workers`` applies to the ``"mcs"`` driver, whose sharded parallel
+    solves run on one persistent :class:`~repro.perf.pool.WorkerPool` per
+    run; the array driver solves cells in process and ignores it.
     """
 
     label: str
@@ -197,32 +195,16 @@ def _schedule_point(point: ScalePoint) -> None:
 def run_scale_point(point: ScalePoint, backend: Optional[str] = None) -> dict:
     """Measure one scale point; returns a family-``scale`` run record.
 
-    The :class:`~repro.obs.bench.PeakMemory` metrics every record carries
-    come from an untimed pass of the schedule, run first so the process
-    peak RSS holds no leftovers of another pass; the wall clock and work
-    counters come from a second, timed pass, so tracemalloc never slows
-    it.  The record also names the resolved backend.
+    :func:`~repro.obs.bench.measure_run` takes the
+    :class:`~repro.obs.bench.PeakMemory` metrics in an untimed pass, then
+    the wall clock and work counters in a timed pass that covers the whole
+    point: deployment build, partition and schedule.  The record also
+    names the resolved backend.
     """
-    name = resolve_backend(backend)
-    collector = RunCollector()
-    with use_backend(name):
-        mem = PeakMemory()
-        with mem, recording(RunCollector()):
-            _schedule_point(point)
-        t0 = time.perf_counter()
-        with recording(collector):
-            _schedule_point(point)
-        wall = time.perf_counter() - t0
-    metrics = collector.summary()
-    mem.update_metrics(metrics)
-    return run_record(
-        bench="scale",
-        label=point.label,
-        solver=point.solver,
-        scenario=point.scenario_dict(),
-        metrics=metrics,
-        wall_clock_s=wall,
-        backend=name,
+    return measure_run(
+        "scale", point.label, point.solver, point.scenario_dict(), backend,
+        lambda: partial(_schedule_point, point),
+        lambda _: {},
     )
 
 
@@ -240,13 +222,6 @@ def run_scale_matrix(
     """
     name = resolve_backend(backend)
     return {"scale": [run_scale_point(p, backend=name) for p in points]}
-
-
-def write_scale_files(
-    records: Dict[str, List[dict]], out_dir: PathLike = "."
-) -> Dict[str, Path]:
-    """Append scale *records* to ``BENCH_scale.json`` in *out_dir*."""
-    return write_bench_files(records, out_dir)
 
 
 def format_scale_table(records: Dict[str, List[dict]]) -> str:

@@ -37,12 +37,15 @@ refresh.  Dead readers may linger in an *untouched* neighbour's halo — they
 are advisory only, permanently suspected, and never activated, so this is
 harmless and avoids cascading rebuilds.
 
-Non-trivial partitions also hold the reader **conflict graph** — every
-pair with ``d <= max(R_i, R_j)`` as a symmetric CSR, built once from the
-reader buckets.  The boundary merge and the scale driver's RTc
-verification both read it through :meth:`ShardPartition.active_conflicts`
-instead of a dense pass over the slot's active set.  Refreshes keep it:
-it depends on positions and radii alone.
+A deployment that collapses to one cell has no partition at all:
+:meth:`ShardPartition.from_arrays` returns ``None`` and both drivers run
+the unsharded world.  Every partition also holds the reader **conflict
+graph** — every pair with ``d <= max(R_i, R_j)`` as a symmetric CSR,
+built once from the reader buckets.  The boundary merge and the scale
+driver's RTc verification both read it through
+:meth:`ShardPartition.active_conflicts` instead of a dense pass over the
+slot's active set.  Refreshes keep it: it depends on positions and radii
+alone.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ import numpy as np
 
 from repro.geometry.grid import group_by_key
 from repro.geometry.points import as_points
-from repro.model.system import RFIDSystem, build_system, check_radii
+from repro.model.system import RFIDSystem, check_radii
 from repro.obs.spans import span
-from repro.shard.spec import ShardSpec, interaction_radius
+from repro.shard.spec import ShardSpec
 
 Key = Tuple[int, int]
 
@@ -200,10 +203,11 @@ class ShardCell:
 class ShardPartition:
     """A sharded view of a deployment: cells, halos and ownership maps.
 
-    Build via :meth:`from_system` (keeps a handle to the original
-    :class:`~repro.model.system.RFIDSystem` for the trivial fast path) or
-    :meth:`from_arrays` (array-first; the 10⁴-reader scale path never
-    materialises a global system).
+    Build via :meth:`from_arrays` (array-first; the 10⁴-reader scale path
+    never materialises a global system) or :meth:`from_system`.  Both
+    return ``None`` when the deployment collapses to one cell, so a
+    partition always has at least two.  The constructor builds the cells
+    from the validated arrays, buckets and cell keys it is given.
 
     Attributes
     ----------
@@ -213,15 +217,13 @@ class ShardPartition:
         ``(n,)`` owner cell index per reader.
     owner_of_tag:
         ``(m,)`` owner cell index per tag, ``-1`` for uncoverable tags.
-    is_trivial:
-        True when the deployment collapses to at most one cell; the sharded
-        driver then short-circuits to a direct full-system solve.
     conflict_indptr, conflict_ids:
         The reader conflict graph ``d <= max(R_i, R_j)`` as a symmetric
         CSR (row *i* is ``conflict_ids[conflict_indptr[i]:
-        conflict_indptr[i + 1]]``, ascending); ``None`` on trivial
-        partitions.  :meth:`active_conflicts` restricts it to an active
-        set.
+        conflict_indptr[i + 1]]``, ascending; :func:`_conflict_graph`).
+        It depends on positions and radii alone, so refreshes keep it:
+        dead readers are never active, and their stale edges are
+        harmless.  :meth:`active_conflicts` restricts it to an active set.
     """
 
     def __init__(
@@ -229,51 +231,41 @@ class ShardPartition:
         spec: ShardSpec,
         origin: np.ndarray,
         cell_side: float,
-        cells: List[ShardCell],
         cell_of_reader: np.ndarray,
         owner_of_tag: np.ndarray,
         reader_positions: np.ndarray,
         interference_radii: np.ndarray,
-        system: Optional[RFIDSystem] = None,
+        interrogation_radii: np.ndarray,
+        tag_positions: np.ndarray,
+        reader_buckets: Dict[Key, np.ndarray],
+        tag_buckets: Dict[Key, np.ndarray],
+        cell_keys: List[Key],
+        conflict_indptr: np.ndarray,
+        conflict_ids: np.ndarray,
     ):
         self.spec = spec
         self.origin = origin
         self.cell_side = float(cell_side)
-        self.cells = cells
         self.cell_of_reader = cell_of_reader
         self.owner_of_tag = owner_of_tag
         self.reader_positions = reader_positions
         self.interference_radii = interference_radii
-        #: The original full system (trivial partitions require it; the
-        #: array-first scale path leaves it None on non-trivial partitions).
-        self.system = system
+        self.interrogation_radii = interrogation_radii
+        self.tag_positions = tag_positions
+        self._reader_buckets = reader_buckets
+        self._tag_buckets = tag_buckets
+        self._cell_keys = cell_keys
+        self.conflict_indptr = conflict_indptr
+        self.conflict_ids = conflict_ids
         #: Alive mask over readers; cleared by :meth:`retire_readers`.
         self.reader_alive = np.ones(len(reader_positions), dtype=bool)
-        # Refresh state, populated by from_arrays on non-trivial partitions
-        # (the trivial partition never refreshes — it has no cells to
-        # re-bucket between, and the unsharded fault path owns it).
-        self.interrogation_radii: Optional[np.ndarray] = None
-        self.tag_positions: Optional[np.ndarray] = None
-        self._reader_buckets: Optional[Dict[Key, np.ndarray]] = None
-        self._tag_buckets: Optional[Dict[Key, np.ndarray]] = None
-        self._cell_keys: Optional[List[Key]] = None
-        #: Reader conflict graph as a symmetric CSR over reader ids
-        #: (:func:`_conflict_graph`; non-trivial partitions only).  It
-        #: depends on positions and radii alone, so refreshes keep it: dead
-        #: readers are never active, and their stale edges are harmless.
-        self.conflict_indptr: Optional[np.ndarray] = None
-        self.conflict_ids: Optional[np.ndarray] = None
+        self.cells: List[ShardCell] = self._build_cells(range(len(cell_keys)))
 
     # ------------------------------------------------------------------
     @property
     def num_cells(self) -> int:
         """Number of cells."""
         return len(self.cells)
-
-    @property
-    def is_trivial(self) -> bool:
-        """Whether the partition has at most one cell (solve unsharded)."""
-        return len(self.cells) <= 1
 
     @property
     def total_halo_readers(self) -> int:
@@ -300,15 +292,17 @@ class ShardPartition:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_system(cls, system: RFIDSystem, spec: ShardSpec) -> "ShardPartition":
-        """Partition an existing :class:`~repro.model.system.RFIDSystem`."""
+    def from_system(
+        cls, system: RFIDSystem, spec: ShardSpec
+    ) -> Optional["ShardPartition"]:
+        """Partition an existing :class:`~repro.model.system.RFIDSystem`;
+        ``None`` when it collapses to one cell (:meth:`from_arrays`)."""
         return cls.from_arrays(
             system.reader_positions,
             system.interference_radii,
             system.interrogation_radii,
             system.tag_positions,
             spec,
-            system=system,
         )
 
     @classmethod
@@ -319,13 +313,13 @@ class ShardPartition:
         interrogation_radii: np.ndarray,
         tag_positions: np.ndarray,
         spec: ShardSpec,
-        system: Optional[RFIDSystem] = None,
-    ) -> "ShardPartition":
+    ) -> Optional["ShardPartition"]:
         """Partition a deployment given as raw arrays.
 
-        When *system* is provided it becomes the trivial partition's
-        subsystem (and is kept for the runtime's trivial fast path);
-        otherwise a trivial partition builds one from the arrays.
+        Returns ``None`` when the deployment collapses to one cell: no
+        readers, ``spec.cells == 1``, a non-positive cell side, or every
+        reader in one grid bucket.  Such a deployment is the unsharded
+        problem, and no state is built for it beyond input validation.
         """
         with span("partition.build", cells=spec.cells):
             rpos = as_points(reader_positions, "reader_positions")
@@ -341,11 +335,8 @@ class ShardPartition:
                 raise ValueError("radii arrays must match number of readers")
             check_radii(rpos, R, gamma)
 
-            def trivial() -> "ShardPartition":
-                return cls._trivial(rpos, R, gamma, tpos, spec, system)
-
             if n == 0 or spec.cells == 1:
-                return trivial()
+                return None
             all_pts = np.vstack([rpos, tpos]) if m else rpos
             mins = all_pts.min(axis=0)
             maxs = all_pts.max(axis=0)
@@ -353,12 +344,12 @@ class ShardPartition:
             extent = float(np.sqrt(max(w, 0.0) * max(h, 0.0)))
             side = spec.cell_side(R, gamma, extent)
             if side <= 0.0:
-                return trivial()
+                return None
             origin = mins
 
             reader_buckets = group_by_key(_bucket_keys(rpos, origin, side))
             if len(reader_buckets) <= 1:
-                return trivial()
+                return None
             tag_buckets = group_by_key(_bucket_keys(tpos, origin, side))
 
             cell_keys = sorted(reader_buckets)
@@ -384,27 +375,11 @@ class ShardPartition:
                 first = np.argmax(covers[covered], axis=1)
                 owner_of_tag[tids[covered]] = cell_of_reader[cand[first]]
 
-            part = cls(
-                spec=spec,
-                origin=origin,
-                cell_side=side,
-                cells=[],
-                cell_of_reader=cell_of_reader,
-                owner_of_tag=owner_of_tag,
-                reader_positions=rpos,
-                interference_radii=R,
-                system=system,
+            return cls(
+                spec, origin, side, cell_of_reader, owner_of_tag,
+                rpos, R, gamma, tpos, reader_buckets, tag_buckets, cell_keys,
+                *_conflict_graph(rpos, R, reader_buckets),
             )
-            part.interrogation_radii = gamma
-            part.tag_positions = tpos
-            part._reader_buckets = reader_buckets
-            part._tag_buckets = tag_buckets
-            part._cell_keys = cell_keys
-            part.cells = part._build_cells(range(len(cell_keys)))
-            part.conflict_indptr, part.conflict_ids = _conflict_graph(
-                rpos, R, reader_buckets
-            )
-            return part
 
     # ------------------------------------------------------------------
     def retire_readers(self, dead_ids) -> RefreshReport:
@@ -425,11 +400,6 @@ class ShardPartition:
         subsystem (any cover of an owned tag is within ``gamma_j + g_own <=
         2*gamma_max <= H <= side`` of the cell rectangle — the same bound
         that built the halo)."""
-        if self.is_trivial:
-            raise ValueError(
-                "trivial partitions do not refresh; the unsharded fault "
-                "path owns single-cell deployments"
-            )
         dead = np.unique(np.asarray(dead_ids, dtype=np.int64).ravel())
         if dead.size and (
             dead.min() < 0 or dead.max() >= len(self.reader_positions)
@@ -505,8 +475,8 @@ class ShardPartition:
         ``owner_of_tag`` map, in the given order: each cell's alive owned
         readers, the one-ring halo that can conflict with them or cover a
         tag they own, the tag band, and the halo-augmented subsystem.
-        Builds every cell of :meth:`from_arrays` and rebuilds the cells a
-        refresh dirties.
+        Builds every cell at construction and rebuilds the cells a refresh
+        dirties.
 
         The ``(cell, id)`` pairs of all requested cells are gathered at
         once and decided in whole-array passes (rectangle distance,
@@ -620,52 +590,3 @@ class ShardPartition:
                 )
             )
         return cells
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def _trivial(
-        cls,
-        rpos: np.ndarray,
-        R: np.ndarray,
-        gamma: np.ndarray,
-        tpos: np.ndarray,
-        spec: ShardSpec,
-        system: Optional[RFIDSystem],
-    ) -> "ShardPartition":
-        """The one-cell partition: everything owned, no halo.  The runtime
-        short-circuits it to a direct full-system solve, so
-        ``owner_of_tag`` (all zeros) is never consulted for coverage."""
-        n, m = len(rpos), len(tpos)
-        full = system if system is not None else build_system(rpos, R, gamma, tpos)
-        side = interaction_radius(R, gamma)
-        origin = rpos.min(axis=0) if n else np.zeros(2)
-        all_readers = np.arange(n, dtype=np.int64)
-        all_tags = np.arange(m, dtype=np.int64)
-        cell = ShardCell(
-            index=0,
-            key=(0, 0),
-            bounds=(
-                float(origin[0]),
-                float(origin[0] + max(side, 1.0)),
-                float(origin[1]),
-                float(origin[1] + max(side, 1.0)),
-            ),
-            reader_ids=all_readers,
-            halo_reader_ids=np.empty(0, dtype=np.int64),
-            all_reader_ids=all_readers,
-            tag_ids=all_tags,
-            owned_reader_mask=np.ones(n, dtype=bool),
-            owned_tag_mask=np.ones(m, dtype=bool),
-            subsystem=full,
-        )
-        return cls(
-            spec=spec,
-            origin=origin,
-            cell_side=float(max(side, 1.0)),
-            cells=[cell],
-            cell_of_reader=np.zeros(n, dtype=np.int64),
-            owner_of_tag=np.zeros(m, dtype=np.int64),
-            reader_positions=rpos,
-            interference_radii=R,
-            system=full,
-        )

@@ -6,11 +6,14 @@ cell's **owned** unread tags (halo tags start read locally, so each tag's
 weight is credited to exactly one cell).  Every slot it
 
 1. solves each *live* cell (one with owned unread tags left) independently
-   on its halo-augmented subsystem — in process, or concurrently on the
-   persistent :class:`~repro.perf.pool.WorkerPool` of
-   :meth:`ShardRuntime.pool_scope` when the dense sharded driver holds one
-   (``spec.workers``) — with per-cell child seeds drawn from the driver's
-   stream so worker count never changes results;
+   on its halo-augmented subsystem with the run's one solver, bound at
+   construction — in process, or concurrently on the persistent
+   :class:`~repro.perf.pool.WorkerPool` of :meth:`ShardRuntime.pool_scope`
+   when the dense sharded driver holds one (``spec.workers``).  Both paths
+   build the same ``(cell, seed, suspicion)`` payload per live cell, with
+   child seeds drawn from the driver's stream, and the pooled path only
+   adds the cell's retired-tag log, so worker count never changes
+   results;
 2. keeps only each cell's **owned** activations (halo readers are advisory:
    they model neighbour interference but only their owner cell may activate
    them);
@@ -25,18 +28,20 @@ Intra-cell feasibility is the cell solver's business and is left untouched
 — the driver's well-covered extraction (Definition 1 generalised) is
 computed on the full system afterwards, exactly as for unsharded solves.
 
-Trivial partitions (one cell) are rejected at construction: both drivers
-solve them as an unsharded system, making ``cells == 1`` bit-identical to
-the unsharded driver (certified by ``tests/test_shard.py`` and the paired
-BENCH_scale records).  The runtime holds the driver's live unread mask by
-reference and never writes it; the driver retires confirmed tags there.
+A deployment that collapses to one cell has no partition
+(:meth:`~repro.shard.partition.ShardPartition.from_arrays` returns
+``None``), so there is no runtime for it: both drivers solve it as an
+unsharded system, making ``cells == 1`` bit-identical to the unsharded
+driver (certified by ``tests/test_shard.py`` and the paired BENCH_scale
+records).  The runtime holds the driver's live unread mask by reference
+and never writes it; the driver retires confirmed tags there.
 
 Fault composition (``docs/robustness.md``): when the driver runs a fault
 plan, :meth:`ShardRuntime.solve_slot` takes the global *suspected* mask and
 each affected cell solves a **degraded subsystem** over its unsuspected
 local readers (:class:`~repro.model.system.ReducedSystems`, the same
-bounded per-pattern cache as the unsharded driver's candidate view).  The
-mask is part of the per-cell payload, so the degraded world is a pure
+latest-pattern-per-key cache as the unsharded driver's candidate view).
+The mask is part of the per-cell payload, so the degraded world is a pure
 function of ``(plan.seed, slot)`` and worker count still cannot change
 results.
 Confirmed permanent crashes are applied by :meth:`ShardRuntime.refresh`:
@@ -85,33 +90,40 @@ class ShardRuntime:
     Parameters
     ----------
     partition:
-        The non-trivial :class:`~repro.shard.partition.ShardPartition` to
-        run over; a trivial one raises ``ValueError``.
+        The :class:`~repro.shard.partition.ShardPartition` to run over.
     unread:
         The driver's live global unread mask (its coverable-unread
         population), held by reference and never written here.  Each
         cell's context starts from it restricted to the cell's owned tags,
         and :meth:`refresh` rebuilds dirtied cells from it, so the driver
-        must retire confirmed tags in it.  Cell solves receive their cell's
-        live :class:`~repro.perf.slotdelta.ScheduleContext` when the solver
-        accepts a ``context``.
+        must retire confirmed tags in it.
+    solver:
+        The one-shot solver every cell solve of the run calls.
+    takes_context:
+        Whether *solver* accepts a ``context`` keyword
+        (:func:`repro.core.mcs.accepts_context`, computed once by the
+        driver); cell solves then receive their cell's live
+        :class:`~repro.perf.slotdelta.ScheduleContext`.
     """
 
-    def __init__(self, partition: ShardPartition, unread: np.ndarray):
-        if partition.is_trivial:
-            raise ValueError(
-                "trivial partition: solve a single cell as an unsharded system"
-            )
+    def __init__(
+        self,
+        partition: ShardPartition,
+        unread: np.ndarray,
+        solver,
+        takes_context: bool,
+    ):
         self.partition = partition
         self._unread = unread
+        self._solver = solver
+        self._takes_context = takes_context
         self._contexts = [self._context(cell) for cell in partition.cells]
         #: Readers retired by :meth:`refresh` (confirmed permanent crashes).
         self.retired_readers = np.zeros(
             len(partition.reader_positions), dtype=bool
         )
-        # per-solve scratch shared with forked workers (set before the fork)
-        self._solver = None
-        self._takes_context = False
+        # whether cell solves capture a relay trace; forked workers keep
+        # the value set before their fork
         self._collect = False
         # degraded per-cell subsystems, keyed by (cell, suspicion pattern);
         # per-process (workers fill their own copies deterministically)
@@ -141,18 +153,18 @@ class ShardRuntime:
 
     # ------------------------------------------------------------------
     @contextmanager
-    def pool_scope(self, solver, takes_context: bool, rec):
+    def pool_scope(self, rec):
         """Hold one persistent :class:`~repro.perf.pool.WorkerPool` for
         every slot solved inside the ``with`` block.
 
         The workers fork *now* and inherit the whole runtime — partition,
         subsystems, per-cell contexts — as copy-on-write pages; afterwards
-        each :meth:`solve_slot` ships only per-cell seeds plus each cell's
-        retired-tag log, and forked workers replay the log suffix they have
-        not yet applied before solving (``retire_tags`` is idempotent on a
-        tag set, so replay order cannot change state).  Exiting the scope —
-        normally or through a solver exception — terminates and joins the
-        workers, so no child can leak.
+        each :meth:`solve_slot` ships only the per-cell payloads plus each
+        cell's retired-tag log, and forked workers replay the log suffix
+        they have not yet applied before solving (``retire_tags`` is
+        idempotent on a tag set, so replay order cannot change state).
+        Exiting the scope — normally or through a solver exception —
+        terminates and joins the workers, so no child can leak.
 
         Yields ``None`` and holds no pool — :meth:`solve_slot` then solves
         the live cells in an in-process loop — whenever the pool would run
@@ -166,8 +178,6 @@ class ShardRuntime:
         if pool.mode == "serial":
             yield None
             return
-        self._solver = solver
-        self._takes_context = takes_context
         self._collect = bool(rec.enabled)
         self._retired_logs = [[] for _ in self.partition.cells]
         self._pool_applied = [0] * len(self.partition.cells)
@@ -181,9 +191,6 @@ class ShardRuntime:
             pool, self._pool = self._pool, None
             if pool is not None:
                 pool.close()
-            self._solver = None
-            self._takes_context = False
-            self._collect = False
             self._retired_logs = None
             self._pool_applied = None
 
@@ -198,23 +205,20 @@ class ShardRuntime:
         are already authoritative — the :func:`in_pool_worker` guard skips
         the replay there.
         """
-        idx, seed, log = payload[0], payload[1], payload[2]
+        idx, seed, susp, log = payload
         if in_pool_worker():
             applied = self._pool_applied[idx]
             for entry in log[applied:]:
                 self._contexts[idx].retire_tags(entry)
             self._pool_applied[idx] = len(log)
-        susp = payload[3] if len(payload) > 3 else None
         return self._solve_cell(idx, seed, susp)
 
     # ------------------------------------------------------------------
     def solve_slot(
         self,
         slot: int,
-        solver,
         rng,
         rec,
-        takes_context: bool = False,
         suspected: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, dict]:
         """Produce the slot's merged active set; returns ``(active, meta)``.
@@ -231,41 +235,20 @@ class ShardRuntime:
         # one child seed per live cell, from the driver's stream — worker
         # count never touches the rng, so parallelism cannot change results
         seeds = rng.integers(0, 2 ** 63 - 1, size=len(live))
-        if suspected is None:
-            susp_by_cell = [None] * len(live)
-        else:
-            # per-cell local slices of the global suspicion mask; None for
-            # unaffected cells so their solve (payload, warm start, cache)
-            # is byte-identical to the fault-free one
-            susp_by_cell = []
-            for idx in live:
-                local = suspected[self.partition.cells[idx].all_reader_ids]
-                susp_by_cell.append(local if local.any() else None)
+        payloads = [
+            (idx, int(seed), self._local_suspicion(idx, suspected))
+            for idx, seed in zip(live, seeds)
+        ]
+        self._collect = bool(rec.enabled)
         if self._pool is not None:
-            # persistent pool: ship seeds plus each cell's retirement log
-            # (workers replay only their unseen suffix; see pool_scope)
-            if suspected is None:
-                payloads = [
-                    (idx, int(seed), tuple(self._retired_logs[idx]))
-                    for idx, seed in zip(live, seeds)
-                ]
-            else:
-                payloads = [
-                    (idx, int(seed), tuple(self._retired_logs[idx]), susp)
-                    for idx, seed, susp in zip(live, seeds, susp_by_cell)
-                ]
-            outputs = self._pool.map(self._solve_cell_pool, payloads)
+            # persistent pool: add each cell's retirement log (workers
+            # replay only their unseen suffix; see pool_scope)
+            outputs = self._pool.map(
+                self._solve_cell_pool,
+                [p + (tuple(self._retired_logs[p[0]]),) for p in payloads],
+            )
         else:
-            self._solver = solver
-            self._takes_context = takes_context
-            self._collect = bool(rec.enabled)
-            try:
-                outputs = [
-                    self._solve_cell(idx, int(seed), susp)
-                    for idx, seed, susp in zip(live, seeds, susp_by_cell)
-                ]
-            finally:
-                self._solver = None
+            outputs = [self._solve_cell(*p) for p in payloads]
 
         parts: List[np.ndarray] = []
         halo_total = 0
@@ -307,6 +290,18 @@ class ShardRuntime:
             "boundary_repairs": repairs,
         }
         return active, meta
+
+    def _local_suspicion(
+        self, idx: int, suspected: Optional[np.ndarray]
+    ) -> Optional[np.ndarray]:
+        """Cell *idx*'s local slice of the global suspicion mask, or
+        ``None`` when nothing in the cell is suspected, so an unaffected
+        cell's solve (payload, warm start, cache) is byte-identical to the
+        fault-free one."""
+        if suspected is None:
+            return None
+        local = suspected[self.partition.cells[idx].all_reader_ids]
+        return local if local.any() else None
 
     # ------------------------------------------------------------------
     def _solve_cell(self, idx: int, seed: int, susp: Optional[np.ndarray]):

@@ -125,9 +125,7 @@ class ScaleScheduleResult:
 
     ``outcome`` is ``"complete"`` / ``"exhausted"`` / ``"stalled"``
     (mirroring :class:`~repro.core.mcs.ScheduleOutcome`, kept a plain
-    string here so the scale tier stays import-free of the dense driver);
-    it defaults to ``None`` so pre-fault constructors stay valid, and
-    :func:`run_scale_schedule` always fills it.
+    string here so the scale tier stays import-free of the dense driver).
     """
 
     slots: List[ScaleSlotRecord]
@@ -135,7 +133,7 @@ class ScaleScheduleResult:
     complete: bool
     num_cells: int
     uncoverable_tags: int
-    outcome: Optional[str] = None
+    outcome: str
 
     @property
     def size(self) -> int:
@@ -209,12 +207,12 @@ class _ArrayWorld:
     def __init__(
         self, partition: ShardPartition, solver, takes_context: bool, rec
     ) -> None:
-        self.solver = solver
-        self.takes_context = takes_context
         self.rec = rec
         #: coverable tags not yet read (orphans of a refresh included)
         self.unread = partition.owner_of_tag >= 0
-        self.runtime = ShardRuntime(partition, self.unread)
+        self.runtime = ShardRuntime(
+            partition, self.unread, solver, takes_context
+        )
         tpos = partition.tag_positions
         self._grid = SpatialHashGrid(
             tpos, cell_size=max(float(partition.interrogation_radii.max()), 1.0)
@@ -233,10 +231,7 @@ class _ArrayWorld:
         return self.runtime.retired_readers
 
     def solve(self, slot: int, rng, suspected):
-        return self.runtime.solve_slot(
-            slot, self.solver, rng, self.rec,
-            takes_context=self.takes_context, suspected=suspected,
-        )
+        return self.runtime.solve_slot(slot, rng, self.rec, suspected)
 
     def verify(self, active: np.ndarray, unread: np.ndarray) -> np.ndarray:
         with span("scale.verify", active=int(len(active))):
@@ -289,9 +284,11 @@ def run_scale_schedule(
     *solver* is a registry name resolved via
     :func:`repro.core.oneshot.get_solver` and applied per cell, in
     process (``spec.workers`` is ignored here).  *spec* must yield a
-    non-trivial partition — a deployment that collapses to one cell
-    belongs in :func:`repro.core.mcs.greedy_covering_schedule`, which this
-    function refuses to duplicate.
+    partition: a deployment that collapses to one cell
+    (:meth:`~repro.shard.partition.ShardPartition.from_arrays` returns
+    ``None``) belongs in :func:`repro.core.mcs.greedy_covering_schedule`,
+    which this function refuses to duplicate, so it raises ``ValueError``
+    before building anything else.
 
     Termination mirrors the MCS driver: a slot that would read nothing
     activates the best owned singleton
@@ -316,7 +313,7 @@ def run_scale_schedule(
     partition = ShardPartition.from_arrays(
         rpos, interference, interrogation, tpos, spec
     )
-    if partition.is_trivial:
+    if partition is None:
         raise ValueError(
             "deployment collapses to a single cell; use "
             "greedy_covering_schedule (optionally with shard=) instead"

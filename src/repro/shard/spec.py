@@ -63,9 +63,9 @@ class ShardSpec:
     cells:
         Target number of spatial cells.  ``0`` (the default) auto-sizes the
         grid at the finest safe granularity — cell side equal to the
-        interaction radius.  ``1`` requests the trivial partition, which
-        short-circuits to a direct full-system solve (bit-identical to the
-        unsharded driver; certified by ``tests/test_shard.py``).  Values
+        interaction radius.  ``1`` requests no partition: the dense driver
+        runs a direct full-system solve (bit-identical to the unsharded
+        driver; certified by ``tests/test_shard.py``).  Values
         above 1 are a *target*: the actual side is clamped to at least the
         interaction radius, so the realised cell count never exceeds what
         the one-ring halo contract allows.

@@ -7,8 +7,8 @@ from repro.experiments.chaos import (
     format_chaos_table,
     run_chaos_sweep,
     run_scale_chaos_sweep,
-    write_chaos_files,
 )
+from repro.obs.bench import write_bench_files
 from repro.obs.export import load_bench, validate_run
 from repro.perf.parallel import env_default_workers
 
@@ -122,14 +122,14 @@ def test_chaos_smoke_end_to_end(tmp_path):
         scenario_kwargs=SMALL_SCENARIO,
         max_slots=512,
     )
-    path = write_chaos_files(records, tmp_path)
+    path = write_bench_files({"chaos": records}, tmp_path)["chaos"]
     assert path == tmp_path / "BENCH_chaos.json"
     data = load_bench(path)
     assert len(data["runs"]) == len(records)
     for run in data["runs"]:
         validate_run(run)
     # appends, never rewrites
-    write_chaos_files(records[:1], tmp_path)
+    write_bench_files({"chaos": records[:1]}, tmp_path)
     assert len(load_bench(path)["runs"]) == len(records) + 1
 
 
@@ -163,7 +163,7 @@ def test_scale_chaos_smoke_end_to_end(tmp_path):
         serial = run_scale_chaos_sweep(workers=None, **kwargs)
         for par, ser in zip(records, serial):
             assert _pinned(par["metrics"]) == _pinned(ser["metrics"])
-    path = write_chaos_files(records, tmp_path)
+    path = write_bench_files({"chaos": records}, tmp_path)["chaos"]
     data = load_bench(path)
     assert len(data["runs"]) == len(records)
     for run in data["runs"]:

@@ -392,3 +392,65 @@ class TestBenchCli:
         for key in ("slots_to_completion", "sets_evaluated", "tags_per_slot",
                     "rrc_blocked", "rtc_silenced"):
             assert a["metrics"][key] == b["metrics"][key]
+
+
+class TestBenchMeasurement:
+    """Every bench family records its memory peaks from an untimed pass:
+    the wall clock never runs while tracemalloc is tracing."""
+
+    @pytest.fixture
+    def timed_calls(self, monkeypatch):
+        """Solver calls made while a bench wall clock runs, each asserting
+        that tracemalloc is off.  ``repro.obs.bench`` reads the clock once
+        at the start and once at the end of a timed pass, so a shim that
+        flips a flag on every read knows when the wall is running."""
+        import functools
+        import time
+        import tracemalloc
+
+        from repro.core import oneshot
+        from repro.obs import bench
+
+        running = [False]
+        calls = []
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                running[0] = not running[0]
+                return time.perf_counter()
+
+        real_get_solver = oneshot.get_solver
+
+        def get_solver(name, **kwargs):
+            solver = real_get_solver(name, **kwargs)
+
+            @functools.wraps(solver)
+            def timed(*args, **kw):
+                if running[0]:
+                    assert not tracemalloc.is_tracing(), (
+                        "bench wall timed under tracemalloc"
+                    )
+                    calls.append(name)
+                return solver(*args, **kw)
+
+            return timed
+
+        monkeypatch.setattr(bench, "time", Clock)
+        monkeypatch.setattr(oneshot, "get_solver", get_solver)
+        return calls
+
+    def test_walls_never_timed_under_tracemalloc(self, timed_calls):
+        from repro.shard.bench import ScalePoint, run_scale_point
+
+        point = QUICK_MATRIX[0]
+        records = [run_oneshot_bench(point), run_mcs_bench(point)]
+        records.append(run_scale_point(ScalePoint(
+            label="walls", solver="ghc", driver="array",
+            num_readers=60, num_tags=600, side=200.0,
+            lambda_interference=10.0, lambda_interrogation=5.0, seed=5,
+            shard_cells=16,
+        )))
+        assert {"ptas", "ghc"} <= set(timed_calls)
+        for record in records:
+            assert record["metrics"]["peak_tracemalloc_kb"] > 0.0

@@ -331,6 +331,7 @@ def _strip_volatile(record):
         if "wall_clock" not in k
         and not k.endswith("_seconds_by_name")
         and k != "histograms"  # wall-clock distributions, machine-local
+        and not k.endswith("_kb")  # memory peaks, per process
     }
     return {
         "bench": record["bench"],

@@ -421,9 +421,11 @@ class TestShardedBitIdentity:
         monkeypatch.setattr(parallel_module, "_NESTED_WARNED", True)
         spec = ShardSpec(cells=CELLS, workers=2)
         partition = ShardPartition.from_arrays(*DEPLOYMENT.materialize(), spec)
-        runtime = ShardRuntime(partition, partition.owner_of_tag >= 0)
+        runtime = ShardRuntime(
+            partition, partition.owner_of_tag >= 0, _double, False
+        )
         before = parallel_module.nested_serial_calls
-        with runtime.pool_scope(_double, False, get_recorder()) as pool:
+        with runtime.pool_scope(get_recorder()) as pool:
             assert pool is None and runtime._pool is None
         assert parallel_module.nested_serial_calls == before + 1
         result, _ = serial
@@ -448,15 +450,17 @@ class TestShardedBitIdentity:
         partition = ShardPartition.from_arrays(
             *DEPLOYMENT.materialize(), ShardSpec(cells=CELLS, workers=2)
         )
-        runtime = ShardRuntime(partition, partition.owner_of_tag >= 0)
 
         def exploding_solver(system, unread, rng, **kwargs):
             raise RuntimeError("solver blew up")
 
+        runtime = ShardRuntime(
+            partition, partition.owner_of_tag >= 0, exploding_solver, False
+        )
         with pytest.raises(RuntimeError, match="solver blew up"):
-            with runtime.pool_scope(exploding_solver, False, get_recorder()):
-                runtime.solve_slot(0, exploding_solver, as_rng(0), get_recorder())
-        assert runtime._pool is None and runtime._solver is None
+            with runtime.pool_scope(get_recorder()):
+                runtime.solve_slot(0, as_rng(0), get_recorder())
+        assert runtime._pool is None and runtime._retired_logs is None
         assert no_leaked_children()
 
 

@@ -18,7 +18,8 @@ import pytest
 from repro.cli import main
 from repro.core import get_solver, greedy_covering_schedule
 from repro.faults import FaultPlan, FaultPolicy, PermanentCrash
-from repro.model.system import build_system
+from repro.model.system import RFIDSystem, build_system
+from repro.obs.bench import write_bench_files
 from repro.perf import pool as pool_module
 from repro.perf.parallel import in_pool_worker
 from repro.obs.export import REQUIRED_METRICS, load_bench, validate_run
@@ -30,7 +31,6 @@ from repro.shard.bench import (
     ScalePoint,
     format_scale_table,
     run_scale_matrix,
-    write_scale_files,
 )
 
 #: Small enough for the dense reference drivers, big enough to shard.
@@ -119,6 +119,18 @@ class TestScaleDriver:
         tiny = ScaleDeployment(num_readers=5, num_tags=20, side=5.0, seed=1)
         with pytest.raises(ValueError):
             run_scale_schedule(tiny, ShardSpec(cells=0))
+
+    def test_one_cell_rejected_without_building_a_system(self, monkeypatch):
+        """``cells=1`` on a large deployment is refused before any dense
+        system (coverage and interference matrices) is derived."""
+
+        def no_system(*args, **kwargs):
+            raise AssertionError("a one-cell run must not build a system")
+
+        monkeypatch.setattr(RFIDSystem, "_derive", no_system)
+        deployment = ScaleDeployment(2000, 50_000, 632.0, seed=4242)
+        with pytest.raises(ValueError, match="single cell"):
+            run_scale_schedule(deployment, ShardSpec(cells=1))
 
 
 class TestScaleFaults:
@@ -245,7 +257,7 @@ class TestCrashMidBench:
         assert os.path.exists(str(tmp_path / "killed")), (
             "the crash must land mid-run"
         )
-        paths = write_scale_files(records, tmp_path)
+        paths = write_bench_files(records, tmp_path)
         data = load_bench(paths["scale"])
         assert len(data["runs"]) == 1
         for run in data["runs"]:
@@ -309,7 +321,7 @@ def test_scale_smoke_end_to_end(tmp_path, backend):
     assert runs[2]["metrics"]["shard_cells"] > 1
     assert runs[3]["metrics"]["shard_cells"] > 1
 
-    path = write_scale_files(records, tmp_path)["scale"]
+    path = write_bench_files(records, tmp_path)["scale"]
     assert path == tmp_path / "BENCH_scale.json"
     data = load_bench(path)
     assert len(data["runs"]) == len(runs)

@@ -109,7 +109,7 @@ class TestPartitionInvariants:
         return ShardPartition.from_system(medium_system, ShardSpec(cells=16))
 
     def test_nontrivial_and_indexed(self, partition):
-        assert not partition.is_trivial
+        assert partition is not None
         assert partition.num_cells > 1
         for i, cell in enumerate(partition.cells):
             assert cell.index == i
@@ -167,22 +167,22 @@ class TestPartitionInvariants:
                     assert i in partition.cells[owner[j]].all_reader_ids
 
     def test_trivial_cases(self, medium_system):
+        """A deployment collapsing to one cell has no partition."""
         one = ShardPartition.from_system(medium_system, ShardSpec(cells=1))
-        assert one.is_trivial
-        assert one.system is medium_system
+        assert one is None
         # the whole deployment fits in one interaction radius -> one bucket
         rpos = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
         auto = ShardPartition.from_arrays(
             rpos, np.full(3, 5.0), np.full(3, 2.0),
             np.array([[1.0, 0.5]]), ShardSpec(cells=0),
         )
-        assert auto.is_trivial
+        assert auto is None
         # no readers at all is trivial too
         empty = ShardPartition.from_arrays(
             np.empty((0, 2)), np.empty(0), np.empty(0),
             np.empty((0, 2)), ShardSpec(cells=0),
         )
-        assert empty.is_trivial
+        assert empty is None
 
 
 class TestCellsOneBitIdentity:
@@ -438,13 +438,13 @@ class TestBoundaryScenarios:
         rpos, R, gamma, tpos = boundary_deployment()
         system = build_system(rpos, R, gamma, tpos)
         partition = ShardPartition.from_arrays(
-            rpos, R, gamma, tpos, ShardSpec(cells=0), system=system
+            rpos, R, gamma, tpos, ShardSpec(cells=0)
         )
         return system, partition
 
     def test_partition_shape(self, built):
         system, partition = built
-        assert not partition.is_trivial
+        assert partition is not None
         assert partition.cell_side == 4.0
         # straddling readers stay owned by the cell containing their centre
         assert partition.cell_of_reader[1] == partition.cell_of_reader[0]
@@ -489,10 +489,12 @@ class TestBoundaryScenarios:
         assert np.array_equal(shard.uncovered_tags, base.uncovered_tags)
 
 
-def owned_runtime(partition):
-    """A runtime over every coverable tag unread, as the array driver
-    starts."""
-    return ShardRuntime(partition, partition.owner_of_tag >= 0)
+def owned_runtime(partition, unread=None):
+    """A GHC runtime over *unread* (default: every coverable tag unread,
+    as the array driver starts)."""
+    if unread is None:
+        unread = partition.owner_of_tag >= 0
+    return ShardRuntime(partition, unread, get_solver("ghc"), True)
 
 
 class TestRuntime:
@@ -519,18 +521,12 @@ class TestRuntime:
         # ties break to the lowest global id
         assert best == int(np.argmax(counts == counts.max()))
 
-    def test_trivial_partition_rejected(self, medium_system):
-        partition = ShardPartition.from_system(medium_system, ShardSpec(cells=1))
-        assert partition.is_trivial
-        with pytest.raises(ValueError, match="trivial partition"):
-            ShardRuntime(partition, np.ones(medium_system.num_tags, dtype=bool))
-
     def test_refresh_rebuilds_from_the_driver_mask(self, medium_system):
         """The runtime reads the driver's unread mask by reference: tags
         the driver retired stay read in rebuilt cells."""
         partition = ShardPartition.from_system(medium_system, ShardSpec(cells=16))
         unread = partition.owner_of_tag >= 0
-        runtime = ShardRuntime(partition, unread)
+        runtime = owned_runtime(partition, unread)
         victim = int(partition.cells[0].reader_ids[0])
         read = np.flatnonzero(partition.owner_of_tag == 0)
         runtime.retire(read)
@@ -584,7 +580,7 @@ def shard_deployments(draw):
 
 def multi_cell_partition(deployment):
     partition = ShardPartition.from_arrays(*deployment, ShardSpec(cells=0))
-    assume(not partition.is_trivial)
+    assume(partition is not None)
     return partition
 
 
