@@ -759,7 +759,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         SCALE_SOLVERS,
         format_chaos_table,
         run_chaos_sweep,
-        run_scale_chaos_sweep,
     )
     from repro.obs.bench import write_bench_files
 
@@ -792,31 +791,23 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"{len(args.fail_rates)} fail rates x {len(args.miss_rates)} miss "
         f"rates = {grid} points (fault seed {args.fault_seed})"
     )
+    shard_cells = None
     if args.scale:
-        records = run_scale_chaos_sweep(
-            solvers=solvers,
-            fail_rates=args.fail_rates,
-            miss_rates=args.miss_rates,
-            scenario_kwargs=scenario_kwargs,
-            fault_seed=args.fault_seed,
-            max_slots=args.max_slots,
-            shard_cells=(
-                args.shard_cells
-                if args.shard_cells is not None
-                else SCALE_SHARD_CELLS
-            ),
-            workers=env_default_workers(args.workers),
+        shard_cells = (
+            args.shard_cells
+            if args.shard_cells is not None
+            else SCALE_SHARD_CELLS
         )
-    else:
-        records = run_chaos_sweep(
-            solvers=solvers,
-            fail_rates=args.fail_rates,
-            miss_rates=args.miss_rates,
-            scenario_kwargs=scenario_kwargs,
-            fault_seed=args.fault_seed,
-            max_slots=args.max_slots,
-            workers=env_default_workers(args.workers),
-        )
+    records = run_chaos_sweep(
+        solvers=solvers,
+        fail_rates=args.fail_rates,
+        miss_rates=args.miss_rates,
+        scenario_kwargs=scenario_kwargs,
+        fault_seed=args.fault_seed,
+        max_slots=args.max_slots,
+        workers=env_default_workers(args.workers),
+        shard_cells=shard_cells,
+    )
     print(format_chaos_table(records))
     if args.dry_run:
         print("dry run: BENCH_chaos.json not written")

@@ -723,7 +723,7 @@ def greedy_covering_schedule(
     # one persistent worker pool for every slot of a sharded run (no-op for
     # serial specs; see ShardRuntime.pool_scope)
     pool_cm = (
-        world.shard.pool_scope(world.rec)
+        world.shard.pool_scope()
         if world.shard is not None
         else nullcontext()
     )

@@ -19,10 +19,10 @@ alongside the classic work counters, and the records append to
 ``BENCH_chaos.json`` through the same versioned schema as the other
 families.  The CLI entry point is ``rfid-sched chaos``.
 
-:func:`run_scale_chaos_sweep` is the scale-tier leg (``rfid-sched chaos
---scale``): the same grid run through the *sharded* driver
-(``shard=ShardSpec(...)`` composed with the fault plan), anchored by a
-fault-free sharded baseline.  Its records carry ``s_``-prefixed labels and
+``run_chaos_sweep(..., shard_cells=N)`` is the scale-tier leg
+(``rfid-sched chaos --scale``): the same grid run through the *sharded*
+driver (``shard=ShardSpec(...)`` composed with the fault plan), anchored by
+a fault-free sharded baseline.  Its records carry ``s_``-prefixed labels and
 append to the same ``BENCH_chaos.json``; the pinned counters are worker-
 count-independent, so the drift gate covers the sharded fault world too.
 """
@@ -144,6 +144,7 @@ def run_chaos_sweep(
     fault_seed: int = 97,
     max_slots: int = 2048,
     workers: Optional[int] = None,
+    shard_cells: Optional[int] = None,
 ) -> List[dict]:
     """Run the failure-rate × miss-rate grid for each solver; returns
     schema-valid ``bench="chaos"`` run records.
@@ -160,13 +161,29 @@ def run_chaos_sweep(
     each).  Every point runs its own collector inside the worker and the
     records are assembled in grid order in the parent, so worker count
     never changes the records (up to wall-clock).
+
+    *shard_cells* runs every point, baseline included, through the sharded
+    driver with ``shard=ShardSpec(cells=shard_cells, workers=workers)``
+    (the scale-tier leg, ``rfid-sched chaos --scale``): labels gain an
+    ``s_`` prefix, the record scenario carries ``shard_cells``, and the
+    grid runs serially in the parent, since the parallelism lives inside
+    each sharded run.  The sharded baseline anchors every slowdown, so the
+    ratio prices the fault world, not the sharding.
     """
     from repro.deployment.scenario import Scenario
+    from repro.shard.spec import ShardSpec
 
     scenario = Scenario(**(scenario_kwargs or DEFAULT_SCENARIO))
     system = scenario.build()
     coverable = int(system.covered_by_any().sum())
     pairs = [(f, m) for f in fail_rates for m in miss_rates]
+    record_scenario = dict(
+        scenario_kwargs or DEFAULT_SCENARIO, fault_seed=fault_seed
+    )
+    shard = None
+    if shard_cells is not None:
+        shard = ShardSpec(cells=shard_cells, workers=workers)
+        record_scenario["shard_cells"] = shard_cells
 
     def _make_grid_fn(solver_name: str):
         def run_grid_point(pair):
@@ -178,93 +195,31 @@ def run_chaos_sweep(
                 seed=fault_seed,
             )
             return _run_point(
-                system, solver_name, scenario.seed, plan, max_slots
+                system, solver_name, scenario.seed, plan, max_slots, shard
             )
 
         return run_grid_point
 
     grid_fns = {name: _make_grid_fn(name) for name in solvers}
-    record_scenario = dict(
-        scenario_kwargs or DEFAULT_SCENARIO, fault_seed=fault_seed
-    )
     records: List[dict] = []
-    with WorkerPool(workers) as pool:
+    # a sharded point holds its own pool, so a sharded grid runs serially
+    with WorkerPool(workers if shard is None else None) as pool:
         for fn in grid_fns.values():
             pool.register(fn)  # before the first map: closures must fork
         for solver_name in solvers:
             baseline = _run_point(
-                system, solver_name, scenario.seed, None, max_slots
+                system, solver_name, scenario.seed, None, max_slots, shard
             )
             baseline_slots = max(1, baseline[0])
             outputs = pool.map(grid_fns[solver_name], pairs)
+            label = solver_name if shard is None else f"s_{solver_name}"
             records += [
                 _chaos_record(
-                    solver_name, solver_name, record_scenario, pair, out,
+                    label, solver_name, record_scenario, pair, out,
                     coverable, baseline_slots,
                 )
                 for pair, out in zip(pairs, outputs)
             ]
-    return records
-
-
-def run_scale_chaos_sweep(
-    solvers: Sequence[str] = SCALE_SOLVERS,
-    fail_rates: Sequence[float] = DEFAULT_FAIL_RATES,
-    miss_rates: Sequence[float] = DEFAULT_MISS_RATES,
-    scenario_kwargs: Optional[dict] = None,
-    fault_seed: int = 97,
-    max_slots: int = 2048,
-    shard_cells: int = SCALE_SHARD_CELLS,
-    workers: Optional[int] = None,
-) -> List[dict]:
-    """Run the chaos grid through the *sharded* driver; returns schema-valid
-    ``bench="chaos"`` records labelled ``s_<solver>_f<fail>_m<miss>``.
-
-    Each point composes ``faults=FaultPlan.uniform_flaky(...)`` with
-    ``shard=ShardSpec(cells=shard_cells, workers=workers)``; the fault-free
-    *sharded* baseline anchors every slowdown, so the ratio prices the fault
-    world, not the sharding.  Grid points run serially in the parent — the
-    parallelism lives *inside* each sharded run (per-cell worker pool), and
-    the pinned counters are worker-count-independent, so equal arguments
-    reproduce equal records on any machine (up to wall-clock).
-    """
-    from repro.deployment.scenario import Scenario
-    from repro.shard.spec import ShardSpec
-
-    scenario = Scenario(**(scenario_kwargs or SCALE_SCENARIO))
-    system = scenario.build()
-    coverable = int(system.covered_by_any().sum())
-    pairs = [(f, m) for f in fail_rates for m in miss_rates]
-    spec = ShardSpec(cells=shard_cells, workers=workers)
-    record_scenario = dict(
-        scenario_kwargs or SCALE_SCENARIO,
-        fault_seed=fault_seed,
-        shard_cells=shard_cells,
-    )
-
-    records: List[dict] = []
-    for solver_name in solvers:
-        baseline = _run_point(
-            system, solver_name, scenario.seed, None, max_slots, shard=spec
-        )
-        baseline_slots = max(1, baseline[0])
-        for fail_rate, miss_rate in pairs:
-            plan = FaultPlan.uniform_flaky(
-                system.num_readers,
-                fail_rate,
-                miss_rate=miss_rate,
-                seed=fault_seed,
-            )
-            point = _run_point(
-                system, solver_name, scenario.seed, plan, max_slots,
-                shard=spec,
-            )
-            records.append(
-                _chaos_record(
-                    f"s_{solver_name}", solver_name, record_scenario,
-                    (fail_rate, miss_rate), point, coverable, baseline_slots,
-                )
-            )
     return records
 
 

@@ -57,7 +57,6 @@ def run_sweep(
     measure: Measure,
     seeds: Sequence[int],
     workers: Optional[int] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> SweepResult:
     """Run *measure* over the grid ``param_values × seeds`` and aggregate.
 
@@ -71,12 +70,6 @@ def run_sweep(
         on up to ``N`` forked processes, merging in grid order so the raw
         samples match the serial run byte-for-byte; ``-1`` uses the CPU
         count.  Falls back to threads where ``fork`` is unavailable.
-    pool:
-        Optional caller-held :class:`~repro.perf.pool.WorkerPool` to
-        dispatch the grid through — callers running several sweeps pass one
-        pool so the workers fork once (``measure`` must be registered with
-        it before the pool starts).  When ``None`` the sweep holds its own
-        pool for the grid; *workers* is ignored when *pool* is given.
     """
     if not param_values:
         raise ValueError("param_values must be non-empty")
@@ -94,12 +87,8 @@ def run_sweep(
     # One whole-sweep span in the parent: events relayed from the pool
     # workers and the SweepPoint events attach to it.
     with span("sweep.run", param=param_name, points=len(grid)):
-        if pool is not None:
+        with WorkerPool(workers) as pool:
             outcomes = pool.map(run_point, grid)
-        else:
-            with WorkerPool(workers) as own:
-                own.register(run_point)
-                outcomes = own.map(run_point, grid)
 
         rec = get_recorder()
         raw: Dict[Tuple[str, float], List[float]] = {}

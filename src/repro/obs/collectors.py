@@ -88,9 +88,8 @@ class RunCollector(Recorder):
         A :class:`~repro.obs.metrics.MetricsRegistry` of latency/size
         histograms fed from the event stream: ``slot_solve_s`` (the MCS
         driver's per-slot solve-stage wall, from ``mcs.solve`` span ends),
-        ``cell_solve_s`` (per-cell solve wall in sharded runs, measured in
-        the worker and carried by the ``shard.solve`` span's ``solve_s``
-        attribute), ``halo_readers`` (per-cell halo size, from
+        ``cell_solve_s`` (per-cell solve wall in sharded runs, from
+        ``shard.solve`` span ends), ``halo_readers`` (per-cell halo size, from
         ``ShardMerge``), ``pool_dispatch_s`` (end-to-end parallel dispatch
         latency, from ``pool.dispatch`` span ends), and
         ``fault_ladder_depth`` (the degradation-ladder level reached per
@@ -102,9 +101,8 @@ class RunCollector(Recorder):
         taxonomy that this collector received and skipped.  Never exported
         by :meth:`summary` — it exists to debug custom taxonomies feeding
         the wrong recorder.  Span events aggregate to no counter: a
-        ``SpanEnd`` feeds :attr:`stage_times` (and the two span
-        histograms), and the ``shard.solve`` span's ``solve_s`` start
-        attribute feeds the ``cell_solve_s`` histogram.
+        ``SpanEnd`` feeds :attr:`stage_times` (and the three span
+        histograms).
     """
 
     enabled = True
@@ -174,6 +172,8 @@ class RunCollector(Recorder):
                 self.metrics.histogram("slot_solve_s").observe(event.seconds)
             elif event.name == "pool.dispatch":
                 self.metrics.histogram("pool_dispatch_s").observe(event.seconds)
+            elif event.name == "shard.solve":
+                self.metrics.histogram("cell_solve_s").observe(event.seconds)
         elif isinstance(event, SlotStart):
             self._open_slot = event.slot
             self._open_slot_sets = 0
@@ -244,10 +244,7 @@ class RunCollector(Recorder):
             self.pool_counters["relay_dropped_events"] += event.dropped_events
             self._pool_events_seen = True
         elif isinstance(event, SpanStart):
-            if event.name == "shard.solve":
-                solve_s = dict(event.attrs).get("solve_s")
-                if solve_s is not None:
-                    self.metrics.histogram("cell_solve_s").observe(solve_s)
+            pass  # only span ends carry seconds
         elif isinstance(event, ScheduleDone):
             self.schedule_complete = event.complete
         elif isinstance(event, SweepPoint):

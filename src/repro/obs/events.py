@@ -184,8 +184,7 @@ class ShardMerge:
 class PoolDispatch:
     """The parallel tier ran one deterministic map of *tasks* payloads in
     *mode* (``"fork"`` / ``"thread"``, from
-    :class:`~repro.perf.pool.WorkerPool` — a one-shot
-    :func:`~repro.perf.parallel.fork_map` is a pool of its own).  *spawned*
+    :class:`~repro.perf.pool.WorkerPool`).  *spawned*
     counts worker pools brought up for this dispatch (0 = an
     already-running pool was reused — the persistent pool's whole point;
     a one-shot map reports 1), and *payload_bytes* the pickled task bytes

@@ -86,13 +86,13 @@ METRIC_FIELDS: Dict[str, str] = {
     "slowdown": "slots-to-completion ratio versus the fault-free baseline",
     "fault_fail_rate": "per-slot flaky-activation probability injected",
     "fault_miss_rate": "per-read miss probability injected",
-    "pool_spawns": "worker pools brought up (persistent pool: 1 per run plus 1 per re-fork; one-shot fork_map: 1 per call)",
+    "pool_spawns": "worker pools brought up (persistent pool: 1 per run plus 1 per re-fork; a pool used for one map: 1)",
     "pool_tasks": "payloads shipped through parallel dispatches, summed",
     "pool_payload_bytes": "pickled task bytes shipped to workers, summed over dispatches",
     "pool_respawns": "fresh worker pools forked by the supervisor after a worker death or deadline hit",
     "pool_deadline_hits": "parallel dispatches that exceeded the pool's per-dispatch deadline",
     "relay_dropped_events": "worker-side trace events dropped at the bounded relay buffer cap, summed over dispatches",
-    "histograms": "p50/p90/p99 latency/size summaries keyed by histogram name (slot_solve_s and pool_dispatch_s from mcs.solve and pool.dispatch span ends, cell_solve_s, halo_readers, fault_ladder_depth); advisory, never drift-gated",
+    "histograms": "p50/p90/p99 latency/size summaries keyed by histogram name (slot_solve_s, pool_dispatch_s and cell_solve_s from mcs.solve, pool.dispatch and shard.solve span ends, halo_readers, fault_ladder_depth); advisory, never drift-gated",
     "shard_cells": "live spatial cells solved, summed over slots",
     "shard_halo_readers": "advisory halo readers shipped to cell solves, summed over slots",
     "shard_boundary_repairs": "cross-cell RTc conflicts repaired by the merge pass",

@@ -1,12 +1,11 @@
 """Cross-process trace relay: worker events piggybacked on result payloads.
 
-Forked workers (:class:`~repro.perf.pool.WorkerPool` children, including
-one-shot :func:`~repro.perf.parallel.fork_map` pools and sharded cell
-solves) emit
-trace events into their own copy of the process-wide recorder — which used
-to die with the worker.  The relay closes that gap in three steps:
+Forked :class:`~repro.perf.pool.WorkerPool` workers (sharded cell solves,
+sweep points, bench jobs) emit trace events into their own copy of the
+process-wide recorder, which dies with the worker.  The pool's per-task
+relay closes that gap in three steps:
 
-1. **Capture** — the dispatching layer installs a :class:`RelayRecorder`
+1. **Capture** — :func:`capture_relay` installs a :class:`RelayRecorder`
    around the worker-side callable.  The buffer is *bounded*
    (:data:`RELAY_MAX_EVENTS`): once full, further events are tallied in
    ``dropped_events`` instead of stored, so a pathological trace volume can
@@ -14,16 +13,15 @@ to die with the worker.  The relay closes that gap in three steps:
 2. **Ship** — :func:`relay_payload` snapshots the buffer into a picklable
    tuple ``(events, dropped_events, pid)`` that rides back on the worker's
    ordinary result payload.
-3. **Replay** — the parent calls :func:`replay_events` while the owning
-   span (``shard.solve`` for cell solves, ``pool.dispatch`` for generic
-   maps) is open.  Worker span ids are *rebased* onto fresh ids from the
-   parent's counter (forked workers clone the counter, so their raw ids
-   collide with the parent's), internal parent/child structure is
-   preserved, and any span whose parent is unknown to the payload — the
-   worker-side roots — is re-parented under the parent's innermost open
-   span.  Relayed ``SpanStart`` events gain ``relay_pid`` (and, for cell
-   solves, ``relay_cell``) attributes, which the Chrome exporter in
-   :mod:`repro.obs.sink` turns into per-worker lanes.
+3. **Replay** — the parent calls :func:`replay_events` while the
+   dispatch's ``pool.dispatch`` span is open.  Worker span ids are
+   *rebased* onto fresh ids from the parent's counter (forked workers
+   clone the counter, so their raw ids collide with the parent's),
+   internal parent/child structure is preserved, and any span whose
+   parent is unknown to the payload — the worker-side roots — is
+   re-parented under the parent's innermost open span.  Relayed
+   ``SpanStart`` events gain a ``relay_pid`` attribute, which the Chrome
+   exporter in :mod:`repro.obs.sink` turns into per-worker lanes.
 
 Worker timestamps need no rebasing: ``time.perf_counter`` reads
 ``CLOCK_MONOTONIC``, which is system-wide on Linux, so parent and child
@@ -99,23 +97,17 @@ def relay_payload(recorder: RelayRecorder) -> RelayPayload:
     return tuple(recorder.events), recorder.dropped_events, os.getpid()
 
 
-def replay_events(
-    payload: Optional[RelayPayload],
-    rec,
-    cell: Optional[int] = None,
-) -> int:
+def replay_events(payload: Optional[RelayPayload], rec) -> int:
     """Replay a shipped worker payload into the parent recorder *rec*.
 
     Span ids are rebased onto fresh parent-side ids
     (:func:`~repro.obs.spans.next_span_id`); spans whose parent id is not
     part of the payload — the worker-side roots — are re-parented under the
     parent's innermost open span (:func:`~repro.obs.spans.current_span_id`),
-    so the caller must invoke this *inside* the owning ``shard.solve`` /
-    ``pool.dispatch`` span.  Every relayed ``SpanStart`` gains a
-    ``relay_pid`` attribute (worker pid; omitted when the payload was
-    captured in this very process, e.g. a serial cell solve) and, when
-    *cell* is given, a ``relay_cell`` attribute — the lane keys of the
-    Chrome exporter.
+    so the caller must invoke this *inside* the owning ``pool.dispatch``
+    span.  Every relayed ``SpanStart`` gains a ``relay_pid`` attribute
+    (worker pid; omitted when the payload was captured in this very
+    process) — the lane key of the Chrome exporter.
 
     The replayed stream is guaranteed B/E-balanced even when the worker
     buffer clipped: ends without a relayed start are counted as dropped,
@@ -130,11 +122,9 @@ def replay_events(
 
     events, dropped, pid = payload
     parent = current_span_id()
-    extra: Tuple[Tuple[str, object], ...] = ()
-    if pid != os.getpid():
-        extra += (("relay_pid", int(pid)),)
-    if cell is not None:
-        extra += (("relay_cell", int(cell)),)
+    extra: Tuple[Tuple[str, object], ...] = (
+        (("relay_pid", int(pid)),) if pid != os.getpid() else ()
+    )
     idmap = {}
     open_starts = {}  # new id -> rebased SpanStart, insertion-ordered
     last_t: Optional[float] = None

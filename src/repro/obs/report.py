@@ -12,8 +12,8 @@ Two consumers of the same event stream, at opposite ends of a run's life:
   (live event objects, or dicts loaded from a
   :class:`~repro.obs.sink.JsonlSink` file) into a human-readable run
   summary: the slot timeline (tags read and solve wall per slot), the
-  per-cell solve heatmap of a sharded run (the worker-measured ``solve_s``
-  of each ``shard.solve`` span, see :mod:`repro.shard.runtime`),
+  per-cell solve heatmap of a sharded run (the seconds of each
+  ``shard.solve`` span, summed per cell, see :mod:`repro.shard.runtime`),
   pool health (dispatches, respawns, relay drops), fault tallies, and the
   p50/p90/p99 histogram table of :mod:`repro.obs.metrics`.  ``write_report``
   picks plain text or a self-contained HTML page by the output suffix.
@@ -40,6 +40,7 @@ from repro.obs.events import (
     RelayClipped,
     ScheduleDegraded,
     SlotEnd,
+    SpanEnd,
     SpanStart,
 )
 
@@ -138,17 +139,20 @@ def _fold(events: Iterable) -> dict:
     """Fold an event stream into the report's data model."""
     collector = RunCollector()
     cells: Dict[int, Tuple[int, float]] = {}  # cell -> (solves, total_s)
+    open_cells: Dict[int, int] = {}  # open shard.solve span id -> cell
     for raw in events:
         event = revive_event(raw) if isinstance(raw, dict) else raw
         if event is None:
             continue
         collector.emit(event)
         if isinstance(event, SpanStart) and event.name == "shard.solve":
-            attrs = dict(event.attrs)
-            if "cell" in attrs and "solve_s" in attrs:
-                cell = int(attrs["cell"])
-                count, total = cells.get(cell, (0, 0.0))
-                cells[cell] = (count + 1, total + attrs["solve_s"])
+            cell = dict(event.attrs).get("cell")
+            if cell is not None:
+                open_cells[event.span_id] = int(cell)
+        elif isinstance(event, SpanEnd) and event.span_id in open_cells:
+            cell = open_cells.pop(event.span_id)
+            count, total = cells.get(cell, (0, 0.0))
+            cells[cell] = (count + 1, total + event.seconds)
     return {
         "collector": collector,
         "cells": dict(sorted(cells.items())),

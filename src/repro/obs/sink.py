@@ -171,8 +171,7 @@ def chrome_trace(events: Iterable) -> dict:
 
     Relayed worker spans (a ``relay_pid`` attribute stamped by
     :func:`repro.obs.relay.replay_events`) are drawn on their own lane: one
-    ``tid`` per worker pid — or per ``relay_cell`` for cells solved in the
-    parent — named via ``thread_name`` metadata, so a
+    ``tid`` per worker pid, named via ``thread_name`` metadata, so a
     ``trace run --workers N`` timeline shows the parent dispatch row above
     N concurrent worker rows.  The result opens directly in
     ``chrome://tracing`` or Perfetto.
@@ -186,7 +185,7 @@ def chrome_trace(events: Iterable) -> dict:
     t0: Optional[float] = min(span_ts) if span_ts else None
     entries: List[dict] = []
     open_spans: List[tuple] = []  # (span_id, name) innermost last
-    lanes: dict = {}  # lane key -> (tid, display name)
+    lanes: dict = {}  # worker pid -> (tid, display name)
     span_lane: dict = {}  # span_id -> tid (so E pairs with its B's lane)
     last_ts = 0.0
     for i, d in enumerate(dicts):
@@ -200,17 +199,11 @@ def chrome_trace(events: Iterable) -> dict:
                 args["parent_id"] = d["parent_id"]
             tid = MAIN_LANE
             if "relay_pid" in args:
-                key = ("pid", args["relay_pid"])
-                label = f"worker pid {args['relay_pid']}"
-            elif "relay_cell" in args:
-                key = ("cell", args["relay_cell"])
-                label = f"cell {args['relay_cell']}"
-            else:
-                key = None
-            if key is not None:
-                if key not in lanes:
-                    lanes[key] = (MAIN_LANE + 1 + len(lanes), label)
-                tid = lanes[key][0]
+                pid = args["relay_pid"]
+                if pid not in lanes:
+                    label = f"worker pid {pid}"
+                    lanes[pid] = (MAIN_LANE + 1 + len(lanes), label)
+                tid = lanes[pid][0]
             span_lane[d["span_id"]] = tid
             entries.append(
                 {"name": d["name"], "cat": "span", "ph": "B", "ts": ts,

@@ -10,9 +10,8 @@ Low-level representations and execution helpers shared by the solver stack:
 * :mod:`repro.perf.incremental` — incremental generalised-weight engine for
   hill-climbing searches (exactly matches
   :meth:`~repro.model.system.RFIDSystem.weight` on infeasible sets);
-* :mod:`repro.perf.parallel` — worker-count resolution, the
-  nested-parallelism rule and :func:`fork_map`, a one-shot
-  :class:`WorkerPool` map;
+* :mod:`repro.perf.parallel` — worker-count resolution and the
+  nested-parallelism rule;
 * :mod:`repro.perf.pool` — the persistent :class:`WorkerPool`, the only
   fork/thread dispatch implementation: deterministic payload-order merges,
   forked once per run and reused across slots/sweep points/bench jobs so
@@ -38,7 +37,7 @@ See ``docs/performance.md``.
 from repro.perf.cache import conflict_bits, silencer_bits, system_memo
 from repro.perf.incremental import GeneralizedWeightClimber
 from repro.perf.packed import PackedCoverage, popcount_words
-from repro.perf.parallel import env_default_workers, fork_map, resolve_workers
+from repro.perf.parallel import env_default_workers, resolve_workers
 from repro.perf.pool import WorkerPool
 from repro.perf.slotdelta import ScheduleContext
 
@@ -50,7 +49,6 @@ __all__ = [
     "silencer_bits",
     "GeneralizedWeightClimber",
     "ScheduleContext",
-    "fork_map",
     "resolve_workers",
     "env_default_workers",
     "WorkerPool",

@@ -21,26 +21,19 @@ Selection precedence (first match wins):
 2. the process default set by :func:`set_default_backend` (the CLI's
    ``--backend`` flag lands here);
 3. the ``REPRO_BACKEND`` environment variable;
-4. ``auto`` — ``numpy`` when available, else ``pure`` after a single
-   :class:`RuntimeWarning` per process.
+4. ``auto`` — ``numpy``.
 
-Requesting ``numpy`` explicitly when it is unavailable raises
-:class:`BackendUnavailableError`; an unknown name raises ``ValueError``
-listing :func:`available_backends`.
+An unknown name raises ``ValueError`` listing :func:`available_backends`.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.perf.backends.base import KERNEL_METHODS, WeightKernel
-from repro.perf.backends.numpy_batched import (
-    NumpyKernel,
-    numpy_batching_available,
-)
+from repro.perf.backends.numpy_batched import NumpyKernel
 from repro.perf.backends.pure import PureKernel
 from repro.perf.cache import system_memo
 
@@ -48,23 +41,13 @@ from repro.perf.cache import system_memo
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
-class BackendUnavailableError(RuntimeError):
-    """An explicitly requested backend cannot run in this process."""
+_REGISTRY: Dict[str, Callable[..., WeightKernel]] = {}
 
 
-_REGISTRY: Dict[str, Tuple[Callable[..., WeightKernel], Callable[[], bool]]] = {}
-
-
-def register_backend(
-    name: str,
-    factory: Callable[..., WeightKernel],
-    available: Optional[Callable[[], bool]] = None,
-) -> None:
+def register_backend(name: str, factory: Callable[..., WeightKernel]) -> None:
     """Register a kernel *factory* (``factory(system) -> WeightKernel``)
-    under *name*; *available* is an optional zero-arg probe consulted at
-    resolution time (default: always available).  Re-registering a name
-    overwrites it."""
-    _REGISTRY[name] = (factory, available if available is not None else lambda: True)
+    under *name*.  Re-registering a name overwrites it."""
+    _REGISTRY[name] = factory
 
 
 def available_backends() -> List[str]:
@@ -72,17 +55,10 @@ def available_backends() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def backend_available(name: str) -> bool:
-    """Whether *name* is registered and its availability probe passes."""
-    entry = _REGISTRY.get(name)
-    return entry is not None and entry[1]()
-
-
 register_backend("pure", PureKernel)
-register_backend("numpy", NumpyKernel, available=numpy_batching_available)
+register_backend("numpy", NumpyKernel)
 
 _DEFAULT_BACKEND: Optional[str] = None
-_AUTO_FALLBACK_WARNED = False
 
 
 def set_default_backend(name: Optional[str]) -> None:
@@ -108,9 +84,7 @@ def resolve_backend(choice: Optional[str] = None) -> str:
 
     Follows the module's selection precedence; returns ``"pure"`` or
     ``"numpy"`` (or any later-registered name).  ``auto`` resolves to
-    ``numpy`` when available and otherwise falls back to ``pure``, warning
-    once per process."""
-    global _AUTO_FALLBACK_WARNED
+    ``numpy``."""
     name = choice
     if name is None:
         name = _DEFAULT_BACKEND
@@ -120,26 +94,10 @@ def resolve_backend(choice: Optional[str] = None) -> str:
         name = "auto"
     name = str(name).strip().lower()
     if name == "auto":
-        if backend_available("numpy"):
-            return "numpy"
-        if not _AUTO_FALLBACK_WARNED:
-            _AUTO_FALLBACK_WARNED = True
-            warnings.warn(
-                "backend 'auto': numpy batching unavailable in this process; "
-                "falling back to the 'pure' backend (results identical, "
-                "wall-clock may differ)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return "pure"
+        return "numpy"
     if name not in _REGISTRY:
         raise ValueError(
             f"unknown backend {name!r}; available: {available_backends()}"
-        )
-    if not backend_available(name):
-        raise BackendUnavailableError(
-            f"backend {name!r} was requested explicitly but is unavailable "
-            "in this process"
         )
     return name
 
@@ -162,26 +120,23 @@ def kernel_for(system, backend: Optional[str] = None) -> WeightKernel:
     ``(system, backend)`` via :func:`~repro.perf.cache.system_memo` so every
     solver touching the same system shares one instance."""
     name = resolve_backend(backend)
-    factory, _probe = _REGISTRY[name]
+    factory = _REGISTRY[name]
     return system_memo(system, ("perf.backend", name), lambda: factory(system))
 
 
 def _reset_selection_for_tests() -> None:
-    """Clear the process default and the auto-fallback warn-once flag."""
-    global _DEFAULT_BACKEND, _AUTO_FALLBACK_WARNED
+    """Clear the process default."""
+    global _DEFAULT_BACKEND
     _DEFAULT_BACKEND = None
-    _AUTO_FALLBACK_WARNED = False
 
 
 __all__ = [
     "BACKEND_ENV_VAR",
-    "BackendUnavailableError",
     "KERNEL_METHODS",
     "NumpyKernel",
     "PureKernel",
     "WeightKernel",
     "available_backends",
-    "backend_available",
     "get_default_backend",
     "kernel_for",
     "register_backend",

@@ -51,15 +51,6 @@ from repro.perf.cache import silencee_bits
 from repro.perf.packed import bigint_to_bool, bigint_to_words, iter_bits, popcount_words
 from repro.util.compat import bit_count
 
-try:  # pragma: no cover - numpy is a hard dependency of the library today,
-    # but the selection layer (repro.perf.backends) is specified to degrade
-    # gracefully, so availability is probed through this module flag.
-    import numpy  # noqa: F401
-
-    _NUMPY_OK = True
-except ImportError:  # pragma: no cover
-    _NUMPY_OK = False
-
 #: Frontier size below which the scalar path is used, and GHC's first
 #: exactly scored batch (see module docstring).  Measured crossover on
 #: 19-word (1200-tag) instances: the batched feasible-rule weight overtakes
@@ -70,11 +61,6 @@ BATCH_MIN = 32
 def _row_counts(rows: np.ndarray) -> np.ndarray:
     """Per-row popcount of a ``(k, W)`` word matrix, as ``int64``."""
     return popcount_words(rows).sum(axis=1, dtype=np.int64)
-
-
-def numpy_batching_available() -> bool:
-    """Whether the ``numpy`` backend can run in this process."""
-    return _NUMPY_OK
 
 
 class NumpyKernel(PureKernel):

@@ -6,7 +6,6 @@ from repro.cli import main
 from repro.experiments.chaos import (
     format_chaos_table,
     run_chaos_sweep,
-    run_scale_chaos_sweep,
 )
 from repro.obs.bench import write_bench_files
 from repro.obs.export import load_bench, validate_run
@@ -148,7 +147,7 @@ def test_scale_chaos_smoke_end_to_end(tmp_path):
         shard_cells=16,
         max_slots=512,
     )
-    records = run_scale_chaos_sweep(workers=workers, **kwargs)
+    records = run_chaos_sweep(workers=workers, **kwargs)
     assert [r["label"] for r in records] == ["s_ghc_f0_m0", "s_ghc_f0.1_m0"]
     for record in records:
         validate_run(record)
@@ -160,7 +159,7 @@ def test_scale_chaos_smoke_end_to_end(tmp_path):
         assert m["slowdown"] >= 1.0
     assert records[0]["metrics"]["slowdown"] == 1.0  # fault-free baseline
     if workers is not None and workers > 1:
-        serial = run_scale_chaos_sweep(workers=None, **kwargs)
+        serial = run_chaos_sweep(workers=None, **kwargs)
         for par, ser in zip(records, serial):
             assert _pinned(par["metrics"]) == _pinned(ser["metrics"])
     path = write_bench_files({"chaos": records}, tmp_path)["chaos"]

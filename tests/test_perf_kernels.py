@@ -2,7 +2,7 @@
 
 The layer's contract (``docs/performance.md``) is that no kernel changes
 *what* is computed — packed popcounts, the incremental generalised-weight
-engine and the fork-based executors must reproduce the reference NumPy
+engine and the worker pool must reproduce the reference NumPy
 paths bit-for-bit.  This suite pins that contract:
 
 * packed coverage words/masks against naive per-column packing;
@@ -27,8 +27,8 @@ from repro.model.weights import BitsetWeightOracle
 from repro.perf import (
     GeneralizedWeightClimber,
     PackedCoverage,
+    WorkerPool,
     conflict_bits,
-    fork_map,
     popcount_words,
     resolve_workers,
     silencer_bits,
@@ -227,19 +227,24 @@ class TestParallelExecution:
             with pytest.raises(ValueError):
                 resolve_workers(bad)
 
+    # test_fork_map_*: a map over forked workers, i.e. WorkerPool.map
     def test_fork_map_preserves_order(self):
         payloads = list(range(20))
-        assert fork_map(lambda x: x * x, payloads, workers=4) == [
-            x * x for x in payloads
-        ]
+        with WorkerPool(4) as pool:
+            assert pool.map(lambda x: x * x, payloads) == [
+                x * x for x in payloads
+            ]
 
     def test_fork_map_serial_fallback(self):
-        assert fork_map(lambda x: x + 1, [1, 2, 3], workers=1) == [2, 3, 4]
-        assert fork_map(lambda x: x + 1, [7], workers=8) == [8]
+        for workers in (None, 0, 1):
+            with WorkerPool(workers) as pool:
+                assert pool.mode == "serial"
+                assert pool.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
+                assert not pool.started
 
     def test_fork_map_thread_fallback_without_fork(self, monkeypatch):
         """On a platform without ``os.fork`` (Windows, spawn-only builds)
-        fork_map must warn once and degrade to a thread pool with
+        a pooled map must warn once and degrade to a thread pool with
         byte-identical, payload-ordered results."""
         import os as os_module
 
@@ -249,7 +254,9 @@ class TestParallelExecution:
         monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", False)
         payloads = list(range(17))
         with pytest.warns(RuntimeWarning, match="os.fork unavailable"):
-            got = fork_map(lambda x: x * 3 + 1, payloads, workers=4)
+            with WorkerPool(4) as pool:
+                got = pool.map(lambda x: x * 3 + 1, payloads)
+        assert pool.mode == "thread"
         assert got == [x * 3 + 1 for x in payloads]
 
     def test_fork_map_thread_fallback_spawn_only(self, monkeypatch):
@@ -264,12 +271,14 @@ class TestParallelExecution:
         )
         monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", False)
         with pytest.warns(RuntimeWarning):
-            got = fork_map(lambda x: x - 1, [5, 6, 7], workers=2)
+            with WorkerPool(2) as pool:
+                got = pool.map(lambda x: x - 1, [5, 6, 7])
+        assert pool.mode == "thread"
         assert got == [4, 5, 6]
 
     def test_fork_map_thread_fallback_warns_once_per_process(self, monkeypatch):
         """The degradation warning fires on the first fallback only — the
-        platform does not change between calls, so later calls stay silent
+        platform does not change between pools, so later pools stay silent
         (and still produce ordered results)."""
         import os as os_module
         import warnings as warnings_module
@@ -279,23 +288,28 @@ class TestParallelExecution:
         monkeypatch.delattr(os_module, "fork")
         monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", False)
         with pytest.warns(RuntimeWarning, match="os.fork unavailable"):
-            fork_map(lambda x: x + 1, [1, 2, 3], workers=2)
+            with WorkerPool(2) as pool:
+                pool.map(lambda x: x + 1, [1, 2, 3])
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            got = fork_map(lambda x: x + 1, [4, 5, 6], workers=2)
+            with WorkerPool(2) as pool:
+                got = pool.map(lambda x: x + 1, [4, 5, 6])
         assert got == [5, 6, 7]
 
     def test_fork_map_serial_paths_never_warn(self, monkeypatch):
-        """The degradations for ``workers<=1`` / single payload stay silent
-        even on fork-less platforms — nothing platform-specific runs."""
+        """A serial pool and an empty map stay silent even on fork-less
+        platforms — nothing platform-specific runs."""
         import os as os_module
         import warnings as warnings_module
 
         monkeypatch.delattr(os_module, "fork")
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            assert fork_map(lambda x: x, [1, 2, 3], workers=1) == [1, 2, 3]
-            assert fork_map(lambda x: x, [9], workers=4) == [9]
+            with WorkerPool(1) as pool:
+                assert pool.map(lambda x: x, [1, 2, 3]) == [1, 2, 3]
+            with WorkerPool(4) as pool:
+                assert pool.map(lambda x: x, []) == []
+                assert not pool.started
 
     def test_run_sweep_parallel_byte_identical_to_serial(self):
         from repro.experiments.sweep import run_sweep

@@ -3,15 +3,15 @@
 The pool's contract has four load-bearing clauses, each pinned here:
 
 * **amortisation** — one fork per run (``pool_spawns == 1``) no matter how
-  many slots/maps dispatch through it, where a one-shot ``fork_map`` (a
-  pool of its own) spawns once per call;
+  many slots/maps dispatch through it, where a pool used for one map
+  spawns once per map;
 * **bit-identity** — worker count and pool mode (fork / thread / serial)
   never change schedules or work counters;
 * **clean shutdown** — exiting the pool (normally or through a solver
   exception) terminates and joins every child;
-* **recorded degradation** — nested dispatches and post-fork closures fall
-  back serially / one-shot with a counter and a once-per-process warning,
-  never silently;
+* **recorded degradation** — nested dispatches run serially with a
+  counter and a once-per-process warning, never silently, and a closure
+  that missed the fork raises;
 * **supervision** — a SIGKILLed or wedged worker never hangs a dispatch:
   the pool tears down, respawns within its budget (``pool_respawns``),
   enforces the per-dispatch deadline (``pool_deadline_hits``), and replays
@@ -37,7 +37,7 @@ from repro.obs.collectors import RunCollector
 from repro.obs.events import PoolDispatch, PoolRecovery, TraceRecorder, recording
 from repro.perf import parallel as parallel_module
 from repro.perf import pool as pool_module
-from repro.perf.parallel import env_default_workers, fork_map, in_pool_worker
+from repro.perf.parallel import env_default_workers, in_pool_worker
 from repro.perf.pool import WorkerPool
 from repro.shard import ScaleDeployment, ShardSpec, run_scale_schedule
 from repro.util.validation import check_workers
@@ -216,14 +216,14 @@ class TestWorkerPool:
             with pytest.raises(RuntimeError, match="already forked"):
                 pool.register(_Scaler(3).mul)
 
-    def test_post_fork_closure_falls_back_oneshot(self):
+    def test_post_fork_closure_raises(self):
         k = 7
         with WorkerPool(2) as pool:
             pool.map(_double, [1])  # fork now, closure not in the snapshot
-            with pytest.warns(RuntimeWarning, match="falling back to one-shot"):
-                out = pool.map(lambda x: k * x, [1, 2, 3])
-        assert out == [7, 14, 21]
-        assert pool.fallback_maps == 1
+            with pytest.raises(RuntimeError, match="already forked"):
+                pool.map(lambda x: k * x, [1, 2, 3])
+            # module-level functions still ship by reference after the fork
+            assert pool.map(_double, [4, 5]) == [8, 10]
 
     def test_closed_pool_rejects_use(self):
         pool = WorkerPool(2)
@@ -359,10 +359,12 @@ class TestPoolSupervision:
 
 
 class TestOneShotForkMap:
+    """A pool used for one map and closed: the one-shot case."""
+
     def test_parallel_fork_map_is_one_oneshot_pool(self):
         rec = TraceRecorder()
-        with recording(rec):
-            assert fork_map(_double, [1, 2, 3], 2) == [2, 4, 6]
+        with recording(rec), WorkerPool(2) as pool:
+            assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
         dispatches = [e for e in rec.events if isinstance(e, PoolDispatch)]
         assert len(dispatches) == 1
         assert dispatches[0].mode == "fork"
@@ -371,16 +373,19 @@ class TestOneShotForkMap:
 
 
 class TestNestedForkMap:
+    """A pool built inside a pool worker maps serially."""
+
     def test_nested_fork_map_counted_and_warned_once(self, monkeypatch):
         monkeypatch.setattr(parallel_module, "_IN_POOL_WORKER", True)
         monkeypatch.setattr(parallel_module, "_NESTED_WARNED", False)
         before = parallel_module.nested_serial_calls
         with pytest.warns(RuntimeWarning, match="nested parallel dispatch"):
-            assert fork_map(_double, [1, 2], 4) == [2, 4]
+            with WorkerPool(4) as pool:
+                assert pool.map(_double, [1, 2]) == [2, 4]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # second occurrence stays quiet
-            assert fork_map(_double, [3], 4) == [6]
-            assert fork_map(_double, [4, 5], 4) == [8, 10]
+            with WorkerPool(4) as pool:
+                assert pool.map(_double, [4, 5]) == [8, 10]
         assert parallel_module.nested_serial_calls == before + 2
 
 
@@ -413,7 +418,6 @@ class TestShardedBitIdentity:
     def test_nested_run_holds_no_pool_and_matches_serial(
         self, serial, monkeypatch
     ):
-        from repro.obs.events import get_recorder
         from repro.shard.partition import ShardPartition
         from repro.shard.runtime import ShardRuntime
 
@@ -425,7 +429,7 @@ class TestShardedBitIdentity:
             partition, partition.owner_of_tag >= 0, _double, False
         )
         before = parallel_module.nested_serial_calls
-        with runtime.pool_scope(get_recorder()) as pool:
+        with runtime.pool_scope() as pool:
             assert pool is None and runtime._pool is None
         assert parallel_module.nested_serial_calls == before + 1
         result, _ = serial
@@ -458,7 +462,7 @@ class TestShardedBitIdentity:
             partition, partition.owner_of_tag >= 0, exploding_solver, False
         )
         with pytest.raises(RuntimeError, match="solver blew up"):
-            with runtime.pool_scope(get_recorder()):
+            with runtime.pool_scope():
                 runtime.solve_slot(0, as_rng(0), get_recorder())
         assert runtime._pool is None and runtime._retired_logs is None
         assert no_leaked_children()
