@@ -9,13 +9,12 @@ dict (one metric per algorithm, typically).  Results are aggregated per
 is seeded by its own ``(value, seed)`` pair — never by execution order — and
 results are merged back in grid order (values outer, seeds inner), so
 ``SweepResult.raw`` is byte-identical to a serial run.  The grid runs on a
-:class:`~repro.perf.pool.WorkerPool`, which on fork-less platforms degrades
-to a thread pool (with a RuntimeWarning) — the merge order and hence
-``SweepResult.raw`` are unchanged.  Telemetry caveat: events emitted
-*inside* ``measure`` are relayed back from forked workers
-(:mod:`repro.obs.relay`), but *interleave into the parent's recorder* under
-the thread fallback; the per-point ``SweepPoint`` events are emitted in the
-parent either way (see ``docs/performance.md``).
+:class:`~repro.perf.pool.WorkerPool`, which on fork-less platforms runs it
+serially in process (with a RuntimeWarning) — the merge order and hence
+``SweepResult.raw`` are unchanged.  Events emitted *inside* ``measure``
+are relayed back from forked workers (:mod:`repro.obs.relay`); the
+per-point ``SweepPoint`` events are emitted in the parent (see
+``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ def run_sweep(
         ``None``/``1`` runs serially (default); ``N > 1`` runs grid points
         on up to ``N`` forked processes, merging in grid order so the raw
         samples match the serial run byte-for-byte; ``-1`` uses the CPU
-        count.  Falls back to threads where ``fork`` is unavailable.
+        count.  Runs serially where ``fork`` is unavailable.
     """
     if not param_values:
         raise ValueError("param_values must be non-empty")

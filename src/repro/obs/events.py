@@ -182,16 +182,14 @@ class ShardMerge:
 
 @dataclass(frozen=True)
 class PoolDispatch:
-    """The parallel tier ran one deterministic map of *tasks* payloads in
-    *mode* (``"fork"`` / ``"thread"``, from
-    :class:`~repro.perf.pool.WorkerPool`).  *spawned*
-    counts worker pools brought up for this dispatch (0 = an
-    already-running pool was reused — the persistent pool's whole point;
-    a one-shot map reports 1), and *payload_bytes* the pickled task bytes
-    shipped to workers (measured only while a recorder is enabled).  The
-    dispatch's wall-clock is its ``pool.dispatch`` span."""
+    """The parallel tier ran one deterministic map of *tasks* payloads on
+    forked :class:`~repro.perf.pool.WorkerPool` workers (serial maps emit
+    nothing).  *spawned* counts worker pools brought up for this dispatch
+    (0 = an already-running pool was reused — the persistent pool's whole
+    point; a one-shot map reports 1), and *payload_bytes* the pickled task
+    bytes shipped to workers (measured only while a recorder is enabled).
+    The dispatch's wall-clock is its ``pool.dispatch`` span."""
 
-    mode: str
     tasks: int
     payload_bytes: int
     spawned: int
@@ -199,19 +197,17 @@ class PoolDispatch:
 
 @dataclass(frozen=True)
 class PoolRecovery:
-    """The supervised worker pool recovered from a failed dispatch in
-    *mode* (currently always ``"fork"`` — thread and serial maps run in the
-    parent and need no supervision).  *reason* says what tripped:
-    ``"worker-death"`` (a forked worker exited, detected by exitcode/pid
-    reaping) or ``"deadline"`` (the dispatch exceeded the pool's
-    per-dispatch deadline).  *respawned* is True when a fresh worker pool
-    was forked for the retry (bounded by the pool's respawn budget, with
-    exponential backoff); *serial_replay* is True when the failed payload
-    slice was instead replayed deterministically in the parent — the
-    last-resort path once the budget is exhausted.  *tasks* is the size of
-    the failed payload slice."""
+    """The supervised worker pool recovered from a failed fork dispatch
+    (serial maps run in the parent and need no supervision).  *reason*
+    says what tripped: ``"worker-death"`` (a forked worker exited,
+    detected by exitcode/pid reaping) or ``"deadline"`` (the dispatch
+    exceeded the pool's per-dispatch deadline).  *respawned* is True when
+    a fresh worker pool was forked for the retry (bounded by the pool's
+    respawn budget, with exponential backoff); *serial_replay* is True
+    when the failed payload slice was instead replayed deterministically
+    in the parent — the last-resort path once the budget is exhausted.
+    *tasks* is the size of the failed payload slice."""
 
-    mode: str
     reason: str
     respawned: bool
     serial_replay: bool

@@ -39,11 +39,9 @@ by ``tests/test_obs_docs.py``).
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
 from itertools import count
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.events import SpanEnd, SpanStart, get_recorder
 
@@ -95,36 +93,12 @@ SPAN_NAMES: Dict[str, str] = {
 }
 
 _ids = count(1)
-
-
-class _OpenSpans(threading.local):
-    """The calling thread's stack of open span ids, innermost last."""
-
-    def __init__(self) -> None:
-        self.ids: List[int] = []
-
-
-_open = _OpenSpans()
+_stack: List[int] = []
 
 
 def current_span_id() -> Optional[int]:
     """Id of the innermost open span, or ``None`` outside every span."""
-    return _open.ids[-1] if _open.ids else None
-
-
-@contextmanager
-def parented(parent: Optional[int]) -> Iterator[None]:
-    """Run the block on this thread as if span *parent* were its only open
-    span, so spans opened inside nest under it; the thread's own stack is
-    restored on exit.  Thread-mode pool tasks use this to nest their spans
-    under the dispatch's ``pool.dispatch`` span, which lives on another
-    thread's stack."""
-    saved = _open.ids
-    _open.ids = [] if parent is None else [parent]
-    try:
-        yield
-    finally:
-        _open.ids = saved
+    return _stack[-1] if _stack else None
 
 
 def next_span_id() -> int:
@@ -148,7 +122,7 @@ def reset_spans() -> None:
     """
     global _ids
     _ids = count(1)
-    _open.ids.clear()
+    _stack.clear()
 
 
 class span:
@@ -173,8 +147,7 @@ class span:
             return self
         self._rec = rec
         self._id = next(_ids)
-        stack = _open.ids
-        parent = stack[-1] if stack else None
+        parent = _stack[-1] if _stack else None
         t = time.perf_counter()
         self._t0 = t
         rec.emit(
@@ -186,15 +159,14 @@ class span:
                 attrs=tuple(sorted(self.attrs.items())),
             )
         )
-        stack.append(self._id)
+        _stack.append(self._id)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if self._rec is None:
             return False
-        stack = _open.ids
-        if stack and stack[-1] == self._id:
-            stack.pop()
+        if _stack and _stack[-1] == self._id:
+            _stack.pop()
         t = time.perf_counter()
         self._rec.emit(
             SpanEnd(span_id=self._id, name=self.name, t=t, seconds=t - self._t0)

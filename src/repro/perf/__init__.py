@@ -13,10 +13,9 @@ Low-level representations and execution helpers shared by the solver stack:
 * :mod:`repro.perf.parallel` — worker-count resolution and the
   nested-parallelism rule;
 * :mod:`repro.perf.pool` — the persistent :class:`WorkerPool`, the only
-  fork/thread dispatch implementation: deterministic payload-order merges,
-  forked once per run and reused across slots/sweep points/bench jobs so
-  spawn and pickle costs amortise (thread-pool fallback where ``fork`` is
-  unavailable);
+  parallel map: deterministic payload-order merges, forked once per run
+  and reused across slots/sweep points/bench jobs so spawn and pickle
+  costs amortise (serial in process where ``fork`` is unavailable);
 * :mod:`repro.perf.slotdelta` — cross-slot incremental MCS state: the
   unread mask maintained by clearing served-tag bits, per-reader remaining
   covered counts (reader retirement) and warm starts for the next slot.

@@ -14,15 +14,10 @@ behaviour.  The degradation is *recorded*, never silent:
 :data:`nested_serial_calls` counts occurrences in the affected process and
 a :class:`RuntimeWarning` fires once per process.
 
-Thread-fallback caveat: threads *share* the process-wide recorder, so on
-fork-less platforms events from concurrent payloads interleave into whatever
-recorder is installed in the caller.  The bench/sweep drivers are unaffected
-(they install collectors inside ``fn`` or emit after the merge), but custom
-callers relying on worker-discarded telemetry should treat ambient events as
-unordered under the fallback.  Span parents stay exact: each thread keeps
-its own open-span stack, and thread tasks nest under the dispatch's
-``pool.dispatch`` span (:func:`repro.obs.spans.parented`).  See
-``docs/performance.md``.
+Fork-less platforms (Windows, spawn-only interpreters) take the same
+serial path: a multi-worker pool maps in process, exactly as
+``workers<=1`` does, and a :class:`RuntimeWarning` reports the lost
+parallelism once per process.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -40,9 +35,9 @@ from repro.util.validation import check_workers
 #: the pool's initializer).  Parent processes never set it.
 _IN_POOL_WORKER = False
 
-#: Set after the first thread-pool degradation warning; the fallback is a
+#: Set after the first fork-unavailable warning; the missing ``fork`` is a
 #: property of the platform, so it is reported once per process.
-_THREAD_FALLBACK_WARNED = False
+_NO_FORK_WARNED = False
 
 #: Nested parallel dispatches degraded to serial in *this* process (worker
 #: processes count their own occurrences; the tallies die with them).
@@ -78,8 +73,8 @@ def reset_inherited_signal_handlers() -> None:
 def in_pool_worker() -> bool:
     """True when the calling process is a forked pool worker (either a
     :class:`~repro.perf.pool.WorkerPool` child or any daemonic
-    ``multiprocessing`` worker).  Thread-mode and serial dispatches run in
-    the parent, where this stays False."""
+    ``multiprocessing`` worker).  Serial maps run in the parent, where this
+    stays False."""
     return _IN_POOL_WORKER or multiprocessing.current_process().daemon
 
 
@@ -99,15 +94,14 @@ def _note_nested_serial() -> None:
         )
 
 
-def _warn_thread_fallback() -> None:
-    """Emit the once-per-process thread-degradation warning."""
-    global _THREAD_FALLBACK_WARNED
-    if not _THREAD_FALLBACK_WARNED:
-        _THREAD_FALLBACK_WARNED = True
+def _warn_no_fork() -> None:
+    """Emit the once-per-process fork-unavailable warning."""
+    global _NO_FORK_WARNED
+    if not _NO_FORK_WARNED:
+        _NO_FORK_WARNED = True
         warnings.warn(
-            "os.fork unavailable on this platform; falling back to a "
-            "thread pool (results identical, telemetry events from "
-            "concurrent payloads interleave)",
+            "os.fork unavailable on this platform; WorkerPool maps run "
+            "serially in process (results identical, no parallelism)",
             RuntimeWarning,
             stacklevel=3,
         )

@@ -1,8 +1,8 @@
 """Persistent worker pool: fork once, dispatch per slot.
 
-The repository's only fork/thread dispatch implementation.  A dense
-sharded covering schedule dispatches once per slot, so paying process startup and
-teardown per dispatch would dominate it; :class:`WorkerPool` merges results
+The repository's only parallel map.  A dense sharded covering schedule
+dispatches once per slot, so paying process startup and teardown per
+dispatch would dominate it; :class:`WorkerPool` merges results
 in payload order (byte-identical to the serial loop) and holds its workers
 for the life of a run, so the fork/pickle tax is paid once and every later
 dispatch ships only small deltas (per-cell seeds, retired-tag suffixes,
@@ -18,10 +18,9 @@ as copy-on-write pages at fork time, for free.  Because the pool outlives
 many dispatches, callables that close over the heavy state must be
 **registered before the pool starts**
 (:meth:`WorkerPool.register`, implicit on the first :meth:`WorkerPool.map`)
-so the fork snapshot contains them.  Module-level functions pickle by
-reference and may be dispatched at any time without registration.  Any
-other callable arriving after the fork raises :class:`RuntimeError`: the
-workers cannot run what their snapshot does not hold.
+so the fork snapshot contains them.  Any callable arriving after the fork
+raises :class:`RuntimeError`: the workers cannot run what their snapshot
+does not hold.
 
 Mutable cross-slot state stays in the parent; callers broadcast compact
 delta arrays through the payloads and workers catch up locally (see
@@ -31,12 +30,13 @@ rejected: fork inheritance already shares the immutable gigabytes with zero
 code, while shared-memory segments would add lifecycle management for the
 small mutable part that pickles in microseconds.
 
-Degradation: ``workers<=1`` — or a pool built inside a pool worker, the
-nested-parallelism rule of :mod:`repro.perf.parallel` — runs every map
-serially in-process (no pool, no events); fork-less platforms run a
-persistent thread pool after the once-per-process :class:`RuntimeWarning`.
-Every path preserves the payload-order merge, so worker count and pool mode
-never change results.
+A pool runs in one of two modes, ``"fork"`` or ``"serial"``.  A serial
+pool maps in-process (no workers, no events): ``workers<=1``, a pool built
+inside a pool worker (the nested-parallelism rule of
+:mod:`repro.perf.parallel`), and a multi-worker pool on a platform without
+``fork``, which reports the lost parallelism with a once-per-process
+:class:`RuntimeWarning`.  Both modes merge in payload order, so worker
+count and pool mode never change results.
 
 Supervision
 -----------
@@ -44,7 +44,7 @@ Supervision
 A forked worker that is SIGKILLed (OOM killer, operator error) or wedges
 forever would otherwise hang the dispatch: ``multiprocessing.Pool`` quietly
 respawns the worker but the in-flight chunk is lost and ``get()`` never
-returns.  Fork-mode dispatches are therefore *supervised*: the result wait
+returns.  Fork dispatches are therefore *supervised*: the result wait
 polls, reaping worker exitcodes (and pid churn from the pool's own
 maintenance thread) and enforcing an optional per-dispatch deadline
 (``dispatch_deadline_s``, default from ``REPRO_POOL_DEADLINE`` seconds).
@@ -54,10 +54,10 @@ the whole payload slice is retried on a freshly forked pool — bounded by
 spent, replayed serially in the parent as a last resort.  Either way the
 dispatch returns the same payload-order results (cell solves are
 deterministic functions of their payloads), so a crashed worker degrades a
-run instead of hanging or failing it.  Thread and serial maps run in the
-parent and are not supervised.
+run instead of hanging or failing it.  Serial maps run in the parent and
+are not supervised.
 
-Telemetry: every non-serial dispatch runs under a ``pool.dispatch`` span,
+Telemetry: every fork dispatch runs under a ``pool.dispatch`` span,
 which is its only wall-clock measurement, and emits one
 :class:`~repro.obs.events.PoolDispatch` event (``pool_spawns`` /
 ``pool_tasks`` / ``pool_payload_bytes`` counters).  With telemetry off the
@@ -68,7 +68,7 @@ where a pool per map would show one per call — the amortisation is
 visible in the BENCH records.  Every supervised recovery additionally emits a
 :class:`~repro.obs.events.PoolRecovery` event
 (``pool_respawns`` / ``pool_deadline_hits`` counters).  When the parent's
-recorder is enabled at dispatch time, fork-mode workers additionally run
+recorder is enabled at dispatch time, the workers additionally run
 the cross-process trace relay (:mod:`repro.obs.relay`): their events are
 buffered (bounded), shipped back on the result payloads and replayed —
 span ids rebased, roots re-parented — under the dispatch's
@@ -81,14 +81,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence, Set
 
 from repro.obs.events import PoolDispatch, PoolRecovery, get_recorder
 from repro.obs.relay import capture_relay, replay_events
-from repro.obs.spans import current_span_id, parented, span
+from repro.obs.spans import span
 from repro.perf import parallel
 from repro.perf.parallel import fork_available, in_pool_worker, resolve_workers
 
@@ -111,8 +109,8 @@ def _pool_worker_init() -> None:
 
 
 def _pool_invoke(task: tuple) -> tuple:
-    index, handle, fn, payload, relay = task
-    target = _WORKER_TASKS[handle] if handle >= 0 else fn
+    index, handle, payload, relay = task
+    target = _WORKER_TASKS[handle]
     if not relay:
         return index, target(payload), None
     # Cross-process trace relay: buffer the worker's events (bounded) and
@@ -121,13 +119,6 @@ def _pool_invoke(task: tuple) -> tuple:
     # the parent's recorder state at dispatch time — never the fork time.
     result, relayed = capture_relay(target, payload)
     return index, result, relayed
-
-
-def _thread_invoke(fn: Callable[[Any], Any], payload: Any, parent) -> Any:
-    """Thread-mode task: spans opened by ``fn`` nest under the dispatch's
-    ``pool.dispatch`` span *parent*, as relayed fork-mode spans do."""
-    with parented(parent):
-        return fn(payload)
 
 
 #: Result-wait poll granularity of the supervised fork dispatch, seconds.
@@ -158,17 +149,6 @@ class _DispatchFailure(Exception):
         self.reason = reason
 
 
-def _ref_picklable(fn: Callable) -> bool:
-    """True when *fn* pickles by reference (a module-level function), so it
-    can be shipped to already-forked workers without registration."""
-    module = getattr(fn, "__module__", None)
-    qualname = getattr(fn, "__qualname__", "")
-    if module is None or not qualname or "." in qualname:
-        return False
-    mod = sys.modules.get(module)
-    return mod is not None and getattr(mod, qualname, None) is fn
-
-
 class WorkerPool:
     """A persistent, deterministic worker pool (see module docstring).
 
@@ -178,7 +158,8 @@ class WorkerPool:
         Worker count, in the :func:`~repro.perf.parallel.resolve_workers`
         convention (``None``/``0`` serial, negative = CPU count).  Resolved
         once at construction; ``<= 1`` makes every :meth:`map` a plain
-        in-process loop and never starts anything.
+        in-process loop and never starts anything, as does a platform
+        without ``fork`` (warned once per process).
     dispatch_deadline_s:
         Optional per-dispatch wall-clock deadline for supervised fork maps;
         a dispatch exceeding it is treated like a worker failure (torn
@@ -211,17 +192,19 @@ class WorkerPool:
         respawn_backoff_s: float = 0.05,
     ) -> None:
         self._workers = resolve_workers(workers)
-        self._mode = (
-            "serial"
-            if self._workers <= 1 or in_pool_worker()
-            else ("fork" if fork_available() else "thread")
-        )
-        if self._workers > 1 and in_pool_worker():
-            # a pool inside a pool worker cannot fork; run its maps serially
-            parallel._note_nested_serial()
+        self._mode = "serial"
+        #: True when only the missing ``fork`` keeps this pool serial.
+        self._no_fork = False
+        if self._workers > 1:
+            if in_pool_worker():
+                # a pool inside a pool worker cannot fork; map serially
+                parallel._note_nested_serial()
+            elif fork_available():
+                self._mode = "fork"
+            else:
+                self._no_fork = True
         self._registry: List[Callable[[Any], Any]] = []
         self._procs = None
-        self._threads: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self._spawn_pending = 0
         if dispatch_deadline_s is not None and dispatch_deadline_s <= 0:
@@ -248,26 +231,24 @@ class WorkerPool:
     # ------------------------------------------------------------------
     @property
     def mode(self) -> str:
-        """``"fork"``, ``"thread"`` or ``"serial"`` (fixed per pool)."""
+        """``"fork"`` or ``"serial"`` (fixed per pool)."""
         return self._mode
 
     @property
     def started(self) -> bool:
-        """True once worker processes/threads exist."""
-        return self._procs is not None or self._threads is not None
+        """True once worker processes exist."""
+        return self._procs is not None
 
     def register(self, fn: Callable[[Any], Any]) -> int:
         """Register *fn* for dispatch before the workers fork; returns its
         handle.  Idempotent per callable (bound methods compare by value,
-        so re-accessing ``obj.method`` re-registers nothing).  Required for
-        closures and bound methods; module-level functions need no
-        registration."""
+        so re-accessing ``obj.method`` re-registers nothing)."""
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         handle = self._handle_of(fn)
         if handle is not None:
             return handle
-        if self.started and self._mode == "fork":
+        if self.started:
             raise RuntimeError(
                 "WorkerPool workers already forked; register callables "
                 "before the first map (see docs/performance.md)"
@@ -284,28 +265,27 @@ class WorkerPool:
     def start(self) -> None:
         """Bring the workers up now (otherwise the first :meth:`map` does).
 
-        For fork mode this pins the inheritance snapshot: everything the
-        registered callables close over must be in its run-start state when
-        this is called."""
+        This pins the inheritance snapshot: everything the registered
+        callables close over must be in its run-start state when this is
+        called.  A serial pool starts nothing; one that is serial only
+        because the platform lacks ``fork`` warns once per process."""
+        global _WORKER_TASKS
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
+        if self._no_fork:
+            parallel._warn_no_fork()
         if self.started or self._mode == "serial":
             return
-        if self._mode == "thread":
-            parallel._warn_thread_fallback()
-            self._threads = ThreadPoolExecutor(max_workers=self._workers)
-        else:
-            global _WORKER_TASKS
-            ctx = multiprocessing.get_context("fork")
-            _WORKER_TASKS = self._registry
-            try:
-                self._procs = ctx.Pool(
-                    processes=self._workers, initializer=_pool_worker_init
-                )
-            finally:
-                _WORKER_TASKS = None
-            procs = getattr(self._procs, "_pool", None) or ()
-            self._worker_pids = {p.pid for p in procs}
+        ctx = multiprocessing.get_context("fork")
+        _WORKER_TASKS = self._registry
+        try:
+            self._procs = ctx.Pool(
+                processes=self._workers, initializer=_pool_worker_init
+            )
+        finally:
+            _WORKER_TASKS = None
+        procs = getattr(self._procs, "_pool", None) or ()
+        self._worker_pids = {p.pid for p in procs}
         self._spawn_pending += 1
 
     # ------------------------------------------------------------------
@@ -316,92 +296,72 @@ class WorkerPool:
         back in payload order, exactly as from ``[fn(p) for p in
         payloads]``.
 
-        *fn* must be registered before the workers fork (implicit here when
-        this map starts them) unless it is a module-level function, which
-        ships by reference; anything else raises :class:`RuntimeError`
-        once the workers are up."""
+        *fn* must be in the fork snapshot: registered before the workers
+        fork, which this map does implicitly when it starts them.  Any
+        other callable raises :class:`RuntimeError` once the workers are
+        up."""
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         payloads = list(payloads)
         if not payloads:
             return []
         if self._mode == "serial" or self._broken:
+            if self._no_fork:
+                parallel._warn_no_fork()
             return [fn(p) for p in payloads]
-        handle = self._handle_of(fn)
-        if handle is None and self._mode == "fork" and (
-            not self.started or not _ref_picklable(fn)
-        ):
-            # into the fork snapshot; raises once the workers have forked
-            handle = self.register(fn)
+        # into the fork snapshot; raises once the workers have forked
+        handle = self.register(fn)
         self.start()
         rec = get_recorder()
-        payload_bytes = 0  # threads never pickle payloads
-        if self._mode == "thread":
-            with span("pool.dispatch", mode="thread", tasks=len(payloads)):
-                parent = current_span_id()
-                futures = [
-                    self._threads.submit(_thread_invoke, fn, p, parent)
-                    for p in payloads
-                ]
-                results = [f.result() for f in futures]
-        else:
-            relay = rec.enabled
-            tasks = [
-                (i, -1 if handle is None else handle,
-                 fn if handle is None else None, p, relay)
-                for i, p in enumerate(payloads)
-            ]
-            if rec.enabled:
-                payload_bytes = len(
-                    pickle.dumps(tasks, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-            with span("pool.dispatch", mode="fork", tasks=len(payloads)):
-                while True:
-                    pending = self._procs.map_async(_pool_invoke, tasks)
-                    try:
-                        indexed = self._supervised_get(pending)
-                        break
-                    except _DispatchFailure as failure:
-                        if failure.reason == "deadline":
-                            self.deadline_hits += 1
-                        self._teardown_workers()
-                        respawned = self._try_respawn()
-                        if rec.enabled:
-                            rec.emit(
-                                PoolRecovery(
-                                    mode="fork",
-                                    reason=failure.reason,
-                                    respawned=respawned,
-                                    serial_replay=not respawned,
-                                    tasks=len(tasks),
-                                )
+        relay = rec.enabled
+        tasks = [(i, handle, p, relay) for i, p in enumerate(payloads)]
+        payload_bytes = (
+            len(pickle.dumps(tasks, protocol=pickle.HIGHEST_PROTOCOL))
+            if relay
+            else 0
+        )
+        with span("pool.dispatch", tasks=len(payloads)):
+            while True:
+                pending = self._procs.map_async(_pool_invoke, tasks)
+                try:
+                    indexed = self._supervised_get(pending)
+                    break
+                except _DispatchFailure as failure:
+                    if failure.reason == "deadline":
+                        self.deadline_hits += 1
+                    self._teardown_workers()
+                    respawned = self._try_respawn()
+                    if rec.enabled:
+                        rec.emit(
+                            PoolRecovery(
+                                reason=failure.reason,
+                                respawned=respawned,
+                                serial_replay=not respawned,
+                                tasks=len(tasks),
                             )
-                        if respawned:
-                            continue
-                        # Respawn budget spent: deterministic serial replay
-                        # of the failed payload slice, and serial maps from
-                        # now on.
-                        self._broken = True
-                        return [fn(p) for p in payloads]
-                indexed.sort(key=lambda triple: triple[0])
-                if relay:
-                    # cross-process trace relay: replay each worker's
-                    # shipped events (payload order) under this
-                    # pool.dispatch span
-                    for _, _, relayed in indexed:
-                        replay_events(relayed, rec)
-            results = [result for _, result, _ in indexed]
+                        )
+                    if respawned:
+                        continue
+                    # Respawn budget spent: deterministic serial replay of
+                    # the failed payload slice, and serial maps from now on.
+                    self._broken = True
+                    return [fn(p) for p in payloads]
+            indexed.sort(key=lambda triple: triple[0])
+            if relay:
+                # cross-process trace relay: replay each worker's shipped
+                # events (payload order) under this pool.dispatch span
+                for _, _, relayed in indexed:
+                    replay_events(relayed, rec)
         spawned, self._spawn_pending = self._spawn_pending, 0
         if rec.enabled:
             rec.emit(
                 PoolDispatch(
-                    mode=self._mode,
                     tasks=len(payloads),
                     payload_bytes=payload_bytes,
                     spawned=spawned,
                 )
             )
-        return results
+        return [result for _, result, _ in indexed]
 
     # ------------------------------------------------------------------
     def _supervised_get(self, pending) -> List[tuple]:
@@ -471,15 +431,10 @@ class WorkerPool:
             return
         self._closed = True
         procs, self._procs = self._procs, None
-        threads, self._threads = self._threads, None
         self._worker_pids = set()
-        try:
-            if procs is not None:
-                procs.terminate()
-                procs.join()
-        finally:
-            if threads is not None:
-                threads.shutdown(wait=True)
+        if procs is not None:
+            procs.terminate()
+            procs.join()
 
     def __enter__(self) -> "WorkerPool":
         return self

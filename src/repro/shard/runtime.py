@@ -161,14 +161,17 @@ class ShardRuntime:
 
         Yields ``None`` and holds no pool — :meth:`solve_slot` then solves
         the live cells in an in-process loop — whenever the pool would run
-        serially: one worker, or inside a pool worker (the
-        nested-parallelism rule of :mod:`repro.perf.parallel`, counted and
-        warned once by the pool).  A serial pool would only ship and replay
-        every retirement log a second time.  Only the dense sharded driver
-        enters this scope; the array-first driver always solves in process.
+        serially: one worker, inside a pool worker (the nested-parallelism
+        rule of :mod:`repro.perf.parallel`, counted and warned once by the
+        pool), or on a platform without ``fork`` (warned once by the
+        pool's :meth:`~repro.perf.pool.WorkerPool.start`).  A serial pool
+        would only ship and replay every retirement log a second time.
+        Only the dense sharded driver enters this scope; the array-first
+        driver always solves in process.
         """
         pool = WorkerPool(self.partition.spec.workers)
         if pool.mode == "serial":
+            pool.start()  # starts nothing; reports a missing fork
             yield None
             return
         self._retired_logs = [[] for _ in self.partition.cells]
@@ -193,9 +196,9 @@ class ShardRuntime:
         Forked workers keep their fork-time snapshot of the contexts, so
         the payload carries the cell's full retired-tag log and each worker
         applies only the suffix beyond its own ``_pool_applied`` watermark.
-        Thread-mode and serial dispatches run in the parent, whose contexts
-        are already authoritative — the :func:`in_pool_worker` guard skips
-        the replay there.
+        The supervisor's last-resort serial replay runs this in the parent,
+        whose contexts are already authoritative — the
+        :func:`in_pool_worker` guard skips the log replay there.
         """
         slot, idx, seed, susp, log = payload
         if in_pool_worker():

@@ -37,6 +37,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.util.validation import check_workers
+
 
 def interaction_radius(
     interference_radii: np.ndarray, interrogation_radii: np.ndarray
@@ -75,8 +77,9 @@ class ShardSpec:
         concurrent cell solves on one persistent
         :class:`~repro.perf.pool.WorkerPool` per run, in the
         :func:`~repro.perf.parallel.resolve_workers` convention (``None``/
-        ``0`` solves cells serially; negative means CPU count).  Worker
-        count never changes results — cell solves are merged in
+        ``0`` solves cells serially; negative means CPU count; a float,
+        boolean or non-numeric value raises :class:`ValueError` here).
+        Worker count never changes results — cell solves are merged in
         deterministic cell order.  The array-first
         :func:`~repro.shard.scale.run_scale_schedule` ignores it and
         always solves cells in process, where the pool lost to serial end
@@ -89,6 +92,8 @@ class ShardSpec:
     def __post_init__(self) -> None:
         if self.cells < 0:
             raise ValueError(f"cells must be >= 0, got {self.cells}")
+        if self.workers is not None:
+            check_workers("workers", self.workers)
 
     def cell_side(
         self,

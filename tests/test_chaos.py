@@ -110,17 +110,47 @@ class TestSweep:
     def test_table_handles_empty(self):
         assert "(no chaos records)" in format_chaos_table([])
 
+    def test_forkless_pooled_sweep_matches_serial(self, monkeypatch):
+        """Without fork a ``workers=2`` sweep maps its grid serially in
+        process and reproduces the serial records."""
+        from repro.perf import parallel as parallel_module
+        from repro.perf import pool as pool_module
+
+        kwargs = dict(
+            solvers=("ghc",),
+            fail_rates=(0.0, 0.2),
+            miss_rates=(0.0, 0.2),
+            max_slots=512,
+        )
+        serial = run_chaos_sweep(**kwargs)
+        monkeypatch.setattr(pool_module, "fork_available", lambda: False)
+        monkeypatch.setattr(parallel_module, "_NO_FORK_WARNED", True)
+        forkless = run_chaos_sweep(workers=2, **kwargs)
+        assert len(forkless) == len(serial) == 4
+        for got, want in zip(forkless, serial):
+            assert got["label"] == want["label"]
+            assert _pinned(got["metrics"]) == _pinned(want["metrics"])
+
 
 @pytest.mark.chaos_smoke
 def test_chaos_smoke_end_to_end(tmp_path):
-    """Sweep -> BENCH_chaos.json -> load_bench round trip, schema-valid."""
-    records = run_chaos_sweep(
+    """Sweep -> BENCH_chaos.json -> load_bench round trip, schema-valid.
+    The CI leg re-runs this under ``REPRO_WORKERS=2``, which maps the fault
+    grid on the worker pool; a parallel leg additionally re-runs the grid
+    serially and diffs the pinned counters."""
+    workers = env_default_workers(None)
+    kwargs = dict(
         solvers=("ghc",),
         fail_rates=(0.0, 0.1),
         miss_rates=(0.0,),
         scenario_kwargs=SMALL_SCENARIO,
         max_slots=512,
     )
+    records = run_chaos_sweep(workers=workers, **kwargs)
+    if workers is not None and workers > 1:
+        serial = run_chaos_sweep(workers=None, **kwargs)
+        for par, ser in zip(records, serial):
+            assert _pinned(par["metrics"]) == _pinned(ser["metrics"])
     path = write_bench_files({"chaos": records}, tmp_path)["chaos"]
     assert path == tmp_path / "BENCH_chaos.json"
     data = load_bench(path)

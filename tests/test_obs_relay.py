@@ -412,30 +412,31 @@ class TestShardRelay:
             assert "cell" in dict(e.attrs)
         _assert_balanced(events)
 
-    def test_thread_mode_cell_solves_nest_under_pool_dispatch(
+    def test_forkless_cell_solves_nest_under_mcs_solve(
         self, system, monkeypatch
     ):
-        """Fork-less platforms run the pool on threads: each thread keeps
-        its own span stack, so concurrent cell solves still nest under
-        ``pool.dispatch`` and never under each other."""
+        """Fork-less platforms solve the cells in process, so the span
+        tree is exactly a serial run's: ``shard.solve`` under
+        ``mcs.solve``, and no ``pool.dispatch`` at all."""
         from repro.perf import parallel as parallel_module
         from repro.perf import pool as pool_module
 
         monkeypatch.setattr(pool_module, "fork_available", lambda: False)
-        monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", True)
+        monkeypatch.setattr(parallel_module, "_NO_FORK_WARNED", True)
         events, schedule = _trace_schedule(
             system, shard=ShardSpec(cells=4, workers=2)
         )
-        _, serial = _trace_schedule(system, shard=ShardSpec(cells=4))
+        serial_events, serial = _trace_schedule(
+            system, shard=ShardSpec(cells=4)
+        )
         assert schedule.reads_per_slot() == serial.reads_per_slot()
+        assert _edges(events) == _edges(serial_events)
         names = _span_names(events)
         starts = [e for e in events if isinstance(e, SpanStart)]
         solves = [e for e in starts if e.name == "shard.solve"]
         assert solves
-        assert {names[e.parent_id] for e in solves} == {"pool.dispatch"}
-        assert {
-            names[e.parent_id] for e in starts if e.name == "solver.call"
-        } == {"shard.solve"}
+        assert {names[e.parent_id] for e in solves} == {"mcs.solve"}
+        assert "pool.dispatch" not in names.values()
         _assert_balanced(events)
         assert current_span_id() is None
 

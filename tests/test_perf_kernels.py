@@ -242,21 +242,24 @@ class TestParallelExecution:
                 assert pool.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
                 assert not pool.started
 
+    # test_fork_map_thread_fallback_*: the fork-less fallback, which maps
+    # serially in process
     def test_fork_map_thread_fallback_without_fork(self, monkeypatch):
         """On a platform without ``os.fork`` (Windows, spawn-only builds)
-        a pooled map must warn once and degrade to a thread pool with
-        byte-identical, payload-ordered results."""
+        a pooled map must warn once and run serially in process, never
+        starting a worker, with payload-ordered results."""
         import os as os_module
 
         from repro.perf import parallel as parallel_module
 
         monkeypatch.delattr(os_module, "fork")
-        monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", False)
+        monkeypatch.setattr(parallel_module, "_NO_FORK_WARNED", False)
         payloads = list(range(17))
         with pytest.warns(RuntimeWarning, match="os.fork unavailable"):
             with WorkerPool(4) as pool:
+                assert pool.mode == "serial"
                 got = pool.map(lambda x: x * 3 + 1, payloads)
-        assert pool.mode == "thread"
+                assert not pool.started
         assert got == [x * 3 + 1 for x in payloads]
 
     def test_fork_map_thread_fallback_spawn_only(self, monkeypatch):
@@ -269,24 +272,27 @@ class TestParallelExecution:
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", False)
-        with pytest.warns(RuntimeWarning):
+        monkeypatch.setattr(parallel_module, "_NO_FORK_WARNED", False)
+        with pytest.warns(RuntimeWarning, match="os.fork unavailable"):
             with WorkerPool(2) as pool:
+                assert pool.mode == "serial"
                 got = pool.map(lambda x: x - 1, [5, 6, 7])
-        assert pool.mode == "thread"
+                assert not pool.started
         assert got == [4, 5, 6]
 
-    def test_fork_map_thread_fallback_warns_once_per_process(self, monkeypatch):
-        """The degradation warning fires on the first fallback only — the
-        platform does not change between pools, so later pools stay silent
-        (and still produce ordered results)."""
+    def test_fork_map_thread_fallback_warns_once_per_process(
+        self, monkeypatch
+    ):
+        """The degradation warning fires on the first fork-less map only —
+        the platform does not change between pools, so later pools stay
+        silent (and still produce ordered results)."""
         import os as os_module
         import warnings as warnings_module
 
         from repro.perf import parallel as parallel_module
 
         monkeypatch.delattr(os_module, "fork")
-        monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", False)
+        monkeypatch.setattr(parallel_module, "_NO_FORK_WARNED", False)
         with pytest.warns(RuntimeWarning, match="os.fork unavailable"):
             with WorkerPool(2) as pool:
                 pool.map(lambda x: x + 1, [1, 2, 3])
@@ -294,6 +300,7 @@ class TestParallelExecution:
             warnings_module.simplefilter("error")
             with WorkerPool(2) as pool:
                 got = pool.map(lambda x: x + 1, [4, 5, 6])
+                assert pool.mode == "serial" and not pool.started
         assert got == [5, 6, 7]
 
     def test_fork_map_serial_paths_never_warn(self, monkeypatch):

@@ -5,8 +5,8 @@ The pool's contract has four load-bearing clauses, each pinned here:
 * **amortisation** — one fork per run (``pool_spawns == 1``) no matter how
   many slots/maps dispatch through it, where a pool used for one map
   spawns once per map;
-* **bit-identity** — worker count and pool mode (fork / thread / serial)
-  never change schedules or work counters;
+* **bit-identity** — worker count and pool mode (fork / serial) never
+  change schedules or work counters;
 * **clean shutdown** — exiting the pool (normally or through a solver
   exception) terminates and joins every child;
 * **recorded degradation** — nested dispatches run serially with a
@@ -115,7 +115,6 @@ def strip_timing(summary):
 
 
 def _double(x):
-    """Module-level: picklable by reference, needs no registration."""
     return 2 * x
 
 
@@ -190,7 +189,7 @@ class TestWorkerPool:
             pool.map(_double, [1, 2])
             pool.map(_double, [3, 4])
         dispatches = [e for e in rec.events if isinstance(e, PoolDispatch)]
-        assert [d.mode for d in dispatches] == ["fork", "fork"]
+        assert len(dispatches) == 2
         # the spawn is charged to the dispatch that started the pool
         assert [d.spawned for d in dispatches] == [1, 0]
 
@@ -222,7 +221,10 @@ class TestWorkerPool:
             pool.map(_double, [1])  # fork now, closure not in the snapshot
             with pytest.raises(RuntimeError, match="already forked"):
                 pool.map(lambda x: k * x, [1, 2, 3])
-            # module-level functions still ship by reference after the fork
+            # a module-level function missed the snapshot just the same
+            with pytest.raises(RuntimeError, match="already forked"):
+                pool.map(_explode, [0])
+            # the registered callable still maps
             assert pool.map(_double, [4, 5]) == [8, 10]
 
     def test_closed_pool_rejects_use(self):
@@ -237,22 +239,27 @@ class TestWorkerPool:
     def test_worker_exception_propagates_and_children_join(self):
         with pytest.raises(ZeroDivisionError, match="worker failed"):
             with WorkerPool(2) as pool:
+                pool.register(_explode)  # into the fork snapshot
                 pool.map(_double, [1, 2])
                 pool.map(_explode, [0, 1])  # raises inside a forked worker
         assert no_leaked_children()
 
     def test_thread_fallback_matches_fork_results(self, monkeypatch):
+        """Without fork a multi-worker pool maps serially in process: the
+        fork results, and neither a dispatch event nor a span."""
+        with WorkerPool(3) as pool:
+            assert pool.mode == "fork"
+            forked = pool.map(_double, range(10))
         monkeypatch.setattr(pool_module, "fork_available", lambda: False)
-        monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", False)
+        monkeypatch.setattr(parallel_module, "_NO_FORK_WARNED", False)
         rec = TraceRecorder()
         with pytest.warns(RuntimeWarning, match="os.fork unavailable"):
             with recording(rec), WorkerPool(3) as pool:
-                assert pool.mode == "thread"
+                assert pool.mode == "serial"
                 out = pool.map(_double, range(10))
-        assert out == [2 * i for i in range(10)]
-        dispatches = [e for e in rec.events if isinstance(e, PoolDispatch)]
-        assert [d.mode for d in dispatches] == ["thread"]
-        assert dispatches[0].payload_bytes == 0  # threads never pickle
+                assert not pool.started
+        assert out == forked == [2 * i for i in range(10)]
+        assert rec.events == []
 
     def test_pool_inside_pool_worker_degrades_serially(self, monkeypatch):
         monkeypatch.setattr(parallel_module, "_IN_POOL_WORKER", True)
@@ -367,7 +374,6 @@ class TestOneShotForkMap:
             assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
         dispatches = [e for e in rec.events if isinstance(e, PoolDispatch)]
         assert len(dispatches) == 1
-        assert dispatches[0].mode == "fork"
         assert dispatches[0].spawned == 1
         assert no_leaked_children()
 
@@ -436,14 +442,24 @@ class TestShardedBitIdentity:
         nested, _ = run_sharded(spec, record=False)
         assert_same_schedule(nested, result)
 
-    def test_thread_mode_matches_serial(self, serial, monkeypatch):
+    def test_forkless_sharded_run_matches_serial(self, serial, monkeypatch):
+        """Without fork the dense sharded driver holds no pool and solves
+        its cells in process, exactly as a serial run."""
+        from repro.shard.partition import ShardPartition
+        from repro.shard.runtime import ShardRuntime
+
         monkeypatch.setattr(pool_module, "fork_available", lambda: False)
-        monkeypatch.setattr(parallel_module, "_THREAD_FALLBACK_WARNED", True)
-        result, _ = serial
-        threaded, _ = run_sharded(
-            ShardSpec(cells=CELLS, workers=2), record=False
+        monkeypatch.setattr(parallel_module, "_NO_FORK_WARNED", True)
+        spec = ShardSpec(cells=CELLS, workers=2)
+        partition = ShardPartition.from_arrays(*DEPLOYMENT.materialize(), spec)
+        runtime = ShardRuntime(
+            partition, partition.owner_of_tag >= 0, _double, False
         )
-        assert_same_schedule(threaded, result)
+        with runtime.pool_scope() as pool:
+            assert pool is None and runtime._pool is None
+        result, _ = serial
+        forkless, _ = run_sharded(spec, record=False)
+        assert_same_schedule(forkless, result)
 
     def test_solver_exception_closes_pool_and_resets_runtime(self):
         from repro.shard.partition import ShardPartition

@@ -94,6 +94,33 @@ class TestSpec:
         ShardSpec(cells=0)
         ShardSpec(cells=1)
         ShardSpec(cells=16, workers=4)
+        ShardSpec(cells=16, workers=-1)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "two"])
+    def test_bad_workers_rejected_before_any_build(
+        self, bad, medium_system, monkeypatch
+    ):
+        """Both sharded drivers reject a non-integer worker count when the
+        spec is made, before any deployment or partition is built."""
+        from repro.shard.scale import ScaleDeployment, run_scale_schedule
+
+        def booby_trap(*args, **kwargs):
+            raise AssertionError("built despite an invalid ShardSpec")
+
+        monkeypatch.setattr(ScaleDeployment, "materialize", booby_trap)
+        monkeypatch.setattr(ShardPartition, "from_arrays", booby_trap)
+        with pytest.raises(ValueError, match="workers"):
+            run_scale_schedule(
+                ScaleDeployment(200, 3000, 140.0, seed=1),
+                ShardSpec(cells=4, workers=bad),
+                solver="ghc",
+            )
+        with pytest.raises(ValueError, match="workers"):
+            greedy_covering_schedule(
+                medium_system,
+                get_solver("ghc"),
+                shard=ShardSpec(cells=4, workers=bad),
+            )
 
     def test_cell_side_clamped_to_interaction_radius(self):
         spec = ShardSpec(cells=10_000)
