@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.oneshot import OneShotResult, make_result
 from repro.model.system import RFIDSystem
-from repro.perf.backends import kernel_for
+from repro.perf.backends import kernel_for, resolve_backend
 from repro.perf.backends.numpy_batched import BATCH_MIN
 from repro.perf.incremental import GeneralizedWeightClimber
 from repro.perf.packed import bigint_to_bool
@@ -73,13 +73,12 @@ def greedy_hill_climbing(
         gain is 0 — never above the positive-only ``best_gain`` threshold —
         and the climb path is unchanged.
     backend:
-        Solver-kernel backend name (``'auto'``/``'pure'``/``'numpy'``;
-        ``None`` follows the process selection).  The candidates a step
-        scores are evaluated through the selected
-        :class:`~repro.perf.backends.WeightKernel`; taking the largest gain
-        at the lowest reader id reproduces the strict-improvement scalar
-        scan exactly, so the climb path is bit-identical across backends
-        (``docs/backends.md``).
+        Kernel name, validated by
+        :func:`repro.perf.backends.resolve_backend` (``None`` or
+        ``'numpy'``).  The candidates a step scores are evaluated through
+        the :class:`~repro.perf.backends.NumpyKernel`; taking the largest
+        gain at the lowest reader id reproduces the strict-improvement
+        scalar scan exactly (``docs/backends.md``).
     """
     if gain_mode not in ("weight", "coverage"):
         raise ValueError(f"gain_mode must be 'weight' or 'coverage', got {gain_mode!r}")
@@ -90,7 +89,8 @@ def greedy_hill_climbing(
         climber = GeneralizedWeightClimber(system, unread_bits=context.unread_bits)
     else:
         climber = GeneralizedWeightClimber(system, unread)
-    kernel = kernel_for(system, backend)
+    resolve_backend(backend)
+    kernel = kernel_for(system)
     by_weight = gain_mode == "weight"
 
     def score(cands):

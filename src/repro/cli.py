@@ -29,15 +29,7 @@ prints a partial-run marker to stderr and exits ``128 + signum``.
 drift and wall-clock regressions, exiting non-zero on drift — the CI gate
 (exit-code contract in ``docs/observability.md``).  Because ``bench``
 itself takes flags, ``compare`` is dispatched by :func:`main` before the
-main parser runs, keeping ``bench --quick`` untouched.  With
-``--backends`` the audit also certifies cross-backend bit-identity per
-trajectory group (``docs/backends.md``).
-
-``solve``, ``bench`` and ``trace run`` take ``--backend
-{auto,pure,numpy}`` to pick the solver-kernel backend (default ``auto``;
-the ``REPRO_BACKEND`` environment variable overrides ``auto`` — see
-``docs/backends.md``).  Backends are bit-identical: the flag changes
-wall-clock, never schedules or counters.
+main parser runs, keeping ``bench --quick`` untouched.
 
 Every ``--workers`` flag (``solve``, ``bench``, ``chaos``) defaults to the
 ``REPRO_WORKERS`` environment variable when omitted — precedence CLI >
@@ -64,7 +56,6 @@ from repro.core.oneshot import available_solvers, get_solver
 from repro.deployment.scenario import Scenario
 from repro.experiments.figures import FIGURE_DEFAULTS, SOLVER_KWARGS, run_figure
 from repro.experiments.reporting import format_series_table
-from repro.perf.backends import resolve_backend, use_backend
 from repro.perf.parallel import env_default_workers
 from repro.shard.spec import ShardSpec
 
@@ -158,13 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["aloha", "treewalk"],
         default=None,
         help="also account link-layer micro-slots per time-slot",
-    )
-    solve.add_argument(
-        "--backend",
-        choices=["auto", "pure", "numpy"],
-        default=None,
-        help="solver-kernel backend (default: auto; env REPRO_BACKEND "
-        "overrides auto) — bit-identical output, see docs/backends.md",
     )
     solve.add_argument(
         "--shard-cells",
@@ -279,13 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(solve / inventory / retire) of each mcs record",
     )
     bench.add_argument(
-        "--backend",
-        choices=["auto", "pure", "numpy"],
-        default=None,
-        help="solver-kernel backend (default: auto; env REPRO_BACKEND "
-        "overrides auto) — bit-identical output, see docs/backends.md",
-    )
-    bench.add_argument(
         "--scale",
         action="store_true",
         help="run the scale-tier matrix instead (sharded vs unsharded "
@@ -396,13 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also run (and trace) the link-layer inventory stage",
     )
     trun.add_argument(
-        "--backend",
-        choices=["auto", "pure", "numpy"],
-        default=None,
-        help="solver-kernel backend (default: auto; env REPRO_BACKEND "
-        "overrides auto) — bit-identical output, see docs/backends.md",
-    )
-    trun.add_argument(
         "--shard-cells",
         type=int,
         default=None,
@@ -502,14 +472,6 @@ def _build_compare_parser() -> argparse.ArgumentParser:
         dest="strict_wall",
         help="treat wall-clock regressions as errors instead of warnings",
     )
-    parser.add_argument(
-        "--backends",
-        action="store_true",
-        help="cross-backend certification mode: report groups whose runs "
-        "cover >= 2 solver-kernel backends with no counter drift as "
-        "bit-identity certified; warn on single-backend groups "
-        "(docs/backends.md)",
-    )
     return parser
 
 
@@ -523,12 +485,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     system = scenario.build()
-    backend = resolve_backend(args.backend)
     print(
         f"instance: {args.readers} readers, {args.tags} tags, "
         f"side={args.side:g}, lambda_R={args.lambda_R:g}, "
-        f"lambda_r={args.lambda_r:g}, seed={args.seed} "
-        f"(backend: {backend})"
+        f"lambda_r={args.lambda_r:g}, seed={args.seed}"
     )
     print(f"coverable tags: {int(system.covered_by_any().sum())}/{system.num_tags}")
 
@@ -549,22 +509,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                     workers=env_default_workers(args.workers),
                 )
             solver = get_solver(args.solver, **SOLVER_KWARGS.get(args.solver, {}))
-            with use_backend(backend):
-                result = greedy_covering_schedule(
-                    system,
-                    solver,
-                    linklayer=args.linklayer,
-                    seed=args.seed,
-                    shard=shard,
-                )
+            result = greedy_covering_schedule(
+                system,
+                solver,
+                linklayer=args.linklayer,
+                seed=args.seed,
+                shard=shard,
+            )
         print(f"covering schedule: {result.size} slots, complete={result.complete}")
         print(f"tags read: {result.tags_read_total}; per-slot: {result.reads_per_slot()}")
         if args.linklayer:
             print(f"link-layer duration: {result.total_micro_slots} micro-slots")
     else:
         solver = get_solver(args.solver, **SOLVER_KWARGS.get(args.solver, {}))
-        with use_backend(backend):
-            result = solver(system, None, args.seed)
+        result = solver(system, None, args.seed)
         print(
             f"one-shot ({args.solver}): weight={result.weight} "
             f"active={result.active.tolist()} feasible={result.feasible}"
@@ -698,9 +656,9 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
         ]
     print(
         f"running {'quick' if args.quick else 'full'} scale matrix "
-        f"({len(points)} points, backend: {resolve_backend(args.backend)})"
+        f"({len(points)} points)"
     )
-    records = run_scale_matrix(points, backend=args.backend)
+    records = run_scale_matrix(points)
     print(format_scale_table(records))
     if args.dry_run:
         print("dry run: BENCH files not written")
@@ -731,12 +689,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     matrix = QUICK_MATRIX if args.quick else FULL_MATRIX
     print(
         f"running {'quick' if args.quick else 'full'} benchmark matrix "
-        f"({len(matrix)} scenario points, oneshot + mcs, backend: "
-        f"{resolve_backend(args.backend)})"
+        f"({len(matrix)} scenario points, oneshot + mcs)"
     )
-    records = run_bench_matrix(
-        matrix, workers=args.workers, backend=args.backend
-    )
+    records = run_bench_matrix(matrix, workers=args.workers)
     print(format_bench_table(records))
     if args.profile:
         print()
@@ -858,7 +813,7 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
     active = TeeRecorder(*children) if len(children) > 1 else recorder
     reset_spans()
     try:
-        with use_backend(resolve_backend(args.backend)), recording(active):
+        with recording(active):
             schedule = greedy_covering_schedule(
                 system,
                 solver,
@@ -931,7 +886,6 @@ def _cmd_bench_compare(argv: List[str]) -> int:
         max_wall_ratio=args.max_wall_ratio,
         wall_floor_s=args.wall_floor_s,
         strict_wall=args.strict_wall,
-        backends_mode=args.backends,
     )
     print(report)
     return code

@@ -68,12 +68,12 @@ def solve_mwfs_masks(
         the returned set is identical to a cold search that completes within
         budget, reached with fewer nodes.
     kernel:
-        Optional :class:`~repro.perf.backends.WeightKernel` built from the
+        Optional :class:`~repro.perf.backends.NumpyKernel` built from the
         same system as *oracle*'s masks; batches the solo-weight ordering
         pass.  The DFS itself stays on the oracle's sequential push/pop
-        state in every backend — its include/exclude structure is
-        inherently serial — so node counts and the returned set are
-        backend-invariant by construction (``docs/backends.md``).
+        state — its include/exclude structure is inherently serial — so
+        node counts and the returned set do not depend on the kernel
+        (``docs/backends.md``).
 
     Returns
     -------
@@ -159,7 +159,6 @@ def exact_mwfs(
     on_budget: str = "best",
     oracle: Optional[BitsetWeightOracle] = None,
     context=None,
-    backend: Optional[str] = None,
 ) -> OneShotResult:
     """Exact (within *max_nodes*) MWFS for the One-Shot Schedule Problem.
 
@@ -185,11 +184,6 @@ def exact_mwfs(
         strict-improvement incumbent never contains one and the returned set
         is unchanged — and the previous slot's surviving active set seeds
         the incumbent (see :func:`solve_mwfs_masks`).
-    backend:
-        Solver-kernel backend name (``'auto'``/``'pure'``/``'numpy'``;
-        ``None`` follows the process selection — see
-        :func:`repro.perf.backends.resolve_backend`).  Bit-identical output
-        across backends (``docs/backends.md``).
     """
     if on_budget not in ("best", "raise"):
         raise ValueError(f"on_budget must be 'best' or 'raise', got {on_budget!r}")
@@ -205,7 +199,7 @@ def exact_mwfs(
     if oracle is None:
         oracle = BitsetWeightOracle(system, unread)
     adj = conflict_bits(system)
-    kernel = kernel_for(system, backend)
+    kernel = kernel_for(system)
 
     best_set, best_weight, exhausted = solve_mwfs_masks(
         candidates,

@@ -65,9 +65,12 @@ def local_search_mwfs(
     t_initial: float = 3.0,
     cooling: float = 0.995,
     context=None,
-    backend: Optional[str] = None,
 ) -> OneShotResult:
     """Simulated-annealing search over feasible scheduling sets.
+
+    Only the greedy-seed solo-weight scan goes through the kernel; the
+    annealing move loop is untouched, so the ``rng`` stream is too
+    (``docs/backends.md``).
 
     Parameters
     ----------
@@ -85,12 +88,6 @@ def local_search_mwfs(
         reference — restricting moves to live readers or warm-starting a
         restart would reorder ``rng`` draws — so no candidate pruning is
         applied in this solver.
-    backend:
-        Solver-kernel backend name (``'auto'``/``'pure'``/``'numpy'``;
-        ``None`` follows the process selection).  Only the greedy-seed
-        solo-weight scan is batched — the annealing move loop is untouched
-        so the ``rng`` stream, and hence the schedule, is bit-identical
-        across backends (``docs/backends.md``).
     """
     if iterations <= 0 or restarts <= 0:
         raise ValueError("iterations and restarts must be > 0")
@@ -105,7 +102,7 @@ def local_search_mwfs(
     else:
         oracle = BitsetWeightOracle(system, unread)
     conflict = system.conflict
-    kernel = kernel_for(system, backend)
+    kernel = kernel_for(system)
 
     best_global: List[int] = []
     best_global_w = -1

@@ -67,9 +67,11 @@ def centralized_location_free(
     ball_node_budget: int = 200_000,
     oracle: Optional[BitsetWeightOracle] = None,
     context=None,
-    backend: Optional[str] = None,
 ) -> OneShotResult:
     """Algorithm 2: location-free centralized MWFS approximation.
+
+    The kernel batches the head solo-weight scan and the local-MWFS
+    candidate ordering (``docs/backends.md``).
 
     Parameters
     ----------
@@ -92,12 +94,6 @@ def centralized_location_free(
         strict-improvement winner), and the head loop stops once the
         maximum solo weight hits 0 (from that point the reference run only
         commits retired singletons, which serve no tag).
-    backend:
-        Solver-kernel backend name (``'auto'``/``'pure'``/``'numpy'``;
-        ``None`` follows the process selection — see
-        :func:`repro.perf.backends.resolve_backend`).  Batches the head
-        solo-weight scan and the local-MWFS candidate ordering; output is
-        bit-identical across backends (``docs/backends.md``).
     """
     check_in_range("rho", rho, 1.0, float("inf"), low_open=True)
     n = system.num_readers
@@ -110,7 +106,7 @@ def centralized_location_free(
         oracle = BitsetWeightOracle(system, unread)
     adj = adjacency_lists(system)
     conflict_rows = conflict_bits(system)
-    kernel = kernel_for(system, backend)
+    kernel = kernel_for(system)
 
     alive: Set[int] = set(range(n))
     solution: List[int] = []

@@ -38,7 +38,7 @@ from repro.geometry.shifting import ShiftedHierarchy, Square, scale_radii
 from repro.model.system import RFIDSystem
 from repro.model.weights import BitsetWeightOracle
 from repro.obs.events import CandidateEvaluation, get_recorder
-from repro.perf.backends import kernel_for
+from repro.perf.backends import kernel_for, resolve_backend
 from repro.perf.cache import conflict_bits, system_memo
 from repro.perf.packed import pack_square_bool
 from repro.util.rng import RngLike
@@ -321,11 +321,10 @@ def ptas_mwfs(
         enumerates a different prefix of subsets once retired disks leave
         it, and may then pick a different set.
     backend:
-        Solver-kernel backend name (``'auto'``/``'pure'``/``'numpy'``;
-        ``None`` follows the process selection — see
-        :func:`repro.perf.backends.resolve_backend`).  Batches the
-        per-shift solo-weight ordering, the interface-compatibility filter
-        and the polish scans; output is bit-identical across backends
+        Kernel name, validated by
+        :func:`repro.perf.backends.resolve_backend` (``None`` or
+        ``'numpy'``).  The kernel batches the per-shift solo-weight
+        ordering, the interface-compatibility filter and the polish scans
         (``docs/backends.md``).
     """
     n = system.num_readers
@@ -335,7 +334,8 @@ def ptas_mwfs(
         oracle = BitsetWeightOracle(system, unread_bits=context.unread_bits)
     if oracle is None:
         oracle = BitsetWeightOracle(system, unread)
-    kernel = kernel_for(system, backend)
+    resolve_backend(backend)
+    kernel = kernel_for(system)
 
     radii = system.interference_radii
     scaled_radii, factor = scale_radii(radii)

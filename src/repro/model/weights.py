@@ -157,12 +157,10 @@ class BitsetWeightOracle:
         """:meth:`weight_with` over a whole candidate frontier, as an
         ``int64`` array aligned with *candidates*.
 
-        With a :class:`~repro.perf.backends.WeightKernel` the evaluation is
-        delegated to the selected backend (batched for the ``numpy``
-        backend); the kernel must be built from the same system as this
-        oracle's masks.  Without one, the scalar loop runs — identical
-        integers either way (the backend bit-identity contract,
-        ``docs/backends.md``)."""
+        With a :class:`~repro.perf.backends.NumpyKernel` the evaluation is
+        batched by the kernel, which must be built from the same system as
+        this oracle's masks.  Without one, the scalar loop runs — identical
+        integers either way (the kernel contract, ``docs/backends.md``)."""
         if kernel is not None:
             return kernel.oracle_weights_with(
                 self._once, self._multi, self._unread_mask, candidates

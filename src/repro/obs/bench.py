@@ -35,7 +35,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.obs.collectors import RunCollector
 from repro.obs.events import recording
 from repro.obs.export import merge_run, run_record
-from repro.perf.backends import resolve_backend, use_backend
 from repro.perf.pool import WorkerPool
 
 try:  # pragma: no cover - resource is POSIX-only
@@ -143,7 +142,6 @@ def measure_run(
     label: str,
     solver: str,
     scenario: dict,
-    backend: Optional[str],
     prepare: Callable[[], Callable[[], Any]],
     outcome: Callable[[Any], dict],
 ) -> dict:
@@ -156,18 +154,16 @@ def measure_run(
     peak RSS holds no leftovers of the timed pass.  The second pass runs
     under a :class:`~repro.obs.collectors.RunCollector` and the wall
     clock, and its return value goes to *outcome*, whose metrics join the
-    collector summary and the memory peaks.  Both passes run on the
-    resolved *backend*, which the record names.
+    collector summary and the memory peaks.
     """
-    name = resolve_backend(backend)
     run = prepare()
     mem = PeakMemory()
-    with mem, use_backend(name), recording(RunCollector()):
+    with mem, recording(RunCollector()):
         run()
     run = prepare()
     collector = RunCollector()
     t0 = time.perf_counter()
-    with use_backend(name), recording(collector):
+    with recording(collector):
         result = run()
     wall = time.perf_counter() - t0
     metrics = mem.update_metrics(collector.summary())
@@ -179,19 +175,12 @@ def measure_run(
         scenario=scenario,
         metrics=metrics,
         wall_clock_s=wall,
-        backend=name,
     )
 
 
-def run_oneshot_bench(point: BenchPoint, backend: Optional[str] = None) -> dict:
+def run_oneshot_bench(point: BenchPoint) -> dict:
     """Measure one solver invocation at *point*; returns a run record.
-
-    *backend* selects the solver-kernel backend for the measured run
-    (resolved via :func:`repro.perf.backends.resolve_backend`); the record
-    carries the resolved name in its ``backend`` field.  The point's label
-    is unchanged, so the WORK_COUNTERS drift check automatically enforces
-    bit-identical work across backends within a trajectory group.  The
-    wall clock times the solver call alone (:func:`measure_run`)."""
+    The wall clock times the solver call alone (:func:`measure_run`)."""
     from repro.core.oneshot import get_solver
 
     scenario = point.build()
@@ -203,7 +192,7 @@ def run_oneshot_bench(point: BenchPoint, backend: Optional[str] = None) -> dict:
 
     return measure_run(
         "oneshot", point.label, point.solver, dataclasses.asdict(scenario),
-        backend, prepare,
+        prepare,
         lambda result: {
             "weight": int(result.weight),
             "active_readers": int(result.size),
@@ -212,14 +201,9 @@ def run_oneshot_bench(point: BenchPoint, backend: Optional[str] = None) -> dict:
     )
 
 
-def run_mcs_bench(point: BenchPoint, backend: Optional[str] = None) -> dict:
+def run_mcs_bench(point: BenchPoint) -> dict:
     """Measure a full greedy covering schedule at *point*; returns a run
-    record.
-
-    *backend* selects the solver-kernel backend (see
-    :func:`run_oneshot_bench`); the resolved name lands in the record's
-    ``backend`` field, never in the label.  The wall clock times the
-    schedule alone (:func:`measure_run`).
+    record.  The wall clock times the schedule alone (:func:`measure_run`).
     """
     from repro.core.mcs import greedy_covering_schedule
     from repro.core.oneshot import get_solver
@@ -235,7 +219,7 @@ def run_mcs_bench(point: BenchPoint, backend: Optional[str] = None) -> dict:
 
     return measure_run(
         "mcs", point.label, point.solver, dataclasses.asdict(scenario),
-        backend, prepare,
+        prepare,
         lambda schedule: {
             "slots_to_completion": int(schedule.size),
             "complete": bool(schedule.complete),
@@ -243,16 +227,16 @@ def run_mcs_bench(point: BenchPoint, backend: Optional[str] = None) -> dict:
     )
 
 
-def _run_bench_job(job: Tuple[str, BenchPoint, Optional[str]]) -> dict:
-    """Dispatch one (family, point, backend) job — module-level for worker
+def _run_bench_job(job: Tuple[str, BenchPoint]) -> dict:
+    """Dispatch one (family, point) job — module-level for worker
     processes."""
-    family, point, backend = job
+    family, point = job
     run = run_oneshot_bench if family == "oneshot" else run_mcs_bench
-    return run(point, backend=backend)
+    return run(point)
 
 
 def _dispatch_bench_jobs(
-    jobs: List[Tuple[str, BenchPoint, Optional[str]]],
+    jobs: List[Tuple[str, BenchPoint]],
     workers: Optional[int],
 ) -> List[dict]:
     """Run the job tuples through one worker pool, in job order.
@@ -270,7 +254,6 @@ def _dispatch_bench_jobs(
 def run_bench_matrix(
     points: Sequence[BenchPoint],
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, List[dict]]:
     """Run both bench families over *points*; returns records keyed by
     family (``"oneshot"`` / ``"mcs"``).
@@ -279,20 +262,11 @@ def run_bench_matrix(
     its own :class:`RunCollector` inside the worker and returns the
     finished record, so every counter in the record — ``sets_evaluated``,
     ``sets_by_context``, collision tallies — is identical to a serial run;
-    only the per-record wall-clock reflects a loaded machine.
-
-    *backend* is resolved once here, in the parent — workers inherit the
-    resolved name through the job tuples, so forked and serial runs select
-    identically even when the parent's environment differs from a fresh
-    worker's.  Under forked workers the :class:`PeakMemory` tracemalloc
-    peak is still per run; the RSS peak is per worker process.
+    only the per-record wall-clock reflects a loaded machine.  Under
+    forked workers the :class:`PeakMemory` tracemalloc peak is still per
+    run; the RSS peak is per worker process.
     """
-    name = resolve_backend(backend)
-    jobs = [
-        (family, p, name)
-        for family in ("oneshot", "mcs")
-        for p in points
-    ]
+    jobs = [(family, p) for family in ("oneshot", "mcs") for p in points]
     records = _dispatch_bench_jobs(jobs, workers)
     return {
         "oneshot": records[: len(points)],

@@ -110,8 +110,8 @@ GroupKey = Tuple[str, str, str]
 class Finding:
     """One auditor verdict about one trajectory group.
 
-    ``kind`` is ``counter_drift``, ``wall_regression``,
-    ``history_rewrite`` or ``backend_coverage``; ``severity`` is
+    ``kind`` is ``counter_drift``, ``wall_regression`` or
+    ``history_rewrite``; ``severity`` is
     ``"error"`` (fails the gate) or ``"warning"`` (reported, exit 0).
     """
 
@@ -278,45 +278,6 @@ def audit_against(
     return findings
 
 
-def audit_backend_coverage(data: dict) -> Tuple[List[Finding], List[GroupKey]]:
-    """Cross-backend certification audit of one BENCH document
-    (``bench compare --backends``).
-
-    For each trajectory group, collect the ``backend`` names its runs
-    declare.  A group whose runs declare fewer than two distinct backends
-    is flagged with a ``backend_coverage`` *warning* — nothing to certify
-    yet (legacy records without the field count as undeclared).  Groups
-    covering two or more backends are returned as certified candidates:
-    because :func:`audit_trajectory` already demands bit-identical
-    :data:`WORK_COUNTERS` across *every* run of a group, a clean audit of
-    a multi-backend group IS the cross-backend bit-identity certificate —
-    no separate comparison is needed.
-
-    Returns ``(findings, certified_groups)``.
-    """
-    findings: List[Finding] = []
-    certified: List[GroupKey] = []
-    for key, runs in group_runs(data).items():
-        bench, label, solver = key
-        backends = sorted({r["backend"] for r in runs if r.get("backend")})
-        if len(backends) >= 2:
-            certified.append(key)
-            continue
-        have = backends[0] if backends else "none declared"
-        findings.append(
-            Finding(
-                kind="backend_coverage",
-                severity="warning",
-                bench=bench,
-                label=label,
-                solver=solver,
-                detail=f"runs cover a single backend ({have}); append a run "
-                "under another backend to certify bit-identity",
-            )
-        )
-    return findings, certified
-
-
 def load_committed_bench(path: PathLike, rev: str = "HEAD") -> Optional[dict]:
     """The committed version of *path* at git revision *rev*, validated, or
     ``None`` when the file is not tracked at that revision (or the
@@ -344,7 +305,6 @@ def run_compare(
     max_wall_ratio: float = 1.5,
     wall_floor_s: float = 0.05,
     strict_wall: bool = False,
-    backends_mode: bool = False,
 ) -> Tuple[int, str]:
     """Audit the BENCH files at *paths*; returns ``(exit_code, report)``.
 
@@ -352,12 +312,7 @@ def run_compare(
     (:func:`audit_trajectory`).  With *against* (``"HEAD-committed"``, or
     any git revision optionally suffixed ``-committed``), each working-tree
     file is additionally checked against its committed version
-    (:func:`audit_against`).  With *backends_mode*
-    (``bench compare --backends``) each file additionally gets the
-    cross-backend certification audit
-    (:func:`audit_backend_coverage`): groups covering ≥ 2 backends are
-    certified bit-identical by the (always-on) counter-drift check, groups
-    covering fewer draw a coverage warning.  Exit codes follow the module
+    (:func:`audit_against`).  Exit codes follow the module
     contract: 0 clean, 1 error findings, 2 unreadable input.
     """
     lines: List[str] = []
@@ -382,30 +337,6 @@ def run_compare(
             wall_floor_s=wall_floor_s,
             strict_wall=strict_wall,
         )
-        if backends_mode:
-            cov_findings, certified = audit_backend_coverage(data)
-            file_findings.extend(cov_findings)
-            drifted = {
-                (f.bench, f.label, f.solver)
-                for f in file_findings
-                if f.kind == "counter_drift"
-            }
-            clean = [k for k in certified if k not in drifted]
-            if clean:
-                covered = sorted(
-                    {
-                        r["backend"]
-                        for key, runs in groups.items()
-                        if key in set(clean)
-                        for r in runs
-                        if r.get("backend")
-                    }
-                )
-                lines.append(
-                    f"{p.name}: cross-backend bit-identity certified for "
-                    f"{len(clean)} group(s) covering backends "
-                    f"{', '.join(covered)}"
-                )
         if rev is not None:
             committed = load_committed_bench(p, rev)
             if committed is not None:

@@ -45,11 +45,12 @@ RUN_FIELDS: Dict[str, str] = {
     "wall_clock_s": "end-to-end wall-clock of the measured run, seconds",
     "repro_version": "library version that produced the run",
     "schema_version": "BENCH schema version the record conforms to",
-    "backend": "solver-kernel backend the run executed on ('pure', 'numpy')",
+    "backend": "historical: kernel backend of runs recorded while 'pure' and 'numpy' both existed",
 }
 
-#: ``RUN_FIELDS`` entries a record may omit (added after schema freeze;
-#: absent in records written by older library versions).
+#: ``RUN_FIELDS`` entries a record may omit.  ``backend`` was written only
+#: while two kernel backends existed; it stays valid in older records and
+#: new records omit it.
 OPTIONAL_RUN_FIELDS = ("backend",)
 
 #: Every metric field exporters may emit, with its meaning.
@@ -121,13 +122,8 @@ def run_record(
     scenario: dict,
     metrics: dict,
     wall_clock_s: float,
-    backend: str = None,
 ) -> dict:
-    """Assemble one schema-valid run record (validated before return).
-
-    *backend* names the solver-kernel backend the run executed on; ``None``
-    omits the (optional) field, matching records from before the backend
-    layer existed."""
+    """Assemble one schema-valid run record (validated before return)."""
     from repro import __version__
 
     record = {
@@ -140,8 +136,6 @@ def run_record(
         "repro_version": __version__,
         "schema_version": SCHEMA_VERSION,
     }
-    if backend is not None:
-        record["backend"] = str(backend)
     validate_run(record)
     return record
 

@@ -1,16 +1,19 @@
-"""The ``numpy`` backend: candidate frontiers as 2-D ``uint64`` matrices.
+"""The solver kernel: candidate frontiers as 2-D ``uint64`` matrices.
 
-The scalar path answers a frontier of *k* candidates with *k* separate
-big-int walks; this backend answers it with one popcount over a
-``(k, ceil(m/64))`` ``uint64`` matrix — the candidate rows of the system's
-packed coverage, combined word-wise with the solver's ``once``/``multi``/
-``unread`` state (unpacked once per call via
-:func:`~repro.perf.packed.bigint_to_words`).
+Every solver's hot loop is per-candidate weight evaluation over the packed
+coverage masks.  :class:`NumpyKernel` answers a frontier of *k* candidates
+with one popcount over a ``(k, ceil(m/64))`` ``uint64`` matrix — the
+candidate rows of the system's packed coverage, combined word-wise with
+the solver's ``once``/``multi``/``unread`` state (unpacked once per call
+via :func:`~repro.perf.packed.bigint_to_words`).
 
-Bit-identity with the ``pure`` backend is structural: both compute the same
-word-wise boolean algebra over the same packed words, so the per-candidate
-integers agree exactly (property-tested in ``tests/test_backends.py``).
-Three rewrites keep the batched path fast:
+The contract is **bit-identity** with the scalar references named in
+``docs/backends.md``: every method returns exactly the integers the
+big-int path produces, element for element, for any input
+(differential-tested in ``tests/test_backends.py``).  Selection between
+candidates always stays with the caller, so the kernel can never change a
+chosen set, a work counter or a schedule.  Three rewrites keep the
+batched path fast:
 
 * the feasible-rule weight uses the identity
   ``(once | c) & ~(multi | (once & c)) == (once ^ c) & ~multi`` — pure
@@ -32,22 +35,28 @@ Three rewrites keep the batched path fast:
   row is touched.
 
 Tiny frontiers — below :data:`BATCH_MIN` candidates — run on big-ints
-instead (the inherited scalar path; for the climb, the same state formula
-one candidate at a time), where big-int arithmetic beats array dispatch
-overhead.  The returned integers are identical either way.  GHC also uses
+instead (the private ``_*_scalar`` helpers), where big-int arithmetic
+beats array dispatch overhead.  The returned integers are identical
+either way.  The helpers never call a public method, so a wrapper around
+one public method sees each call exactly once.  GHC also uses
 :data:`BATCH_MIN` as the size of the first batch it scores exactly when it
 prunes a wide frontier by the fresh-count bound, and scores frontiers
 below it whole.
+
+Inputs follow one convention: masks are Python big-ints over tag bits
+(bit ``t`` = tag ``t``), candidates/readers are ints indexing the system's
+readers, and batch methods return ``numpy.int64`` arrays aligned with the
+candidate order (empty candidate list → empty array).  The candidate list
+is always the last positional argument.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.perf.backends.pure import PureKernel
-from repro.perf.cache import silencee_bits
+from repro.perf.cache import conflict_bits, silencee_bits
 from repro.perf.packed import bigint_to_bool, bigint_to_words, iter_bits, popcount_words
 from repro.util.compat import bit_count
 
@@ -63,14 +72,20 @@ def _row_counts(rows: np.ndarray) -> np.ndarray:
     return popcount_words(rows).sum(axis=1, dtype=np.int64)
 
 
-class NumpyKernel(PureKernel):
-    """Vectorised kernel over the packed coverage word matrix."""
+class NumpyKernel:
+    """Batched weight-evaluation kernel for one immutable system.
 
-    name = "numpy"
+    Instances are built per :class:`~repro.model.system.RFIDSystem` (and
+    cached on it by :func:`repro.perf.backends.kernel_for`); they hold only
+    read-only views of the system's packed coverage and interference rows,
+    so one instance may be shared by every solver touching that system.
+    """
 
     def __init__(self, system) -> None:
-        super().__init__(system)
+        self.system = system
         packed = system.packed_coverage
+        self._packed = packed
+        self._masks = packed.masks
         self._words = packed.words  # (n, W) uint64, read-only
         self._num_words = packed.num_words
         self._conflict_bool = np.asarray(system.conflict, dtype=bool)
@@ -111,20 +126,27 @@ class NumpyKernel(PureKernel):
         return table
 
     # -- weight batches ----------------------------------------------------
-    def solo_weights(self, unread_bits, candidates):
-        """Batched ``popcount(mask & unread)``, served from the memoised
-        per-unread-mask table."""
+    def solo_weights(
+        self, unread_bits: int, candidates: Sequence[int]
+    ) -> np.ndarray:
+        """``popcount(cover[c] & unread)`` for each candidate ``c`` — the
+        weight of activating the candidate alone (Definition 3 singleton) —
+        served from the memoised per-unread-mask table."""
         cands = [int(c) for c in candidates]
         if not cands:
             return np.zeros(0, dtype=np.int64)
         return self._solo_table(unread_bits)[cands]
 
-    def oracle_weights_with(self, once, multi, unread_bits, candidates):
-        """Feasible-rule ``w(X ∪ {r})`` for the whole frontier in one
-        word-matrix pass."""
+    def oracle_weights_with(
+        self, once: int, multi: int, unread_bits: int, candidates: Sequence[int]
+    ) -> np.ndarray:
+        """Feasible-set rule: the weight of the current set (state
+        ``once``/``multi``) extended by each candidate, matching
+        :meth:`BitsetWeightOracle.weight_with` element-wise, for the whole
+        frontier in one word-matrix pass."""
         cands = [int(c) for c in candidates]
         if len(cands) < BATCH_MIN:
-            return super().oracle_weights_with(once, multi, unread_bits, cands)
+            return self._oracle_scalar(once, multi, unread_bits, cands)
         c = self._words[cands]
         once_w = self._to_words(once)
         # (once | c) & ~(multi | (once & c))  ==  (once ^ c) & ~multi:
@@ -134,11 +156,28 @@ class NumpyKernel(PureKernel):
         zone = self._to_words(~int(multi) & int(unread_bits))
         return _row_counts((c ^ once_w) & zone)
 
-    def climb_weights_with(self, climb, candidates):
-        """Generalised-rule ``w(active ∪ {r})`` for the frontier, scored
-        from the climber's carried state as the disjoint sum of the module
-        docstring: no active reader's row is gathered except those the
-        candidates silence."""
+    def _oracle_scalar(self, once, multi, unread_bits, cands):
+        """The feasible-rule weight on big-ints, one candidate at a time —
+        the :meth:`BitsetWeightOracle.weight_with` expression."""
+        u = int(unread_bits)
+        masks = self._masks
+        out = []
+        for r in cands:
+            c = masks[r]
+            multi_r = multi | (once & c)
+            out.append(bit_count((once | c) & ~multi_r & u))
+        return np.array(out, dtype=np.int64)
+
+    def climb_weights_with(self, climb, candidates: Sequence[int]) -> np.ndarray:
+        """Generalised (operational-reader) rule: the weight of
+        ``climb.active + [c]`` for each candidate ``c``, infeasible sets
+        allowed, matching :meth:`GeneralizedWeightClimber.weight_with`
+        element-wise.  *climb* is the
+        :class:`~repro.perf.incremental.GeneralizedWeightClimber` whose set
+        is being grown; the frontier is scored from its carried state
+        (``well``, ``fresh``, the silenced and operational reader sets) as
+        the disjoint sum of the module docstring: no active reader's row is
+        gathered except those the candidates silence."""
         cands = [int(c) for c in candidates]
         if len(cands) < BATCH_MIN:
             return self._climb_scalar(climb, cands)
@@ -174,24 +213,46 @@ class NumpyKernel(PureKernel):
             out.append(w)
         return np.array(out, dtype=np.int64)
 
-    def new_coverage_counts(self, once, multi, unread_bits, candidates):
-        """Batched collision-naive fresh-coverage counts."""
+    def new_coverage_counts(
+        self, once: int, multi: int, unread_bits: int, candidates: Sequence[int]
+    ) -> np.ndarray:
+        """Collision-naive gain: unread tags each candidate covers that no
+        already-chosen reader does, matching
+        :meth:`GeneralizedWeightClimber.new_coverage` element-wise."""
         cands = [int(c) for c in candidates]
+        fresh_zone = ~(once | multi) & int(unread_bits)
         if len(cands) < BATCH_MIN:
-            return super().new_coverage_counts(once, multi, unread_bits, cands)
-        fresh_zone = self._to_words(~(once | multi) & int(unread_bits))
-        return _row_counts(self._words[cands] & fresh_zone)
+            masks = self._masks
+            return np.array(
+                [bit_count(masks[r] & fresh_zone) for r in cands], dtype=np.int64
+            )
+        return _row_counts(self._words[cands] & self._to_words(fresh_zone))
 
     # -- structure batches -------------------------------------------------
-    # covered_counts is inherited: the historical scan is already the
-    # vectorised popcount over the packed words.
+    def covered_counts(self, unread=None) -> np.ndarray:
+        """Per-reader count of covered (optionally unread, boolean mask)
+        tags, one vectorised popcount over the packed words
+        (:meth:`PackedCoverage.covered_counts`).  The MCS driver's
+        best-singleton scan reads the schedule context's maintained counts
+        instead, so no solver calls this today."""
+        return self._packed.covered_counts(unread)
 
-    def filter_compatible(self, candidates, blocked) -> List[int]:
-        """Order-preserving compatibility filter via one boolean
-        conflict-submatrix ``any`` reduction."""
+    def filter_compatible(
+        self, candidates: Sequence[int], blocked: Sequence[int]
+    ) -> List[int]:
+        """The candidates (order preserved) not adjacent to any reader in
+        *blocked* in the interference graph — the conflict-row AND filter of
+        the PTAS square enumeration and the feasible GHC scan — as one
+        boolean conflict-submatrix ``any`` reduction."""
         cands = [int(c) for c in candidates]
         blocked = [int(b) for b in blocked]
-        if not blocked or len(cands) < BATCH_MIN:
-            return super().filter_compatible(cands, blocked)
+        if not blocked:
+            return cands
+        if len(cands) < BATCH_MIN:
+            blocked_bits = 0
+            for b in blocked:
+                blocked_bits |= 1 << b
+            conflicts = conflict_bits(self.system)
+            return [c for c in cands if not conflicts[c] & blocked_bits]
         bad = self._conflict_bool[np.ix_(cands, blocked)].any(axis=1)
         return [c for c, hit in zip(cands, bad) if not hit]

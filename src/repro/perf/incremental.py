@@ -154,10 +154,10 @@ class GeneralizedWeightClimber:
         """:meth:`weight_with` over a candidate frontier, as an ``int64``
         array aligned with *candidates*.
 
-        With a :class:`~repro.perf.backends.WeightKernel` (built from the
-        same system) the selected backend evaluates it — from the carried
-        state under ``numpy``; without one the scalar loop runs.  Identical
-        integers either way (``docs/backends.md``)."""
+        With a :class:`~repro.perf.backends.NumpyKernel` (built from the
+        same system) the kernel evaluates it from the carried state;
+        without one the scalar loop runs.  Identical integers either way
+        (``docs/backends.md``)."""
         if kernel is not None:
             return kernel.climb_weights_with(self, candidates)
         return np.array(
@@ -166,7 +166,7 @@ class GeneralizedWeightClimber:
 
     def new_coverage_many(self, candidates, kernel=None) -> np.ndarray:
         """:meth:`new_coverage` over a candidate frontier, as an ``int64``
-        array aligned with *candidates* (backend-delegated like
+        array aligned with *candidates* (kernel-delegated like
         :meth:`weights_with_many`)."""
         if kernel is not None:
             return kernel.new_coverage_counts(

@@ -30,7 +30,6 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.bench import measure_run
-from repro.perf.backends import resolve_backend
 from repro.shard.scale import ScaleDeployment, run_scale_schedule
 from repro.shard.spec import ShardSpec
 
@@ -192,17 +191,16 @@ def _schedule_point(point: ScalePoint) -> None:
         raise ValueError(f"unknown scale driver {point.driver!r}")
 
 
-def run_scale_point(point: ScalePoint, backend: Optional[str] = None) -> dict:
+def run_scale_point(point: ScalePoint) -> dict:
     """Measure one scale point; returns a family-``scale`` run record.
 
     :func:`~repro.obs.bench.measure_run` takes the
     :class:`~repro.obs.bench.PeakMemory` metrics in an untimed pass, then
     the wall clock and work counters in a timed pass that covers the whole
-    point: deployment build, partition and schedule.  The record also
-    names the resolved backend.
+    point: deployment build, partition and schedule.
     """
     return measure_run(
-        "scale", point.label, point.solver, point.scenario_dict(), backend,
+        "scale", point.label, point.solver, point.scenario_dict(),
         lambda: partial(_schedule_point, point),
         lambda _: {},
     )
@@ -210,7 +208,6 @@ def run_scale_point(point: ScalePoint, backend: Optional[str] = None) -> dict:
 
 def run_scale_matrix(
     points: Sequence[ScalePoint] = QUICK_POINTS,
-    backend: Optional[str] = None,
 ) -> Dict[str, List[dict]]:
     """Run the scale points serially, in matrix order; returns records
     keyed by family (always ``{"scale": [...]}``, the shape
@@ -220,8 +217,7 @@ def run_scale_matrix(
     before its sharded twin (the drift gate compares against the *earlier*
     record of a label), and scale points are too large to co-schedule.
     """
-    name = resolve_backend(backend)
-    return {"scale": [run_scale_point(p, backend=name) for p in points]}
+    return {"scale": [run_scale_point(p) for p in points]}
 
 
 def format_scale_table(records: Dict[str, List[dict]]) -> str:

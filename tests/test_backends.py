@@ -1,21 +1,28 @@
-"""Contract tests for the solver-kernel backend layer (``docs/backends.md``).
+"""Contract tests for the solver kernel (``docs/backends.md``).
 
-Three layers of the bit-identity contract are pinned here:
+:class:`NumpyKernel` is the only kernel; its contract is bit-identity with
+the scalar references.  Three layers of that contract are pinned here:
 
-* **kernel equivalence** — every :class:`WeightKernel` method of the
-  ``numpy`` backend returns the same integers as the ``pure`` reference on
-  random mask states, including the edges the batching must not mishandle
-  (empty frontiers, all-zero unread masks, word-boundary tag counts,
-  frontiers straddling ``BATCH_MIN``);
-* **selection** — the flag > process-default > environment > auto
-  precedence chain, the warn-once auto fallback, and the error contract
-  for unknown/unavailable names;
-* **solver equivalence** — every solver path that consumes a kernel
+* **kernel equivalence** — every ``KERNEL_METHODS`` row returns the same
+  integers as its scalar reference on random mask states: the weight
+  batches against :meth:`BitsetWeightOracle.solo_weight`/``weight_with``
+  and :meth:`GeneralizedWeightClimber.weight_with`/``new_coverage``, the
+  structure batches against the dense ``system.coverage``/``system.conflict``
+  matrices.  Frontiers cover the edges the batching must not mishandle:
+  empty, ``BATCH_MIN − 1``, ``BATCH_MIN``, ``BATCH_MIN + 1`` and wide (with
+  duplicates when the system has fewer readers), all-zero unread masks and
+  64/65-tag word boundaries;
+* **hooks** — one public call counts exactly once in a wrapper around
+  each public method, on both sides of ``BATCH_MIN`` (the scalar paths
+  never call another public method);
+* **solver equivalence** — every solver path that consumes the kernel
   (exact, ptas, centralized, localsearch, ghc in both gain modes, and the
-  MCS driver in plain / incremental / fault-injected runs) produces the
-  same schedules and the same work counters under both backends.
+  MCS driver in plain and fault-injected runs) produces the same schedules
+  and work counters whether every frontier is scored batched or on the
+  scalar big-int paths.
 """
 
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,31 +36,16 @@ from repro.model.weights import BitsetWeightOracle
 from repro.obs.collectors import RunCollector
 from repro.obs.events import recording
 from repro.perf.backends import (
-    BACKEND_ENV_VAR,
     KERNEL_METHODS,
     NumpyKernel,
-    PureKernel,
-    WeightKernel,
-    available_backends,
-    get_default_backend,
     kernel_for,
     resolve_backend,
-    set_default_backend,
     use_backend,
-    _reset_selection_for_tests,
 )
+from repro.perf.backends import numpy_batched
 from repro.perf.backends.numpy_batched import BATCH_MIN
 from repro.perf.incremental import GeneralizedWeightClimber
 from tests.conftest import make_random_system
-
-
-@pytest.fixture(autouse=True)
-def _clean_selection(monkeypatch):
-    """Isolate every test from ambient selection state."""
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    _reset_selection_for_tests()
-    yield
-    _reset_selection_for_tests()
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +70,22 @@ def _random_state(system, rng, *, zero_unread=False):
     return climber, oracle, unread
 
 
+def _frontiers(n):
+    """Empty and singleton frontiers, frontiers of BATCH_MIN − 1, BATCH_MIN
+    and BATCH_MIN + 1 candidates and a wide one (strided over the readers,
+    so with duplicates when there are fewer readers than candidates), and
+    every reader forwards and backwards."""
+    sizes = (1, BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 1, max(n, 3 * BATCH_MIN))
+    return [[]] + [[(7 * i + 3) % n for i in range(size)] for size in sizes] + [
+        list(range(n)),
+        list(range(n - 1, -1, -1)),
+    ]
+
+
 # Tag counts straddle the 64-bit word boundary (tags drive word width);
 # reader counts straddle BATCH_MIN (the scalar-delegation cutoff).
 SCENARIOS = [
-    (6, 20, 30.0, 551),     # tiny: everything below BATCH_MIN
+    (6, 20, 30.0, 551),     # tiny: distinct readers all below BATCH_MIN
     (20, 64, 40.0, 552),    # exactly one word of tags
     (24, 65, 40.0, 553),    # word boundary +1
     (40, 200, 60.0, 554),   # multi-word, frontier well above BATCH_MIN
@@ -90,68 +94,73 @@ SCENARIOS = [
 
 @pytest.mark.parametrize("n,m,side,seed", SCENARIOS)
 class TestKernelEquivalence:
-    def _kernels(self, n, m, side, seed):
+    def _kernel(self, n, m, side, seed):
         system = make_random_system(n, m, side, 9.0, 5.0, seed)
-        return system, PureKernel(system), NumpyKernel(system)
+        return system, NumpyKernel(system)
 
     def test_solo_and_coverage_batches(self, n, m, side, seed):
-        system, pure, fast = self._kernels(n, m, side, seed)
+        system, kernel = self._kernel(n, m, side, seed)
         rng = np.random.default_rng(seed)
         for zero_unread in (False, True):
-            climber, _oracle, _unread = _random_state(
+            climber, oracle, _unread = _random_state(
                 system, rng, zero_unread=zero_unread
             )
             u = climber.unread_mask
             once, multi = climber.once, climber.multi
-            for cands in ([], [0], list(range(n)), list(range(0, n, 3))):
-                assert np.array_equal(
-                    pure.solo_weights(u, cands), fast.solo_weights(u, cands)
-                )
-                assert np.array_equal(
-                    pure.new_coverage_counts(once, multi, u, cands),
-                    fast.new_coverage_counts(once, multi, u, cands),
-                )
+            for cands in _frontiers(n):
+                solo = kernel.solo_weights(u, cands)
+                assert solo.dtype == np.int64
+                assert solo.tolist() == [oracle.solo_weight(c) for c in cands]
+                fresh = kernel.new_coverage_counts(once, multi, u, cands)
+                assert fresh.dtype == np.int64
+                assert fresh.tolist() == [climber.new_coverage(c) for c in cands]
 
     def test_oracle_weights_with(self, n, m, side, seed):
-        system, pure, fast = self._kernels(n, m, side, seed)
+        system, kernel = self._kernel(n, m, side, seed)
         rng = np.random.default_rng(seed + 1)
         for zero_unread in (False, True):
             _climber, oracle, _unread = _random_state(
                 system, rng, zero_unread=zero_unread
             )
             once, multi, u = oracle._once, oracle._multi, oracle.unread_mask
-            for cands in ([], list(range(n)), list(range(n - 1, -1, -2))):
-                got_pure = pure.oracle_weights_with(once, multi, u, cands)
-                got_fast = fast.oracle_weights_with(once, multi, u, cands)
-                assert np.array_equal(got_pure, got_fast)
-                expect = [oracle.weight_with(c) for c in cands]
-                assert got_pure.tolist() == expect
+            for cands in _frontiers(n):
+                got = kernel.oracle_weights_with(once, multi, u, cands)
+                assert got.dtype == np.int64
+                assert got.tolist() == [oracle.weight_with(c) for c in cands]
 
     def test_climb_weights_with(self, n, m, side, seed):
-        system, pure, fast = self._kernels(n, m, side, seed)
+        system, kernel = self._kernel(n, m, side, seed)
         rng = np.random.default_rng(seed + 2)
         for trial in range(4):
             climber, _oracle, _unread = _random_state(
                 system, rng, zero_unread=(trial == 3)
             )
-            for cands in ([], list(range(n)), list(range(min(n, BATCH_MIN + 4)))):
-                got_pure = pure.climb_weights_with(climber, cands)
-                got_fast = fast.climb_weights_with(climber, cands)
-                assert np.array_equal(got_pure, got_fast)
-                expect = [climber.weight_with(c) for c in cands]
-                assert got_pure.tolist() == expect
+            for cands in _frontiers(n):
+                got = kernel.climb_weights_with(climber, cands)
+                assert got.dtype == np.int64
+                assert got.tolist() == [climber.weight_with(c) for c in cands]
 
     def test_covered_counts_and_filter(self, n, m, side, seed):
-        system, pure, fast = self._kernels(n, m, side, seed)
+        """Against the dense matrices, not the packed words the kernel
+        reads: ``coverage`` is ``(tags, readers)``, ``conflict`` is
+        ``(readers, readers)``."""
+        system, kernel = self._kernel(n, m, side, seed)
         rng = np.random.default_rng(seed + 3)
-        unread = rng.random(m) < 0.5 if m else None
-        assert np.array_equal(pure.covered_counts(unread), fast.covered_counts(unread))
-        assert np.array_equal(pure.covered_counts(None), fast.covered_counts(None))
-        for blocked in ([], [0], list(rng.choice(n, size=min(n, 4), replace=False))):
-            for cands in ([], list(range(n)), list(range(n - 1, -1, -1))):
-                assert pure.filter_compatible(cands, blocked) == (
-                    fast.filter_compatible(cands, blocked)
-                )
+        coverage = np.asarray(system.coverage, dtype=bool)
+        for unread in (None, rng.random(m) < 0.5, np.zeros(m, dtype=bool)):
+            mask = np.ones(m, dtype=bool) if unread is None else unread
+            expect = (coverage & mask[:, None]).sum(axis=0)
+            assert kernel.covered_counts(unread).tolist() == expect.tolist()
+        conflict = np.asarray(system.conflict, dtype=bool)
+        climber, _oracle, _unread = _random_state(system, rng)
+        blocked_sets = (
+            [], [0], list(rng.choice(n, size=min(n, 4), replace=False)),
+            climber.active,
+        )
+        for blocked in blocked_sets:
+            for cands in _frontiers(n):
+                expect = [c for c in cands if not conflict[c, blocked].any()]
+                assert kernel.filter_compatible(cands, blocked) == expect
 
 
 def _climbed(system, unread, modes, kernel):
@@ -189,117 +198,119 @@ def _climbed(system, unread, modes, kernel):
 def test_climb_weights_with_on_climbed_states(
     seed, n, m, side, modes, zero_unread, picks
 ):
-    """numpy == pure == the climber's own weight_with on frontiers of at
+    """The kernel == the climber's own weight_with on frontiers of at
     least BATCH_MIN candidates, with duplicates, already-active readers
     and readers silencing two or more operational actives, from states a
     GHC climb actually reaches (including empty-active and zero-unread
-    ones)."""
+    ones).  The climb itself runs on the scalar reference (no kernel)."""
     system = make_random_system(n, m, side, 9.0, 5.0, seed)
-    pure, fast = PureKernel(system), NumpyKernel(system)
+    kernel = NumpyKernel(system)
     rng = np.random.default_rng(seed)
     unread = np.zeros(m, dtype=bool) if zero_unread else rng.random(m) < 0.7
-    climber = _climbed(system, unread, modes, pure)
+    climber = _climbed(system, unread, modes, None)
     active = climber.active
     sil = np.asarray(system.in_interference_range, dtype=bool)  # [i, j]: j silences i
     operational = [i for i in active if not sil[i, active].any()]
     multi_silencers = np.flatnonzero(sil[operational].sum(axis=0) >= 2).tolist()
     cands = [p % n for p in picks] + active + multi_silencers + [picks[0] % n]
-    got_fast = fast.climb_weights_with(climber, cands)
-    got_pure = pure.climb_weights_with(climber, cands)
-    assert got_fast.dtype == np.int64
-    assert got_fast.tolist() == got_pure.tolist()
-    assert got_pure.tolist() == [climber.weight_with(r) for r in cands]
+    got = kernel.climb_weights_with(climber, cands)
+    assert got.dtype == np.int64
+    assert got.tolist() == [climber.weight_with(r) for r in cands]
+    # and the scalar path (one candidate at a time) agrees per element
+    assert [kernel.climb_weights_with(climber, [r])[0] for r in cands] == got.tolist()
 
 
-def test_batch_min_cutoff_is_wallclock_only():
-    """Frontiers straddling BATCH_MIN return identical integers on both
-    sides of the scalar-delegation cutoff, for every batch weight method,
-    from a non-empty climber/oracle state."""
-    system = make_random_system(BATCH_MIN + 8, 100, 50.0, 9.0, 5.0, 77)
-    pure, fast = PureKernel(system), NumpyKernel(system)
+def _one_call_per_method(system, size):
+    """``(kernel, {method: args}, (climber, oracle))``: one public call per
+    ``KERNEL_METHODS`` row, with a frontier of *size* candidates, from the
+    non-empty climber/oracle state also returned."""
+    kernel = NumpyKernel(system)
     unread = np.random.default_rng(77).random(system.num_tags) < 0.7
-    climber = _climbed(system, unread, [True, False, True, False, False], pure)
+    climber = _climbed(system, unread, [True, False, True, False, False], None)
     oracle = BitsetWeightOracle(system, unread)
     for r in climber.active:
         oracle.push(r)
     assert climber.active
-    full, u = system.packed_coverage.full_mask, climber.unread_mask
-    once, multi = climber.once, climber.multi
+    u, cands = climber.unread_mask, list(range(size))
+    return kernel, {
+        "solo_weights": (u, cands),
+        "oracle_weights_with": (oracle._once, oracle._multi, oracle.unread_mask, cands),
+        "climb_weights_with": (climber, cands),
+        "new_coverage_counts": (climber.once, climber.multi, u, cands),
+        "covered_counts": (unread,),
+        "filter_compatible": (cands, climber.active),
+    }, (climber, oracle)
+
+
+def test_batch_min_cutoff_is_wallclock_only():
+    """Frontiers straddling BATCH_MIN return the scalar references'
+    integers on both sides of the scalar-delegation cutoff, for every batch
+    weight method, from a non-empty climber/oracle state."""
+    system = make_random_system(BATCH_MIN + 8, 100, 50.0, 9.0, 5.0, 77)
     for size in (BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 1):
+        kernel, calls, (climber, oracle) = _one_call_per_method(system, size)
         cands = list(range(size))
-        batches = {
-            "solo_weights": [(full, cands), (u, cands)],
-            "oracle_weights_with": [
-                (oracle._once, oracle._multi, oracle.unread_mask, cands)
-            ],
-            "climb_weights_with": [(climber, cands)],
-            "new_coverage_counts": [(once, multi, u, cands)],
+        expect = {
+            "solo_weights": [oracle.solo_weight(c) for c in cands],
+            "oracle_weights_with": [oracle.weight_with(c) for c in cands],
+            "climb_weights_with": [climber.weight_with(c) for c in cands],
+            "new_coverage_counts": [climber.new_coverage(c) for c in cands],
         }
-        for name, calls in batches.items():
-            for args in calls:
-                assert np.array_equal(
-                    getattr(pure, name)(*args), getattr(fast, name)(*args)
-                ), (name, size)
+        for name, want in expect.items():
+            got = getattr(kernel, name)(*calls[name])
+            assert got.tolist() == want, (name, size)
+
+
+@pytest.mark.parametrize("size", [BATCH_MIN - 1, BATCH_MIN + 1],
+                         ids=["below_batch_min", "above_batch_min"])
+def test_public_call_counts_once_in_method_hooks(monkeypatch, size):
+    """Wrap every public kernel method by name, as a timing harness does;
+    one public call must count exactly once — the small-frontier scalar
+    paths are private helpers, never another public method — and every
+    listed method must be defined on the kernel class itself."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in KERNEL_METHODS:
+        assert name in vars(NumpyKernel), name
+        monkeypatch.setattr(NumpyKernel, name, counting(name, vars(NumpyKernel)[name]))
+    system = make_random_system(BATCH_MIN + 8, 100, 50.0, 9.0, 5.0, 78)
+    kernel, calls, _state = _one_call_per_method(system, size)
+    assert set(calls) == set(KERNEL_METHODS)
+    for name, args in calls.items():
+        counts.clear()
+        getattr(kernel, name)(*args)
+        assert counts == {name: 1}, (name, size)
 
 
 # ---------------------------------------------------------------------------
-# selection layer
+# what remains of backend selection: name validation
 # ---------------------------------------------------------------------------
 class TestSelection:
-    def test_registry_lists_both_backends(self):
-        assert available_backends() == ["numpy", "pure"]
-
-    def test_auto_resolves_to_numpy_when_available(self):
-        assert resolve_backend(None) == "numpy"
-        assert resolve_backend("auto") == "numpy"
-
-    def test_explicit_argument_beats_everything(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        set_default_backend("numpy")
-        assert resolve_backend("pure") == "pure"
-
-    def test_process_default_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        set_default_backend("pure")
-        assert resolve_backend(None) == "pure"
-
-    def test_environment_beats_auto(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "pure")
-        assert resolve_backend(None) == "pure"
-
     def test_unknown_name_lists_available(self):
-        with pytest.raises(ValueError, match="numpy"):
-            resolve_backend("cuda")
-        with pytest.raises(ValueError):
-            set_default_backend("cuda")
+        assert resolve_backend() == resolve_backend("numpy") == "numpy"
+        for name in ("cuda", "pure", "auto"):
+            with pytest.raises(ValueError, match="numpy"):
+                resolve_backend(name)
+            with pytest.raises(ValueError, match="numpy"):
+                with use_backend(name):
+                    pass
 
-    def test_use_backend_scopes_and_restores(self):
-        set_default_backend("numpy")
-        with use_backend("pure"):
-            assert get_default_backend() == "pure"
-            assert resolve_backend(None) == "pure"
-        assert get_default_backend() == "numpy"
-
-    def test_kernel_for_memoises_per_backend(self, small_system):
-        k1 = kernel_for(small_system, "pure")
-        k2 = kernel_for(small_system, "pure")
-        k3 = kernel_for(small_system, "numpy")
-        assert k1 is k2
-        assert k1 is not k3
-        assert k1.name == "pure" and k3.name == "numpy"
-
-    def test_kernel_methods_match_interface(self):
-        abstract = {
-            name
-            for name in KERNEL_METHODS
-            if callable(getattr(WeightKernel, name, None))
-        }
-        assert abstract == set(KERNEL_METHODS)
-        assert set(WeightKernel.__abstractmethods__) == set(KERNEL_METHODS)
+    def test_kernel_for_memoises_per_system(self, small_system, line_system):
+        k1 = kernel_for(small_system)
+        assert kernel_for(small_system) is k1
+        assert isinstance(k1, NumpyKernel) and k1.system is small_system
+        assert kernel_for(line_system) is not k1
 
 
 # ---------------------------------------------------------------------------
-# solver-path equivalence: same schedules, same work counters
+# solver-path equivalence: batched vs scalar frontier scoring
 # ---------------------------------------------------------------------------
 def _counters(collector):
     return {
@@ -311,12 +322,23 @@ def _counters(collector):
     }
 
 
-def _oneshot(solver_name, system, seed, backend, **kw):
-    solver = get_solver(solver_name, **kw)
-    collector = RunCollector()
-    with use_backend(backend), recording(collector):
-        result = solver(system, None, seed)
-    return result, _counters(collector)
+@pytest.fixture
+def frontier_paths(monkeypatch):
+    """``run(path, fn)``: *fn()* with every kernel frontier scored on the
+    batched word-matrix path (``"batched"``) or on the scalar big-int
+    helpers (``"scalar"``), by moving the kernel's ``BATCH_MIN`` cutoff.
+    GHC's own pruning batch size is left alone."""
+
+    def run(path, fn):
+        cutoff = {"batched": 0, "scalar": 10**9}[path]
+        with monkeypatch.context() as m:
+            m.setattr(numpy_batched, "BATCH_MIN", cutoff)
+            collector = RunCollector()
+            with recording(collector):
+                result = fn()
+        return result, _counters(collector)
+
+    return run
 
 
 ONESHOT_PATHS = [
@@ -332,32 +354,39 @@ ONESHOT_PATHS = [
 class TestSolverEquivalence:
     @pytest.mark.parametrize("solver_name,kw", ONESHOT_PATHS,
                              ids=lambda v: v if isinstance(v, str) else str(v))
-    def test_oneshot_paths_bit_identical(self, solver_name, kw):
+    def test_oneshot_paths_bit_identical(self, frontier_paths, solver_name, kw):
         system = make_random_system(18, 160, 45.0, 9.0, 5.0, 91)
-        a, ca = _oneshot(solver_name, system, 5, "pure", **kw)
-        b, cb = _oneshot(solver_name, system, 5, "numpy", **kw)
+        runs = {
+            path: frontier_paths(
+                path, lambda: get_solver(solver_name, **kw)(system, None, 5)
+            )
+            for path in ("batched", "scalar")
+        }
+        (a, ca), (b, cb) = runs["batched"], runs["scalar"]
         assert a.active.tolist() == b.active.tolist()
         assert a.weight == b.weight
         assert a.feasible == b.feasible
         assert ca == cb
 
-    def test_mcs_schedule_bit_identical(self):
+    def test_mcs_schedule_bit_identical(self, frontier_paths):
         system = make_random_system(14, 120, 40.0, 9.0, 5.0, 92)
         runs = {}
-        for backend in ("pure", "numpy"):
-            solver = get_solver("ptas", k=2)
-            collector = RunCollector()
-            with use_backend(backend), recording(collector):
-                schedule = greedy_covering_schedule(system, solver, seed=8)
-            runs[backend] = (
+        for path in ("batched", "scalar"):
+            schedule, counters = frontier_paths(
+                path,
+                lambda: greedy_covering_schedule(
+                    system, get_solver("ptas", k=2), seed=8
+                ),
+            )
+            runs[path] = (
                 [s.active.tolist() for s in schedule.slots],
                 schedule.reads_per_slot(),
                 schedule.complete,
-                _counters(collector),
+                counters,
             )
-        assert runs["pure"] == runs["numpy"]
+        assert runs["batched"] == runs["scalar"]
 
-    def test_mcs_fault_world_bit_identical(self):
+    def test_mcs_fault_world_bit_identical(self, frontier_paths):
         system = make_random_system(12, 90, 35.0, 9.0, 5.0, 93)
         plan = FaultPlan(
             reader_faults=(PermanentCrash(reader=1, at_slot=0),),
@@ -365,25 +394,31 @@ class TestSolverEquivalence:
             seed=4,
         )
         runs = {}
-        for backend in ("pure", "numpy"):
-            solver = get_solver("ptas", k=2)
-            collector = RunCollector()
-            with use_backend(backend), recording(collector):
-                schedule = greedy_covering_schedule(
-                    system, solver, seed=9, faults=plan, max_slots=64
-                )
-            runs[backend] = (
+        for path in ("batched", "scalar"):
+            schedule, counters = frontier_paths(
+                path,
+                lambda: greedy_covering_schedule(
+                    system, get_solver("ptas", k=2), seed=9, faults=plan,
+                    max_slots=64,
+                ),
+            )
+            runs[path] = (
                 [s.active.tolist() for s in schedule.slots],
                 schedule.reads_per_slot(),
-                _counters(collector),
+                counters,
             )
-        assert runs["pure"] == runs["numpy"]
+        assert runs["batched"] == runs["scalar"]
 
     def test_backend_kwarg_reaches_solver_directly(self):
-        from repro.core.exact import exact_mwfs
+        """``backend=`` survives on GHC and the PTAS, validated there."""
+        from repro.baselines.hillclimb import greedy_hill_climbing
+        from repro.core.ptas import ptas_mwfs
 
         system = make_random_system(10, 80, 35.0, 9.0, 5.0, 94)
-        a = exact_mwfs(system, backend="pure")
-        b = exact_mwfs(system, backend="numpy")
-        assert a.active.tolist() == b.active.tolist()
-        assert a.weight == b.weight
+        for solve in (ptas_mwfs, greedy_hill_climbing):
+            a = solve(system, backend="numpy")
+            b = solve(system)
+            assert a.active.tolist() == b.active.tolist()
+            assert a.weight == b.weight
+            with pytest.raises(ValueError, match="numpy"):
+                solve(system, backend="pure")

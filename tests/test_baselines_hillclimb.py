@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import greedy_hill_climbing, hillclimb
 from repro.core import exact_mwfs
-from repro.perf.backends import PureKernel, kernel_for
+from repro.perf.backends import kernel_for
 from repro.perf.backends.numpy_batched import BATCH_MIN
 from repro.perf.incremental import GeneralizedWeightClimber
 from repro.perf.packed import bigint_to_bool
@@ -167,10 +167,7 @@ def _assert_state_matches_definitions(system, climber, unread):
     n, active = system.num_readers, climber.active
     everyone = list(range(n))
     fresh = climber.fresh.copy()
-    scratch = PureKernel(system).new_coverage_counts(
-        climber.once, climber.multi, climber.unread_mask, everyone
-    )
-    assert fresh.tolist() == scratch.tolist()
+    assert fresh.tolist() == [climber.new_coverage(r) for r in everyone]
     silenced = system.in_interference_range[:, active].any(axis=1)
     assert bigint_to_bool(climber.silenced, n).tolist() == silenced.tolist()
     operational = np.flatnonzero(bigint_to_bool(climber.operational, n))
@@ -200,27 +197,26 @@ def test_carried_state_matches_definitions_along_climbs(
 ):
     """At every step of a real climb (best weight gain or best coverage
     gain, no stopping rule, so silenced actives occur), the maintained
-    fresh counts equal a from-scratch new_coverage_counts, fresh bounds
+    fresh counts equal a from-scratch new_coverage, fresh bounds
     every exact gain, and popcount(well) is the system's weight."""
     system = make_random_system(n, m, side, 9.0, 5.0, seed)
     rng = np.random.default_rng(seed)
     unread = rng.random(m) < 0.7 if use_unread else None
     climber = GeneralizedWeightClimber(system, unread)
-    kernel = PureKernel(system)
     frontier = list(range(n))
     _assert_state_matches_definitions(system, climber, unread)
     for by_weight in modes:
         if not frontier:
             break
         if by_weight:
-            gains = climber.weights_with_many(frontier, kernel)
+            gains = climber.weights_with_many(frontier)
         else:
-            gains = climber.new_coverage_many(frontier, kernel)
+            gains = climber.new_coverage_many(frontier)
         climber.add(frontier.pop(int(np.argmax(gains))))
         _assert_state_matches_definitions(system, climber, unread)
 
 
-@pytest.mark.parametrize("backend", ["pure", "numpy"])
+@pytest.mark.parametrize("backend", ["numpy"])
 @pytest.mark.parametrize("retired", [False, True], ids=["no_context", "retired"])
 @pytest.mark.parametrize("require_feasible", [False, True], ids=["any", "feasible"])
 @pytest.mark.parametrize("gain_mode", ["weight", "coverage"])
@@ -252,13 +248,13 @@ def test_pruned_climb_matches_full_frontier_scan(
     _assert_state_matches_definitions(system, climber, unread)
 
 
-@pytest.mark.parametrize("backend", ["pure", "numpy"])
+@pytest.mark.parametrize("backend", ["numpy"])
 def test_wide_frontier_is_pruned(backend):
     """Above BATCH_MIN the climb scores the BATCH_MIN best bounds and then
     only candidates whose bound can still win — far fewer than the whole
     frontier per step — and still matches the full scan."""
     system = make_random_system(120, 2400, 110.0, 9.0, 5.0, 21)
-    kernel = kernel_for(system, backend)
+    kernel = kernel_for(system)
     scored = []
     weigh = kernel.climb_weights_with
 

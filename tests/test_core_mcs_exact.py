@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import get_solver, greedy_covering_schedule
 from repro.core.mcs_exact import (
@@ -77,3 +79,22 @@ class TestGreedyGap:
         greedy = greedy_covering_schedule(system, get_solver("exact"))
         assert greedy.size >= opt.size  # sanity: opt is a lower bound
         assert greedy.size <= opt.size + 1, (seed, greedy.size, opt.size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        readers=st.integers(1, 7),
+        tags=st.integers(0, 30),
+    )
+    def test_theorem1_harmonic_bound(self, seed, readers, tags):
+        """Theorem 1: greedy MCS with an exact one-shot solver takes at
+        most H(m)·OPT slots, m the number of coverable tags."""
+        system = make_tiny(seed, readers=readers, tags=tags)
+        opt = exact_covering_schedule(system)
+        greedy = greedy_covering_schedule(system, get_solver("exact"))
+        assert greedy.complete
+        m = int(system.covered_by_any().sum())
+        harmonic = sum(1.0 / i for i in range(1, m + 1))
+        assert greedy.size <= harmonic * opt.size + 1e-9, (
+            seed, m, greedy.size, opt.size
+        )

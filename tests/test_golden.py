@@ -30,7 +30,6 @@ from repro.obs import (
     TraceRecorder,
     recording,
 )
-from repro.perf.backends import use_backend
 from repro.shard import ScaleDeployment, ShardSpec, run_scale_schedule
 from tests.conftest import make_random_system
 
@@ -159,7 +158,7 @@ LADDER_COUNTERS = {
     "slots": 10, "tags_read": 56,
 }
 #: Dense GHC climb pins on a deployment whose frontiers reach BATCH_MIN, so
-#: the numpy backend scores them in its batched kernels:
+#: the kernel scores them on its batched paths:
 #: pin name -> _dense_pin(result).
 GHC_CLIMB = Scenario(num_readers=150, num_tags=3000, side=175.0, seed=13)
 GHC_CLIMB_PINS = {
@@ -357,15 +356,14 @@ def ghc_climb_system():
     return GHC_CLIMB.build()
 
 
-@pytest.mark.parametrize("backend", ["numpy", "pure"])
+@pytest.mark.parametrize("backend", ["numpy"])
 @pytest.mark.parametrize("solver", list(GHC_CLIMB_PINS))
 def test_ghc_climb_schedule(ghc_climb_system, solver, backend):
-    """The dense GHC schedule is pinned on both kernel backends: under
-    ``numpy`` the climb frontiers go through the batched weight kernels,
-    under ``pure`` through the scalar reference."""
+    """The dense GHC schedule is pinned through the solver's ``backend=``
+    keyword, the way a caller naming the kernel runs it; the climb
+    frontiers go through the batched weight kernels."""
     name, kwargs = GHC_CLIMB_SOLVERS[solver]
-    with use_backend(backend):
-        result = greedy_covering_schedule(
-            ghc_climb_system, get_solver(name, **kwargs), seed=3
-        )
+    result = greedy_covering_schedule(
+        ghc_climb_system, get_solver(name, backend=backend, **kwargs), seed=3
+    )
     assert _dense_pin(result) == GHC_CLIMB_PINS[solver]

@@ -16,7 +16,7 @@ import pytest
 from repro.obs.events import EVENT_TYPES
 from repro.obs.export import METRIC_FIELDS, RUN_FIELDS
 from repro.obs.spans import SPAN_NAMES
-from repro.perf.backends import KERNEL_METHODS, WeightKernel, available_backends
+from repro.perf.backends import KERNEL_METHODS, NumpyKernel
 
 REPO = Path(__file__).resolve().parent.parent
 DOC = REPO / "docs" / "observability.md"
@@ -85,9 +85,9 @@ class TestObservabilityContract:
 
 
 class TestBackendsContract:
-    """``docs/backends.md`` is diffed against the kernel interface and the
-    backend registry, both directions — same idiom as the telemetry
-    contract above."""
+    """``docs/backends.md``'s method table, ``KERNEL_METHODS`` and
+    ``NumpyKernel``'s public methods are diffed pairwise, both directions —
+    same idiom as the telemetry contract above."""
 
     def test_kernel_method_table_matches_code(self):
         documented = _table_names(
@@ -98,14 +98,15 @@ class TestBackendsContract:
             f"undocumented: {set(KERNEL_METHODS) - documented}"
         )
 
-    def test_kernel_methods_match_abstract_interface(self):
-        assert set(KERNEL_METHODS) == set(WeightKernel.__abstractmethods__)
-
-    def test_backend_table_matches_registry(self):
-        documented = _table_names(_section(BACKENDS_DOC.read_text(), "Backends"))
-        assert documented == set(available_backends()), (
-            f"docs-only: {documented - set(available_backends())}; "
-            f"unregistered: {set(available_backends()) - documented}"
+    def test_kernel_methods_match_numpy_kernel(self):
+        public = {
+            name
+            for name, value in vars(NumpyKernel).items()
+            if not name.startswith("_") and callable(value)
+        }
+        assert public == set(KERNEL_METHODS), (
+            f"unlisted: {public - set(KERNEL_METHODS)}; "
+            f"missing: {set(KERNEL_METHODS) - public}"
         )
 
 

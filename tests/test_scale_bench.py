@@ -3,8 +3,7 @@
 ``run_scale_schedule`` (the array-first driver that never builds global
 dense matrices) is checked against the sharded **and** unsharded MCS
 drivers on a deployment small enough to afford both; the ``scale_smoke``
-marker runs a reduced scale matrix end-to-end under both kernel backends
-and schema-validates the ``BENCH_scale.json`` records.
+marker runs a reduced scale matrix end-to-end and schema-validates the ``BENCH_scale.json`` records.
 """
 
 import os
@@ -293,17 +292,16 @@ class TestMatrixDefinitions:
 
 
 @pytest.mark.scale_smoke
-@pytest.mark.parametrize("backend", ["numpy", "pure"])
-def test_scale_smoke_end_to_end(tmp_path, backend):
-    """Reduced scale matrix -> records -> BENCH_scale.json, both backends."""
-    records = run_scale_matrix(SMOKE_POINTS, backend=backend)
+def test_scale_smoke_end_to_end(tmp_path):
+    """Reduced scale matrix -> records -> BENCH_scale.json."""
+    records = run_scale_matrix(SMOKE_POINTS)
     assert set(records) == {"scale"}
     runs = records["scale"]
     assert len(runs) == len(SMOKE_POINTS)
     for run in runs:
         validate_run(run)
         assert run["bench"] == "scale"
-        assert run["backend"] == backend
+        assert "backend" not in run
         for field in REQUIRED_METRICS["scale"]:
             assert field in run["metrics"], field
         # the scale family always measures memory
@@ -355,7 +353,7 @@ class TestCLI:
         canned = run_scale_matrix(SMOKE_POINTS[:2])
         seen = {}
 
-        def fake_matrix(points, backend=None):
+        def fake_matrix(points):
             seen["points"] = list(points)
             return canned
 
@@ -380,7 +378,7 @@ class TestCLI:
 
         canned = run_scale_matrix(SMOKE_POINTS[:2])
         monkeypatch.setattr(
-            shard_bench, "run_scale_matrix", lambda points, backend=None: canned
+            shard_bench, "run_scale_matrix", lambda points: canned
         )
         code = main([
             "bench", "--scale", "--quick", "--out-dir", str(tmp_path),
