@@ -85,10 +85,7 @@ def greedy_hill_climbing(
     # The climber carries the coverage masks, the operational (RTc) state
     # and every reader's fresh count across the whole climb; its weights
     # are bit-identical to system.weight(active + [r], unread).
-    if context is not None:
-        climber = GeneralizedWeightClimber(system, unread_bits=context.unread_bits)
-    else:
-        climber = GeneralizedWeightClimber(system, unread)
+    climber = GeneralizedWeightClimber(system, unread)
     resolve_backend(backend)
     kernel = kernel_for(system)
     by_weight = gain_mode == "weight"
@@ -135,7 +132,6 @@ def greedy_hill_climbing(
         system,
         climber.active,
         unread,
-        context=context,
         solver="ghc",
         require_feasible=require_feasible,
         gain_mode=gain_mode,

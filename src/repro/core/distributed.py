@@ -271,8 +271,7 @@ def run_distributed_protocol(
         Override the loss-driven defaults (e.g. to demonstrate how the
         fire-and-forget protocol degrades on lossy links).
     context:
-        Optional :class:`~repro.perf.slotdelta.ScheduleContext`.  Builds the
-        per-node cover masks from the maintained unread bitset and enables
+        Optional :class:`~repro.perf.slotdelta.ScheduleContext`.  Enables
         ``prune_zero`` on every node: retired readers drop out of local
         MWFS pools, shrinking coordinator computations while rounds,
         message counts and the served-tag set stay identical.
@@ -290,10 +289,7 @@ def run_distributed_protocol(
             0 if loss_rate == 0.0 else int(np.ceil((2 * c + 2) * 3 * loss_rate / (1 - loss_rate))) + 4
         )
     n = system.num_readers
-    if context is not None:
-        oracle = BitsetWeightOracle(system, unread_bits=context.unread_bits)
-    else:
-        oracle = BitsetWeightOracle(system, unread)
+    oracle = BitsetWeightOracle(system, unread)
     adj = adjacency_lists(system)
     nodes = [
         SchedulerNode(
@@ -324,7 +320,6 @@ def run_distributed_protocol(
         system,
         red,
         unread,
-        context=context,
         solver="distributed",
         rho=rho,
         c=c,

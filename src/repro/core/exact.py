@@ -194,8 +194,6 @@ def exact_mwfs(
         candidates = [c for c in candidates if context.is_live(c)]
         pool = set(candidates)
         warm = [c for c in context.warm_start() if c in pool]
-        if oracle is None:
-            oracle = BitsetWeightOracle(system, unread_bits=context.unread_bits)
     if oracle is None:
         oracle = BitsetWeightOracle(system, unread)
     adj = conflict_bits(system)
@@ -217,7 +215,6 @@ def exact_mwfs(
         system,
         best_set,
         unread,
-        context=context,
         solver="exact",
         budget_exhausted=exhausted,
         reported_weight=best_weight,

@@ -64,7 +64,6 @@ def local_search_mwfs(
     restarts: int = 5,
     t_initial: float = 3.0,
     cooling: float = 0.995,
-    context=None,
 ) -> OneShotResult:
     """Simulated-annealing search over feasible scheduling sets.
 
@@ -80,14 +79,6 @@ def local_search_mwfs(
         Independent annealing runs (best result kept).
     t_initial / cooling:
         Geometric temperature schedule ``T ← cooling·T`` per move.
-    context:
-        Optional :class:`~repro.perf.slotdelta.ScheduleContext`.  Only the
-        delta mask is used here (the oracle is built from the maintained
-        unread bitset, skipping the O(m) per-slot repack).  The move
-        proposal and acceptance streams must stay byte-identical to the
-        reference — restricting moves to live readers or warm-starting a
-        restart would reorder ``rng`` draws — so no candidate pruning is
-        applied in this solver.
     """
     if iterations <= 0 or restarts <= 0:
         raise ValueError("iterations and restarts must be > 0")
@@ -96,11 +87,8 @@ def local_search_mwfs(
     rng = as_rng(seed)
     n = system.num_readers
     if n == 0:
-        return make_result(system, [], unread, context=context, solver="localsearch")
-    if context is not None:
-        oracle = BitsetWeightOracle(system, unread_bits=context.unread_bits)
-    else:
-        oracle = BitsetWeightOracle(system, unread)
+        return make_result(system, [], unread, solver="localsearch")
+    oracle = BitsetWeightOracle(system, unread)
     conflict = system.conflict
     kernel = kernel_for(system)
 
@@ -158,7 +146,6 @@ def local_search_mwfs(
         system,
         best_global,
         unread,
-        context=context,
         solver="localsearch",
         iterations=iterations,
         restarts=restarts,

@@ -98,10 +98,7 @@ def centralized_location_free(
     check_in_range("rho", rho, 1.0, float("inf"), low_open=True)
     n = system.num_readers
     if n == 0:
-        return make_result(system, [], unread, context=context,
-                           solver="centralized", rho=rho)
-    if context is not None and oracle is None:
-        oracle = BitsetWeightOracle(system, unread_bits=context.unread_bits)
+        return make_result(system, [], unread, solver="centralized", rho=rho)
     if oracle is None:
         oracle = BitsetWeightOracle(system, unread)
     adj = adjacency_lists(system)
@@ -167,7 +164,6 @@ def centralized_location_free(
         system,
         solution,
         unread,
-        context=context,
         solver="centralized",
         rho=rho,
         iterations=iterations,

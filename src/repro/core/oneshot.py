@@ -47,8 +47,6 @@ def make_result(
     system: RFIDSystem,
     active,
     unread: Optional[np.ndarray] = None,
-    *,
-    context=None,
     **meta,
 ) -> OneShotResult:
     """Assemble an :class:`OneShotResult`, computing weight and feasibility
@@ -56,14 +54,10 @@ def make_result(
 
     The weight comes from the packed generalised-weight engine, which is
     property-tested bit-identical to the NumPy reference
-    :meth:`RFIDSystem.weight` on feasible and infeasible sets alike.  With a
-    :class:`~repro.perf.slotdelta.ScheduleContext` the engine reuses the
-    context's prepacked unread mask (identical bits, no per-slot packing)."""
+    :meth:`RFIDSystem.weight` on feasible and infeasible sets alike.  It
+    counts the tags of *unread*, the same mask the solver was given."""
     idx = system._normalize_active(active)
-    if context is not None:
-        climber = GeneralizedWeightClimber(system, unread_bits=context.unread_bits)
-    else:
-        climber = GeneralizedWeightClimber(system, unread)
+    climber = GeneralizedWeightClimber(system, unread)
     for i in idx:
         climber.add(int(i))
     return OneShotResult(
@@ -77,7 +71,8 @@ def make_result(
 #: Solver signature: (system, unread mask or None, seed) -> OneShotResult.
 #: Solvers may additionally accept a ``context`` keyword (a
 #: :class:`~repro.perf.slotdelta.ScheduleContext`); the MCS driver passes it
-#: only to solvers whose signature declares it.
+#: only to solvers whose signature declares it.  The unread mask is the one
+#: the weights count; a context is advisory pruning state over that same mask.
 OneShotSolver = Callable[[RFIDSystem, Optional[np.ndarray], RngLike], OneShotResult]
 
 _REGISTRY: Dict[str, Callable[..., OneShotSolver]] = {}

@@ -329,9 +329,7 @@ def ptas_mwfs(
     """
     n = system.num_readers
     if n == 0:
-        return make_result(system, [], unread, context=context, solver="ptas", k=k)
-    if context is not None and oracle is None:
-        oracle = BitsetWeightOracle(system, unread_bits=context.unread_bits)
+        return make_result(system, [], unread, solver="ptas", k=k)
     if oracle is None:
         oracle = BitsetWeightOracle(system, unread)
     resolve_backend(backend)
@@ -412,7 +410,6 @@ def ptas_mwfs(
         system,
         best_set,
         unread,
-        context=context,
         solver="ptas",
         k=k,
         shift=best_shift,

@@ -36,30 +36,19 @@ class BitsetWeightOracle:
         The deployment whose coverage matrix is packed.
     unread:
         Optional boolean mask restricting which tags count toward the
-        weight.  Defaults to the full population.
-    unread_bits:
-        Optional prepacked big-int unread mask (e.g.
-        :attr:`repro.perf.slotdelta.ScheduleContext.unread_bits`); takes
-        precedence over *unread* and skips the O(m) packing step.
+        weight (packed once here).  Defaults to the full population.
     """
 
-    def __init__(
-        self,
-        system: RFIDSystem,
-        unread: Optional[np.ndarray] = None,
-        unread_bits: Optional[int] = None,
-    ):
+    def __init__(self, system: RFIDSystem, unread: Optional[np.ndarray] = None):
         # O(n): the per-reader masks come from the system's packed-coverage
         # cache (built once per system) and are shared, never copied — every
         # oracle method treats _cover as read-only.
         packed = system.packed_coverage
-        if unread_bits is not None:
-            unread_mask = int(unread_bits)
-        elif unread is None:
+        if unread is None:
             unread_mask = packed.full_mask
         else:
-            unread_mask = packed.pack_mask(np.asarray(unread, dtype=bool))
-        self._init_from_masks(packed.mask_dict, unread_mask)
+            unread_mask = packed.pack_mask(unread)
+        self._init_from_masks(packed.masks, unread_mask)
 
     @classmethod
     def from_masks(cls, cover_masks: dict, unread_mask: int) -> "BitsetWeightOracle":
@@ -72,7 +61,8 @@ class BitsetWeightOracle:
         self._init_from_masks(dict(cover_masks), int(unread_mask))
         return self
 
-    def _init_from_masks(self, cover: dict, unread_mask: int) -> None:
+    def _init_from_masks(self, cover, unread_mask: int) -> None:
+        # cover: reader id -> mask (the system's masks tuple, or a dict)
         self._unread_mask = unread_mask
         self._cover = cover
         # search state

@@ -17,6 +17,5 @@ KERNEL_METHODS: Dict[str, str] = {
     "oracle_weights_with": "batch feasible-rule weight_with over a candidate frontier",
     "climb_weights_with": "batch generalised-rule (operational-reader) weight_with",
     "new_coverage_counts": "batch collision-naive new-coverage gain of each candidate",
-    "covered_counts": "per-reader covered-unread counts (no solver calls it today)",
     "filter_compatible": "conflict-row AND filter: candidates independent of a blocked set",
 }

@@ -84,7 +84,6 @@ class NumpyKernel:
     def __init__(self, system) -> None:
         self.system = system
         packed = system.packed_coverage
-        self._packed = packed
         self._masks = packed.masks
         self._words = packed.words  # (n, W) uint64, read-only
         self._num_words = packed.num_words
@@ -229,14 +228,6 @@ class NumpyKernel:
         return _row_counts(self._words[cands] & self._to_words(fresh_zone))
 
     # -- structure batches -------------------------------------------------
-    def covered_counts(self, unread=None) -> np.ndarray:
-        """Per-reader count of covered (optionally unread, boolean mask)
-        tags, one vectorised popcount over the packed words
-        (:meth:`PackedCoverage.covered_counts`).  The MCS driver's
-        best-singleton scan reads the schedule context's maintained counts
-        instead, so no solver calls this today."""
-        return self._packed.covered_counts(unread)
-
     def filter_compatible(
         self, candidates: Sequence[int], blocked: Sequence[int]
     ) -> List[int]:

@@ -57,32 +57,23 @@ class GeneralizedWeightClimber:
         The deployment (its :attr:`packed_coverage` and cached bitmask rows
         are shared, not copied).
     unread:
-        Optional boolean tag mask restricting which tags count.
-    unread_bits:
-        Optional prepacked big-int unread mask (takes precedence over
-        *unread* and skips the O(m) packing step).
+        Optional boolean tag mask restricting which tags count (packed once
+        here).
 
     The state attributes (``once``, ``multi``, ``active_bits``, ``well``,
     ``silenced``, ``operational`` and :attr:`fresh`) are read by the
     weight kernels; treat them as read-only.
     """
 
-    def __init__(
-        self,
-        system,
-        unread: Optional[np.ndarray] = None,
-        unread_bits: Optional[int] = None,
-    ):
+    def __init__(self, system, unread: Optional[np.ndarray] = None):
         packed = system.packed_coverage
         self._system = system
         self._packed = packed
         self._masks = packed.masks
-        if unread_bits is not None:
-            self._unread = int(unread_bits)
-        elif unread is None:
+        if unread is None:
             self._unread = packed.full_mask
         else:
-            self._unread = packed.pack_mask(np.asarray(unread, dtype=bool))
+            self._unread = packed.pack_mask(unread)
         self._silencees = silencee_bits(system)
         self._active: List[int] = []
         self.active_bits = 0

@@ -102,16 +102,15 @@ class PackedCoverage:
         ``(n, ceil(m/64))`` ``uint64``; bit ``t`` of row ``i`` = tag *t* in
         reader *i*'s interrogation region.
     masks:
-        Per-reader Python big-int of the same bits (the oracle currency).
-    mask_dict:
-        ``{reader_id: mask}`` — shared read-only by every oracle built from
-        this system, which is what makes oracle construction O(n).
+        Per-reader Python big-int of the same bits (the oracle currency),
+        shared read-only by every oracle built from this system, which is
+        what makes oracle construction O(n).
     full_mask:
         Big-int with all ``m`` tag bits set.
     """
 
     __slots__ = ("num_readers", "num_tags", "num_words", "words", "masks",
-                 "mask_dict", "full_mask")
+                 "full_mask")
 
     def __init__(self, coverage: np.ndarray):
         coverage = np.asarray(coverage, dtype=bool)
@@ -134,7 +133,6 @@ class PackedCoverage:
             self.words = np.zeros((n, self.num_words), dtype=np.uint64)
             self.masks = (0,) * n
         self.words.setflags(write=False)
-        self.mask_dict = dict(enumerate(self.masks))
         self.full_mask = (1 << m) - 1 if m else 0
 
     def pack_mask(self, arr: np.ndarray) -> int:
@@ -153,9 +151,10 @@ class PackedCoverage:
         ``(coverage & unread[:, None]).sum(axis=0)`` exactly."""
         if unread is None:
             return popcount_words(self.words).sum(axis=1, dtype=np.int64)
-        unread_words = pack_bool_to_words(np.asarray(unread, dtype=bool))
-        if unread_words.shape != (self.num_words,):
+        unread = np.asarray(unread, dtype=bool)
+        if unread.shape != (self.num_tags,):
             raise ValueError(f"unread mask must have shape ({self.num_tags},)")
+        unread_words = pack_bool_to_words(unread)
         return popcount_words(self.words & unread_words).sum(axis=1, dtype=np.int64)
 
 

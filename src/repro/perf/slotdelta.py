@@ -1,13 +1,12 @@
 """Cross-slot incremental state for the greedy covering schedule.
 
 The MCS driver (Definitions 4–5) re-runs a one-shot solver every time-slot
-while the unread-tag population only ever *shrinks*.  PR 2's kernels made
-each slot fast in isolation; this module makes the slot *sequence* cheap by
+while the unread-tag population only ever *shrinks*.  The packed kernels
+make each slot fast in isolation; this module makes the slot *sequence* cheap by
 maintaining, across slots:
 
-* the live-tag mask — both as a boolean array and as the packed big-int the
-  bitset oracles consume — updated by **clearing the served tags' bits**
-  instead of re-deriving and re-packing the mask from scratch each slot;
+* the live-tag mask as one boolean array, updated by **clearing the served
+  tags** instead of re-deriving it from scratch each slot;
 * per-reader remaining covered-unread counts, decremented by the served
   tags' coverage columns.  A reader whose count hits zero is **retired**: it
   covers no unread tag, so its solo weight is zero and (for a feasible set)
@@ -20,7 +19,10 @@ maintaining, across slots:
 Every greedy covering schedule owns one :class:`ScheduleContext` (one per
 cell when sharded) and threads it to solvers that accept a ``context``
 keyword.  The context is *advisory*: a solver that ignores it still returns
-correct results, just without the pruning.
+correct results, just without the pruning.  The solver's ``unread`` argument
+is the one unread mask its weight engines pack (the driver passes
+:attr:`ScheduleContext.unread` itself); the context must describe that same
+mask.
 
 Layering: like the rest of :mod:`repro.perf`, this module imports only
 NumPy and duck-types the system object (``coverage`` boolean matrix plus
@@ -59,12 +61,11 @@ class ScheduleContext:
             if self._unread.shape != (m,):
                 raise ValueError(f"unread mask must have shape ({m},)")
         self._coverage = coverage
-        self._packed = system.packed_coverage
-        self._unread_bits = self._packed.pack_mask(self._unread)
         self._num_unread = int(self._unread.sum())
         # Per-reader count of unread tags covered; equals the reader's solo
-        # weight, so count == 0  <=>  retired.
-        self._remaining = coverage[self._unread].sum(axis=0).astype(np.int64)
+        # weight, so count == 0  <=>  retired.  Popcounted over the packed
+        # words, which also builds the system's packing here, in set-up.
+        self._remaining = system.packed_coverage.covered_counts(self._unread)
         self._prev_active: Optional[np.ndarray] = None
 
     # -- unread-population views -------------------------------------------
@@ -76,13 +77,6 @@ class ScheduleContext:
         read-only; it is updated in place by :meth:`retire_tags`.
         """
         return self._unread
-
-    @property
-    def unread_bits(self) -> int:
-        """The unread mask as the packed big-int the bitset oracles use
-        (``BitsetWeightOracle(system, unread_bits=ctx.unread_bits)`` skips
-        the per-slot ``np.packbits`` entirely)."""
-        return self._unread_bits
 
     @property
     def num_unread(self) -> int:
@@ -114,7 +108,7 @@ class ScheduleContext:
     def retire_tags(self, tags) -> None:
         """Mark *tags* (indices into the tag population) as read.
 
-        Clears their unread bits and decrements every covering reader's
+        Clears them in the unread mask and decrements every covering reader's
         remaining count.  Tags already read, and repeats within *tags*, are
         ignored (idempotent), so the counts never go negative.
         """
@@ -126,10 +120,6 @@ class ScheduleContext:
             return
         self._remaining -= self._coverage[fresh].sum(axis=0)
         self._unread[fresh] = False
-        bits = self._unread_bits
-        for t in fresh:
-            bits &= ~(1 << int(t))
-        self._unread_bits = bits
         self._num_unread -= int(fresh.size)
 
     def note_active(self, active) -> None:
@@ -157,7 +147,5 @@ class ScheduleContext:
         expect_counts = self._coverage[self._unread].sum(axis=0)
         if not np.array_equal(self._remaining, expect_counts):
             raise AssertionError("remaining counts diverged from coverage")
-        if self._unread_bits != self._packed.pack_mask(self._unread):
-            raise AssertionError("unread bits diverged from unread mask")
         if self._num_unread != int(self._unread.sum()):
             raise AssertionError("num_unread diverged from unread mask")

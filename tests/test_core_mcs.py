@@ -214,7 +214,9 @@ class TestDriverTelemetry:
             return make_result(sys_, [], unread)
 
         def useless_solver(sys_, unread, seed, context=None):
-            return make_result(sys_, [], unread, context=context)
+            # the driver hands over the context's own mask as unread
+            assert context is not None and unread is context.unread
+            return make_result(sys_, [], unread)
 
         ref, ref_summary = self._collect(system, blind_solver)
         inc, inc_summary = self._collect(system, useless_solver)

@@ -66,7 +66,6 @@ class TestPackedCoverage:
         packed = PackedCoverage(system.coverage)
         for i in range(system.num_readers):
             assert packed.masks[i] == _naive_mask(system.coverage, i)
-        assert packed.mask_dict == dict(enumerate(packed.masks))
         assert packed.full_mask == (1 << system.num_tags) - 1
 
     @given(system=system_strategy(max_readers=8, max_tags=70), seed=st.integers(0, 2**16))
@@ -95,6 +94,14 @@ class TestPackedCoverage:
         packed = PackedCoverage(np.zeros((10, 3), dtype=bool))
         with pytest.raises(ValueError, match="unread mask must have shape"):
             packed.pack_mask(np.zeros(9, dtype=bool))
+
+    @pytest.mark.parametrize("length", [70, 99, 101, 128])
+    def test_covered_counts_validates_shape(self, length):
+        # 70..128 tags pack into the same two words as the system's 100, so
+        # a word-count check alone would accept them.
+        packed = PackedCoverage(np.ones((100, 3), dtype=bool))
+        with pytest.raises(ValueError, match="unread mask must have shape"):
+            packed.covered_counts(np.ones(length, dtype=bool))
 
     def test_popcount_matches_table_fallback(self):
         rng = np.random.default_rng(0)
