@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.baselines import csma_contention, csma_covering_schedule, csma_oneshot
 from repro.core import exact_mwfs
+from repro.core.mcs import ScheduleOutcome
+from repro.model import Reader, RFIDSystem, Tag
 from tests.conftest import make_random_system, system_strategy
 
 
@@ -140,3 +142,21 @@ class TestCoveringSchedule:
         result = csma_covering_schedule(system, seed=0)
         for slot in result.slots:
             assert system.is_feasible(slot.active.tolist())
+
+    def test_blanked_winners_fall_back_to_one_reader(self):
+        """Two non-interfering readers that both cover the only tag win
+        every window together and blank it (RRc).  The shared slot loop
+        falls back to the best single reader instead of contending until
+        the cap."""
+        system = RFIDSystem(
+            [
+                Reader(id=0, x=0, y=0, interference_radius=4, interrogation_radius=4),
+                Reader(id=1, x=6, y=0, interference_radius=4, interrogation_radius=4),
+            ],
+            [Tag(id=0, x=3, y=0)],
+        )
+        result = csma_covering_schedule(system, seed=0)
+        assert result.size == 1
+        assert result.outcome == ScheduleOutcome.complete
+        assert result.slots[0].active.tolist() == [0]
+        assert result.slots[0].tags_read.tolist() == [0]
