@@ -498,6 +498,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("error: --shard-cells requires --schedule with a one-shot "
               "solver (see docs/scale.md)", file=sys.stderr)
         return 2
+    if args.schedule and args.solver == "colorwave" and args.linklayer:
+        print("error: --linklayer requires a one-shot solver; the Colorwave "
+              "schedule simulates no link layer", file=sys.stderr)
+        return 2
     if args.schedule:
         if args.solver == "colorwave":
             result = colorwave_covering_schedule(system, seed=args.seed)

@@ -50,7 +50,8 @@ from repro.obs.events import SpanEnd, SpanStart, get_recorder
 #: ``docs/observability.md`` by ``tests/test_obs_docs.py``.
 SPAN_NAMES: Dict[str, str] = {
     "mcs.run": "one whole covering-schedule run of the slot loop "
-    "(core.mcs.run_slot_loop, behind core.mcs.greedy_covering_schedule and "
+    "(core.mcs.run_slot_loop, behind core.mcs.greedy_covering_schedule, "
+    "the Colorwave, CSMA and multi-channel baselines and "
     "shard.scale.run_scale_schedule), fault-tolerant or not",
     "mcs.slot": "one time-slot of the MCS driver; fault events of the slot "
     "nest under it",

@@ -69,6 +69,20 @@ class TestSolve:
         assert rc == 0
         assert "covering schedule:" in capsys.readouterr().out
 
+    def test_colorwave_schedule_rejects_linklayer(self, capsys):
+        rc = main(
+            [
+                "solve", "--solver", "colorwave", "--schedule",
+                "--linklayer", "aloha",
+                "--readers", "10", "--tags", "80", "--side", "40",
+                "--lambda-R", "8", "--lambda-r", "5", "--seed", "1",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--linklayer requires a one-shot solver" in captured.err
+        assert "micro-slots" not in captured.out
+
     def test_unknown_solver_raises(self):
         with pytest.raises(KeyError):
             main(["solve", "--solver", "nope", "--readers", "5", "--tags", "10"])
