@@ -482,3 +482,66 @@ def test_baseline_schedule(shape, seed, driver):
     assert (
         result.size, result.outcome.value, _schedule_digest(result)
     ) == BASELINE_PINS[(shape, seed, driver)]
+
+
+# ---------------------------------------------------------------------------
+# Seed-drawing solvers under sharding: every cell solve draws from its own
+# child seed, so these pins fix each cell's random stream slot by slot.
+
+#: Solver name -> (per-slot digests of (active, tags read), outcome) of the
+#: dense sharded driver on SHARDED_SEEDED, seed 11, 16 cells.
+SHARDED_SEEDED = Scenario(num_readers=60, num_tags=600, side=200.0, seed=5)
+SHARDED_SEEDED_PINS = {
+    "localsearch": (["45d44cb7215ecf13", "c2b17cc14aeaef1d"], "complete"),
+    "random": (
+        ["9a24031b944ed1c1", "6079ea41acd07398", "c939005d6535a9a2",
+         "fe2e84d71c84d27a", "aa02c5646023b3e2"],
+        "complete",
+    ),
+    "csma": (["db0c93406bf37d8b", "5b0c558b7cdc1413"], "complete"),
+    "colorwave": (
+        ["d12c28cd433136c5", "6f054cfb5c97c42f", "4daed075b183d38a"],
+        "complete",
+    ),
+}
+#: (per-slot digests of the ScaleSlotRecord fields, outcome) of the sparse
+#: driver's local search on SCALE, seed 11, 16 cells.
+SPARSE_LOCALSEARCH_PIN = (
+    ["93c2029a34db3936", "87995db7fc844f67", "2d6824b16986a770",
+     "2667f2a59b9b8b8d"],
+    "complete",
+)
+
+
+@pytest.fixture(scope="module")
+def sharded_seeded_system():
+    return SHARDED_SEEDED.build()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("solver", list(SHARDED_SEEDED_PINS))
+def test_sharded_seeded_schedule(sharded_seeded_system, solver, workers):
+    """In process and on the pool, each cell's solver sees the stream of
+    its child seed."""
+    result = greedy_covering_schedule(
+        sharded_seeded_system, get_solver(solver), seed=11,
+        shard=ShardSpec(cells=16, workers=workers),
+    )
+    assert (
+        [_digest(s.active, s.tags_read) for s in result.slots],
+        result.outcome.value,
+    ) == SHARDED_SEEDED_PINS[solver]
+
+
+def test_sparse_localsearch_schedule():
+    result = run_scale_schedule(
+        SCALE, ShardSpec(cells=16), solver="localsearch", seed=11
+    )
+    assert (
+        [
+            _digest(s.active_readers, s.tags_read, s.cells_solved,
+                    s.boundary_repairs)
+            for s in result.slots
+        ],
+        result.outcome,
+    ) == SPARSE_LOCALSEARCH_PIN
