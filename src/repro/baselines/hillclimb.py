@@ -128,10 +128,12 @@ def greedy_hill_climbing(
         climber.add(best_reader)
         eligible[best_reader] = False
 
+    # the finished climber already holds the weight and the silenced set
     return make_result(
         system,
         climber.active,
         unread,
+        climber=climber,
         solver="ghc",
         require_feasible=require_feasible,
         gain_mode=gain_mode,

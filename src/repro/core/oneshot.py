@@ -47,23 +47,33 @@ def make_result(
     system: RFIDSystem,
     active,
     unread: Optional[np.ndarray] = None,
+    climber: Optional[GeneralizedWeightClimber] = None,
     **meta,
 ) -> OneShotResult:
     """Assemble an :class:`OneShotResult`, computing weight and feasibility
     from the system so solvers cannot misreport.
 
-    The weight comes from the packed generalised-weight engine, which is
+    Both come from a :class:`~repro.perf.incremental.GeneralizedWeightClimber`
+    over *system* holding *active*: the weight is its generalised weight,
     property-tested bit-identical to the NumPy reference
-    :meth:`RFIDSystem.weight` on feasible and infeasible sets alike.  It
-    counts the tags of *unread*, the same mask the solver was given."""
+    :meth:`RFIDSystem.weight` on feasible and infeasible sets alike, and
+    the set is feasible when no active reader lies in the silenced set
+    (property-tested equal to :meth:`RFIDSystem.is_feasible`).  The weight
+    counts the tags of *unread*, the same mask the solver was given.
+
+    A solver that grew its set in a climber over the same *system* and
+    *unread* (GHC) passes it finished as *climber*, with *active* its
+    active readers; otherwise a fresh climber adds *active* here.
+    """
     idx = system._normalize_active(active)
-    climber = GeneralizedWeightClimber(system, unread)
-    for i in idx:
-        climber.add(int(i))
+    if climber is None:
+        climber = GeneralizedWeightClimber(system, unread)
+        for i in idx:
+            climber.add(int(i))
     return OneShotResult(
         active=idx,
         weight=climber.current_weight(),
-        feasible=system.is_feasible(idx),
+        feasible=climber.feasible,
         meta=dict(meta),
     )
 

@@ -171,6 +171,12 @@ class GeneralizedWeightClimber:
         """``w(active)`` of the set grown so far."""
         return bit_count(self.well)
 
+    @property
+    def feasible(self) -> bool:
+        """Whether the set grown so far is RTc-free: no active reader lies
+        in the silenced set (equal to ``system.is_feasible(active)``)."""
+        return not self.silenced & self.active_bits
+
     def add(self, reader: int) -> None:
         """Commit *reader* to the active set: a few big-int operations, plus
         one per operational reader it silences."""

@@ -174,6 +174,7 @@ def _assert_state_matches_definitions(system, climber, unread):
     assert operational.tolist() == system.operational_readers(active).tolist()
     assert bit_count(climber.well) == system.weight(active, unread)
     assert climber.current_weight() == bit_count(climber.well)
+    assert climber.feasible == system.is_feasible(active)
     for r in everyone:
         gain = climber.weight_with(r) - climber.current_weight()
         assert gain <= (0 if silenced[r] else fresh[r])
@@ -214,6 +215,38 @@ def test_carried_state_matches_definitions_along_climbs(
             gains = climber.new_coverage_many(frontier)
         climber.add(frontier.pop(int(np.argmax(gains))))
         _assert_state_matches_definitions(system, climber, unread)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 40),
+    m=st.integers(0, 400),
+    side=st.floats(20.0, 60.0),
+    use_unread=st.booleans(),
+    gain_mode=st.sampled_from(["weight", "coverage"]),
+    require_feasible=st.booleans(),
+)
+@example(seed=2, n=24, m=300, side=40.0, use_unread=False,
+         gain_mode="coverage", require_feasible=False)
+@example(seed=2, n=24, m=300, side=40.0, use_unread=True,
+         gain_mode="coverage", require_feasible=False)
+@example(seed=2, n=24, m=300, side=40.0, use_unread=True,
+         gain_mode="weight", require_feasible=True)
+def test_reported_weight_and_feasibility_match_system(
+    seed, n, m, side, use_unread, gain_mode, require_feasible
+):
+    """GHC reports the weight and feasibility of its finished climber;
+    both equal the system's own evaluation of the active set, for climbs
+    that end feasible and infeasible (the two coverage-mode examples end
+    with a silenced active reader)."""
+    system = make_random_system(n, m, side, 16.0, 6.0, seed)
+    unread = np.random.default_rng(seed).random(m) < 0.7 if use_unread else None
+    result = greedy_hill_climbing(
+        system, unread, gain_mode=gain_mode, require_feasible=require_feasible
+    )
+    assert result.weight == system.weight(result.active, unread)
+    assert result.feasible == system.is_feasible(result.active)
 
 
 @pytest.mark.parametrize("backend", ["numpy"])

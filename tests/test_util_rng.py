@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import as_rng, derive_seed, spawn_rngs
+from repro.util.rng import LazyRng, as_rng, derive_seed, spawn_rngs
 
 
 class TestAsRng:
@@ -28,6 +28,35 @@ class TestAsRng:
         seq = np.random.SeedSequence(5)
         gen = as_rng(seq)
         assert isinstance(gen, np.random.Generator)
+
+
+class TestLazyRng:
+    def test_not_built_until_used(self):
+        lazy = LazyRng(5)
+        assert lazy._rng is None
+        assert as_rng(lazy) is as_rng(lazy)
+
+    def test_same_stream_as_default_rng(self):
+        np.testing.assert_array_equal(
+            as_rng(LazyRng(5)).integers(0, 1 << 30, size=8),
+            np.random.default_rng(5).integers(0, 1 << 30, size=8),
+        )
+
+    def test_spawns_like_its_generator(self):
+        """spawn_rngs treats it as the generator it stands for, not as the
+        bare int seed."""
+        lazy = [g.integers(0, 1 << 30, 4) for g in spawn_rngs(LazyRng(5), 2)]
+        gen = [
+            g.integers(0, 1 << 30, 4)
+            for g in spawn_rngs(np.random.default_rng(5), 2)
+        ]
+        bare = [g.integers(0, 1 << 30, 4) for g in spawn_rngs(5, 2)]
+        np.testing.assert_array_equal(lazy, gen)
+        assert not np.array_equal(lazy, bare)
+
+    def test_derive_seed_rejects_it(self):
+        with pytest.raises(TypeError):
+            derive_seed(LazyRng(5), 1)
 
 
 class TestSpawnRngs:
