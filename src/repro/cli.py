@@ -148,7 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--linklayer",
         choices=["aloha", "treewalk"],
         default=None,
-        help="also account link-layer micro-slots per time-slot",
+        help="with --schedule: also account link-layer micro-slots per "
+        "time-slot",
     )
     solve.add_argument(
         "--shard-cells",
@@ -498,9 +499,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("error: --shard-cells requires --schedule with a one-shot "
               "solver (see docs/scale.md)", file=sys.stderr)
         return 2
-    if args.schedule and args.solver == "colorwave" and args.linklayer:
-        print("error: --linklayer requires a one-shot solver; the Colorwave "
-              "schedule simulates no link layer", file=sys.stderr)
+    if args.linklayer and (not args.schedule or args.solver == "colorwave"):
+        print("error: --linklayer requires a one-shot solver run with "
+              "--schedule; a single slot and the Colorwave schedule simulate "
+              "no link layer", file=sys.stderr)
         return 2
     if args.schedule:
         if args.solver == "colorwave":

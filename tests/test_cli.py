@@ -83,6 +83,20 @@ class TestSolve:
         assert "--linklayer requires a one-shot solver" in captured.err
         assert "micro-slots" not in captured.out
 
+    def test_oneshot_rejects_linklayer(self, capsys):
+        rc = main(
+            [
+                "solve", "--linklayer", "aloha",
+                "--readers", "10", "--tags", "80", "--seed", "1",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--linklayer requires a one-shot solver run with --schedule" in (
+            captured.err
+        )
+        assert "one-shot (" not in captured.out
+
     def test_unknown_solver_raises(self):
         with pytest.raises(KeyError):
             main(["solve", "--solver", "nope", "--readers", "5", "--tags", "10"])
