@@ -70,8 +70,8 @@ class RunCollector(Recorder):
         keep exactly their historical shape.
     shard_counters:
         Tallies of the sharded driver's merge events (``shard_cells``,
-        ``shard_halo_readers``, ``shard_boundary_repairs``), summed over
-        slots.  Like the fault counters, exported by :meth:`summary` only
+        ``shard_halo_readers``, ``shard_boundary_repairs``,
+        ``shard_budget_exhausted``), summed over slots.  Like the fault counters, exported by :meth:`summary` only
         when at least one :class:`~repro.obs.events.ShardMerge` event was
         seen — unsharded records keep their historical shape.
     pool_counters:
@@ -133,6 +133,7 @@ class RunCollector(Recorder):
             "shard_cells": 0,
             "shard_halo_readers": 0,
             "shard_boundary_repairs": 0,
+            "shard_budget_exhausted": 0,
         }
         self._shard_events_seen = False
         self.pool_counters: Dict[str, int] = {
@@ -227,6 +228,7 @@ class RunCollector(Recorder):
             self.shard_counters["shard_cells"] += event.cells_solved
             self.shard_counters["shard_halo_readers"] += event.halo_readers
             self.shard_counters["shard_boundary_repairs"] += event.boundary_repairs
+            self.shard_counters["shard_budget_exhausted"] += event.budget_exhausted
             self._shard_events_seen = True
             self.metrics.histogram("halo_readers").observe(event.halo_readers)
         elif isinstance(event, PoolDispatch):

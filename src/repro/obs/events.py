@@ -171,13 +171,17 @@ class ShardMerge:
     """The sharded driver merged slot *slot*: *cells_solved* live cells were
     solved against *halo_readers* advisory halo readers, and the
     boundary-reconciliation pass repaired *boundary_repairs* cross-cell
-    RTc conflicts, leaving *active_readers* readers in the merged set."""
+    RTc conflicts, leaving *active_readers* readers in the merged set.
+    *budget_exhausted* counts the cell solves whose solver reported its
+    search budget cut off (``meta['budget_exhausted']``: PTAS and exact
+    then return a feasible set without their guarantee)."""
 
     slot: int
     cells_solved: int
     halo_readers: int
     boundary_repairs: int
     active_readers: int
+    budget_exhausted: int = 0
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,7 @@ METRIC_FIELDS: Dict[str, str] = {
     "shard_cells": "live spatial cells solved, summed over slots",
     "shard_halo_readers": "advisory halo readers shipped to cell solves, summed over slots",
     "shard_boundary_repairs": "cross-cell RTc conflicts repaired by the merge pass",
+    "shard_budget_exhausted": "cell solves whose solver reported its search budget cut off (meta['budget_exhausted'] of PTAS or exact), summed over slots",
     "peak_tracemalloc_kb": "peak Python heap during the measured run (tracemalloc), KiB",
     "peak_rss_kb": "peak resident set size of the process (ru_maxrss, best-effort), KiB",
 }

@@ -177,9 +177,13 @@ class NumpyKernel:
         (``well``, ``fresh``, the silenced and operational reader sets) as
         the disjoint sum of the module docstring: no active reader's row is
         gathered except those the candidates silence."""
-        cands = [int(c) for c in candidates]
+        cands = np.asarray(candidates, dtype=np.int64)
         if len(cands) < BATCH_MIN:
-            return self._climb_scalar(climb, cands)
+            return self._climb_scalar(climb, cands.tolist())
+        return self._climb_batch(climb, cands)
+
+    def _climb_batch(self, climb, cands: np.ndarray) -> np.ndarray:
+        """The disjoint sum over a whole frontier as word-matrix passes."""
         n = self.system.num_readers
         c = self._words[cands]
         well = self._to_words(climb.well)

@@ -400,8 +400,9 @@ class TestBenchMeasurement:
 
     @pytest.fixture
     def timed_calls(self, monkeypatch):
-        """Solver calls made while a bench wall clock runs, each asserting
-        that tracemalloc is off.  ``repro.obs.bench`` reads the clock once
+        """Solver calls (and the scale tier's lockstep GHC climbs) made
+        while a bench wall clock runs, each asserting that tracemalloc is
+        off.  ``repro.obs.bench`` reads the clock once
         at the start and once at the end of a timed pass, so a shim that
         flips a flag on every read knows when the wall is running."""
         import functools
@@ -410,6 +411,7 @@ class TestBenchMeasurement:
 
         from repro.core import oneshot
         from repro.obs import bench
+        from repro.shard import runtime
 
         running = [False]
         calls = []
@@ -422,22 +424,28 @@ class TestBenchMeasurement:
 
         real_get_solver = oneshot.get_solver
 
-        def get_solver(name, **kwargs):
-            solver = real_get_solver(name, **kwargs)
-
-            @functools.wraps(solver)
+        def probed(name, fn):
+            @functools.wraps(fn)
             def timed(*args, **kw):
                 if running[0]:
                     assert not tracemalloc.is_tracing(), (
                         "bench wall timed under tracemalloc"
                     )
                     calls.append(name)
-                return solver(*args, **kw)
+                return fn(*args, **kw)
 
             return timed
 
+        def get_solver(name, **kwargs):
+            return probed(name, real_get_solver(name, **kwargs))
+
         monkeypatch.setattr(bench, "time", Clock)
         monkeypatch.setattr(oneshot, "get_solver", get_solver)
+        # the scale tier climbs its GHC cells in lockstep, not through the
+        # registry solver
+        monkeypatch.setattr(
+            runtime, "climb_cells", probed("ghc", runtime.climb_cells)
+        )
         return calls
 
     def test_walls_never_timed_under_tracemalloc(self, timed_calls):

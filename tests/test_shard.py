@@ -11,6 +11,8 @@ Covers the three certificates of ``docs/scale.md``:
 * worker count never changes results.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -287,6 +289,30 @@ class TestShardedEquivalence:
         )
         assert_same_schedule(serial, forked)
         assert strip_timing(serial_sum) == strip_timing(forked_sum)
+
+    def test_budget_cut_offs_counted_at_any_worker_count(self):
+        """PTAS cells whose enumeration budget binds are counted in the
+        merge events, identically in process and on the pool; counting
+        them moves no schedule."""
+        system = Scenario(
+            num_readers=100, num_tags=2400, side=141.0, seed=3
+        ).build()
+        solver = get_solver("ptas", k=3)
+        runs = [
+            run_collected(
+                system, solver, seed=3, shard=ShardSpec(cells=4, workers=w)
+            )
+            for w in (1, 2)
+        ]
+        (serial, serial_sum), (pooled, pooled_sum) = runs
+        assert_same_schedule(serial, pooled)
+        assert serial_sum["shard_budget_exhausted"] == 4
+        assert pooled_sum["shard_budget_exhausted"] == 4
+        assert serial_sum["shard_cells"] == 14
+        plain = greedy_covering_schedule(
+            system, solver, seed=3, shard=ShardSpec(cells=4)
+        )
+        assert_same_schedule(serial, plain)
 
 class TestShardFaultComposition:
     """``shard=`` composes with ``faults=``: degraded per-cell solves,
@@ -679,6 +705,75 @@ def random_active(rng, readers):
     """A sorted random subset of *readers*."""
     keep = rng.random(len(readers)) < rng.uniform(0.2, 1.0)
     return np.sort(readers[keep])
+
+
+class TestLockstepClimb:
+    """The lockstep GHC over every calm cell activates exactly the readers
+    of the per-cell GHC solves, slot after slot."""
+
+    @staticmethod
+    def assert_same_slots(partition, seed, suspect_rate=0.0, slots=6):
+        runs = []
+        for lockstep in (False, True):
+            unread = partition.owner_of_tag >= 0
+            runtime = ShardRuntime(
+                partition, unread, get_solver("ghc"), True, lockstep
+            )
+            rng = np.random.default_rng(seed)
+            draws = np.random.default_rng(seed + 1)
+            actives = []
+            for slot in range(slots):
+                suspected = draws.random(len(partition.reader_positions))
+                suspected = (
+                    suspected < suspect_rate if suspect_rate else None
+                )
+                active, meta = runtime.solve_slot(
+                    slot, rng, RunCollector(), suspected
+                )
+                actives.append((active.tolist(), meta))
+                left = np.flatnonzero(unread)
+                gone = left[draws.random(len(left)) < 0.5]
+                runtime.retire(gone)
+                unread[gone] = False
+            runs.append(actives)
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(deployment=shard_deployments(), seed=st.integers(0, 2 ** 16))
+    def test_matches_per_cell_solves(self, deployment, seed):
+        partition = multi_cell_partition(deployment)
+        self.assert_same_slots(partition, seed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(deployment=shard_deployments(), seed=st.integers(0, 2 ** 16))
+    def test_suspected_cells_keep_their_own_solve(self, deployment, seed):
+        partition = multi_cell_partition(deployment)
+        self.assert_same_slots(partition, seed, suspect_rate=0.1)
+
+    def test_wide_cells_match_the_pruned_climb(self):
+        """Cells with frontiers above BATCH_MIN, which the per-cell climb
+        scores bound-pruned."""
+        system = Scenario(num_readers=300, num_tags=3000, side=100.0, seed=4).build()
+        partition = ShardPartition.from_system(system, ShardSpec(cells=4))
+        assert max(len(c.all_reader_ids) for c in partition.cells) > 64
+        self.assert_same_slots(partition, 3)
+
+    def test_scale_schedule_matches_per_cell_solves(self):
+        """The scale driver climbs in lockstep only for the name "ghc"; the
+        same solver under another name solves cell by cell."""
+        from repro.core import oneshot
+        from repro.shard.scale import ScaleDeployment, run_scale_schedule
+
+        deployment = ScaleDeployment(400, 8000, 280.0, seed=5)
+        spec = ShardSpec(cells=0)
+        lockstep = run_scale_schedule(deployment, spec, seed=2)
+        oneshot._ensure_builtins()
+        alias = {"ghc_per_cell": oneshot._REGISTRY["ghc"]}
+        with mock.patch.dict(oneshot._REGISTRY, alias):
+            per_cell = run_scale_schedule(
+                deployment, spec, solver="ghc_per_cell", seed=2
+            )
+        assert lockstep == per_cell
 
 
 class TestConflictGraph:
