@@ -13,6 +13,8 @@ that the dense global matrices cannot reach.
 * :mod:`repro.shard.runtime` — :class:`ShardRuntime`: per-slot cell
   solves (concurrent in the dense sharded driver), merge and
   reconciliation, cross-slot cell state;
+* :mod:`repro.shard.climb` — the array-first driver's GHC, climbed in
+  lockstep over every live cell;
 * :mod:`repro.shard.scale` — the array-first sparse driver for
   deployments too large for a global :class:`~repro.model.system.
   RFIDSystem`;

@@ -612,6 +612,31 @@ class TestReport:
         # dict-shaped events render identically to live objects
         assert render_report([event_to_dict(e) for e in events]) == text
 
+    def test_report_names_lockstep_climbs(self):
+        """The scale driver's GHC climbs its cells in lockstep: the heatmap
+        reports those climbs on one line instead of per cell."""
+        from repro.shard import ScaleDeployment, run_scale_schedule
+
+        reset_spans()
+        with recording(TraceRecorder()) as rec:
+            result = run_scale_schedule(
+                ScaleDeployment(120, 1500, 160.0, seed=7), ShardSpec(cells=16),
+                seed=11,
+            )
+        climbs = sum(
+            isinstance(e, SpanStart) and e.name == "shard.solve"
+            for e in rec.events
+        )
+        assert climbs == result.size
+        text = render_report(rec.events)
+        assert "per-cell solve heatmap" in text
+        note = f"lockstep GHC: {climbs} climbs over " + str(
+            sum(s.cells_solved for s in result.slots)
+        )
+        assert note in text
+        assert "  cell " not in text
+        assert note in render_report_html(rec.events)
+
     def test_serial_run_omits_shard_and_pool_sections(self, system):
         events, _ = _trace_schedule(system)
         text = render_report(events)
