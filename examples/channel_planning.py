@@ -45,7 +45,7 @@ def main() -> None:
     for c in (1, 2, 3, 4, 6, 8):
         assignment = greedy_multichannel_assignment(system, c)
         w = multichannel_weight(system, assignment)
-        schedule = multichannel_covering_schedule(system, c, seed=0)
+        schedule = multichannel_covering_schedule(system, c)
         if base_slot is None:
             base_slot = w
         print(

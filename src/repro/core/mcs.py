@@ -141,8 +141,7 @@ class ScheduleOutcome(str, Enum):
 class ScheduleResult:
     """A complete covering schedule.
 
-    ``outcome`` defaults from ``complete`` when not supplied (``complete`` →
-    :attr:`ScheduleOutcome.complete`, else :attr:`ScheduleOutcome.exhausted`).
+    ``outcome`` says how the slot loop ended (:class:`ScheduleOutcome`).
     ``fault_trace`` carries the injector's deterministic trace fingerprint
     when a :class:`~repro.faults.FaultPlan` was active, else ``None``.
     """
@@ -151,16 +150,8 @@ class ScheduleResult:
     tags_read_total: int
     uncovered_tags: np.ndarray
     complete: bool
-    outcome: Optional[ScheduleOutcome] = None
+    outcome: ScheduleOutcome
     fault_trace: Optional[Tuple] = None
-
-    def __post_init__(self) -> None:
-        if self.outcome is None:
-            derived = (
-                ScheduleOutcome.complete if self.complete
-                else ScheduleOutcome.exhausted
-            )
-            object.__setattr__(self, "outcome", derived)
 
     @property
     def size(self) -> int:

@@ -328,17 +328,17 @@ def multichannel_covering_schedule(
     state: Optional[ReadState] = None,
     scheduler: str = "greedy",
     max_slots: Optional[int] = None,
-    seed: RngLike = None,
 ) -> ScheduleResult:
     """Covering schedule where each slot is a full channel assignment.
 
     More channels → more concurrent readers per slot → fewer slots, with
-    diminishing returns once RRc (channel-blind) dominates.
+    diminishing returns once RRc (channel-blind) dominates.  Both channel
+    schedulers are deterministic, so the schedule takes no seed.
     """
     if scheduler not in ("greedy", "coloring"):
         raise ValueError(f"scheduler must be 'greedy' or 'coloring', got {scheduler!r}")
     cap = max_slots if max_slots is not None else 4 * system.num_readers + 64
     return _dense_schedule(
-        _ChannelWorld(system, state, num_channels, scheduler), cap, seed,
+        _ChannelWorld(system, state, num_channels, scheduler), cap, None,
         solver=f"multichannel-{scheduler}",
     )

@@ -3,10 +3,10 @@
 On the scale tier a slot's GHC runs once per live cell, and a cell climb
 is about two steps on a few dozen readers, so solving the cells one call
 at a time spends most of its time on per-call set-up.  This module climbs
-them together: every cell's readers are stacked into one array (cell by
-cell, local ids ascending, so a stacked id orders like ``(cell, local
-id)``), each climb step scores every cell's frontier in one batch, and
-each cell adds its best reader or stops.
+them together: every cell's readers are stacked into one array (the
+layout of :class:`~repro.shard.stack.CellStack`, whose state the climb
+starts from), each climb step scores every cell's frontier in one batch,
+and each cell adds its best reader or stops.
 
 Each cell climbs exactly as
 :func:`~repro.baselines.hillclimb.greedy_hill_climbing` would with the
@@ -34,23 +34,14 @@ other climb.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.perf.backends import NumpyKernel
 from repro.perf.backends.numpy_batched import _row_counts
 from repro.perf.packed import _bytes_to_words
-
-
-def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The concatenated index ranges ``starts[j]:ends[j]``."""
-    lens = ends - starts
-    total = int(lens.sum())
-    if not total:
-        return np.zeros(0, dtype=np.int64)
-    offsets = np.repeat(starts - np.cumsum(lens) + lens, lens)
-    return offsets + np.arange(total)
+from repro.shard.stack import CellStack, _ranges
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, n: int):
@@ -64,60 +55,39 @@ def _csr(rows: np.ndarray, cols: np.ndarray, n: int):
 
 
 class CellStackKernel(NumpyKernel):
-    """The climb kernel over a partition's cells stacked side by side.
+    """The climb kernel over the cells of a :class:`~repro.shard.stack.
+    CellStack`, in its layout.
 
-    Stacked reader ``s`` is local reader ``s − reader_start[k]`` of cell
-    ``k = cell_of[s]``.  Its coverage row is the cell subsystem's packed
-    row, zero-padded to the widest cell's word count, so each cell's tag
-    words line up with that cell's state rows.  A reader silences only
-    readers of its own cell (its subsystem's ``in_interference_range``),
-    kept as sparse pairs in both directions.
+    A stacked reader's coverage row is its cell subsystem's packed row,
+    zero-padded to the widest cell's word count, so each cell's tag words
+    line up with that cell's state rows.  A reader silences only readers
+    of its own cell (its subsystem's ``in_interference_range``), kept as
+    sparse pairs in both directions.
 
     Only :meth:`~repro.perf.backends.NumpyKernel.climb_weights_with` is
     served, with a :class:`_LockstepState` as the climb; the other batch
     methods need a single system and are not defined on a stack.
     """
 
-    def __init__(self, cells: Sequence) -> None:
-        sizes = np.array([len(c.all_reader_ids) for c in cells], dtype=np.int64)
-        n = int(sizes.sum())
-        self.num_cells = len(cells)
-        self.reader_start = np.zeros(self.num_cells + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self.reader_start[1:])
-        self.cell_of = np.repeat(np.arange(self.num_cells), sizes)
+    def __init__(self, stack: CellStack, cells: Sequence) -> None:
+        self.cell_of = stack.cell_of
+        self.num_readers = n = len(stack.global_ids)
         self.num_words = max(
             [c.subsystem.packed_coverage.num_words for c in cells] + [1]
         )
         self.words = np.zeros((n, self.num_words), dtype=np.uint64)
         silenced, silencer = [], []
-        for c, start in zip(cells, self.reader_start[:-1].tolist()):
+        for c, start in zip(cells, stack.reader_start[:-1].tolist()):
             rows = c.subsystem.packed_coverage.words
             self.words[start:start + len(rows), : rows.shape[1]] = rows
             # in_interference_range[i, j]: reader i lies in j's disk
             i, j = np.nonzero(c.subsystem.in_interference_range)
             silenced.append(i + start)
             silencer.append(j + start)
-        self.global_ids = np.concatenate(
-            [c.all_reader_ids for c in cells] + [np.zeros(0, dtype=np.int64)]
-        ).astype(np.int64)
-        self.owned = np.concatenate(
-            [c.owned_reader_mask for c in cells] + [np.zeros(0, dtype=bool)]
-        )
-        tag_counts = [len(c.tag_ids) for c in cells]
-        # each cell's local tag t sits at bit t of that cell's state row
-        self.tag_slots = np.concatenate(
-            [
-                k * self.num_words * 64 + np.arange(m)
-                for k, m in enumerate(tag_counts)
-            ]
-            + [np.zeros(0, dtype=np.int64)]
-        )
-        i = np.concatenate(silenced + [np.zeros(0, dtype=np.int64)])
-        j = np.concatenate(silencer + [np.zeros(0, dtype=np.int64)])
+        i, j = np.concatenate(silenced), np.concatenate(silencer)
         #: readers each stacked reader silences, and readers silencing it
         self.silencees = _csr(j, i, n)
         self.silencers = _csr(i, j, n)
-        self.num_readers = n
 
     def _climb_scalar(self, climb, cands):
         return self._climb_batch(climb, np.asarray(cands, dtype=np.int64))
@@ -204,27 +174,23 @@ class _LockstepState:
 
 
 def climb_cells(
-    kernel: CellStackKernel,
-    unread: List[np.ndarray],
-    remaining: List[np.ndarray],
-    cells: Sequence[int],
+    kernel: CellStackKernel, stack: CellStack, cells: Sequence[int]
 ) -> np.ndarray:
-    """GHC on each cell of *cells*, in lockstep; returns the owned active
-    readers of all of them as global ids, cell by cell.
-
-    *unread* and *remaining* hold every stacked cell's context arrays
-    (``ScheduleContext.unread`` and ``remaining_counts``, in cell order);
-    cells outside *cells* do not climb.
+    """GHC on each cell of *cells*, in lockstep, from the state of
+    *stack* (the one *kernel* was built over); returns the owned active
+    readers of all of them as global ids, cell by cell.  Cells outside
+    *cells* do not climb.
     """
-    flat = np.zeros(kernel.num_cells * kernel.num_words * 64, dtype=bool)
-    flat[kernel.tag_slots] = np.concatenate(unread)
-    packed = np.packbits(
-        flat.reshape(kernel.num_cells, -1), axis=1, bitorder="little"
-    )
+    # each cell's local tag t sits at bit t of that cell's state row; a
+    # boolean mask fills row by row, so the stacked flags land in order
+    flat = np.zeros((stack.num_cells, kernel.num_words * 64), dtype=bool)
+    lengths = np.diff(stack.tag_start)[:, None]
+    flat[np.arange(flat.shape[1]) < lengths] = stack.unread
+    packed = np.packbits(flat, axis=1, bitorder="little")
     state = _LockstepState(kernel, _bytes_to_words(packed, kernel.num_words))
-    climbing = np.zeros(kernel.num_cells, dtype=bool)
+    climbing = np.zeros(stack.num_cells, dtype=bool)
     climbing[list(cells)] = True
-    eligible = (np.concatenate(remaining) > 0) & climbing[kernel.cell_of]
+    eligible = (stack.remaining > 0) & climbing[kernel.cell_of]
     while True:
         cands = np.flatnonzero(eligible)
         if not cands.size:
@@ -246,4 +212,4 @@ def climb_cells(
         if winners.size:
             state.add(kernel, winners)
             eligible[winners] = False
-    return kernel.global_ids[np.flatnonzero(state.active & kernel.owned)]
+    return stack.global_ids[np.flatnonzero(state.active & stack.owned)]

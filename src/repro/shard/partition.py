@@ -31,9 +31,8 @@ retire_readers` applies confirmed permanent reader crashes as an
 cell of its new lowest-id *alive* covering reader (or marked uncoverable
 when none survives), and only the dirtied cells (those that lost a reader
 or gained a tag) have their halo subsystems rebuilt over the surviving
-fleet.  Untouched cells keep their subsystems byte-for-byte, which is what
-lets the runtime preserve their incremental ``ScheduleContext``s across the
-refresh.  Dead readers may linger in an *untouched* neighbour's halo — they
+fleet.  Untouched cells keep their subsystems, and their packing,
+byte-for-byte.  Dead readers may linger in an *untouched* neighbour's halo — they
 are advisory only, permanently suspected, and never activated, so this is
 harmless and avoids cascading rebuilds.
 
@@ -165,8 +164,8 @@ class RefreshReport:
     ``retired`` are the reader ids newly marked dead; ``rebuilt_cells`` the
     cells whose halo subsystem was rebuilt (they lost an owned reader or
     gained a tag); ``emptied_cells`` the cells left with no alive owned
-    reader (their owned tags were all re-bucketed or orphaned, and the
-    runtime drops their contexts); ``moved_tags`` / ``orphaned_tags`` count
+    reader (their owned tags were all re-bucketed or orphaned, so they
+    own nothing); ``moved_tags`` / ``orphaned_tags`` count
     re-bucketed and newly-uncoverable tags."""
 
     retired: Tuple[int, ...]

@@ -1,19 +1,19 @@
 """Per-slot execution engine for sharded covering schedules.
 
-:class:`ShardRuntime` owns the mutable cross-slot state of a sharded solve:
-one :class:`~repro.perf.slotdelta.ScheduleContext` per cell, tracking that
-cell's **owned** unread tags (halo tags start read locally, so each tag's
-weight is credited to exactly one cell).  Every slot it
+:class:`ShardRuntime` owns the mutable cross-slot state of a sharded solve,
+one :class:`~repro.shard.stack.CellStack`: each cell's **owned** unread
+tags (halo tags start read locally, so each tag's weight is credited to
+exactly one cell) and its readers' remaining counts.  Every slot it
 
 1. solves each *live* cell (one with owned unread tags left) independently
    on its halo-augmented subsystem with the run's one solver, bound at
    construction — in process, or concurrently on the persistent
    :class:`~repro.perf.pool.WorkerPool` of :meth:`ShardRuntime.pool_scope`
    when the dense sharded driver holds one (``spec.workers``).  Both paths
-   build the same ``(slot, cell, seed, suspicion)`` payload per live
-   cell, with child seeds drawn from the driver's stream, and the pooled
-   path only adds the cell's retired-tag log, so worker count never
-   changes results;
+   build the same ``(slot, cell, seed, suspicion, unread bits)`` payload
+   per live cell, with child seeds drawn from the driver's stream and the
+   cell's unread slice packed into bits, and a solve depends on nothing
+   else, so worker count never changes results;
 2. keeps only each cell's **owned** activations (halo readers are advisory:
    they model neighbour interference but only their owner cell may activate
    them);
@@ -47,9 +47,8 @@ results.
 Confirmed permanent crashes are applied by :meth:`ShardRuntime.refresh`:
 the partition re-buckets orphaned tags and rebuilds dirtied cells
 (:meth:`~repro.shard.partition.ShardPartition.retire_readers`), the runtime
-rebuilds exactly those cells' contexts from the driver's unread mask —
-surviving contexts are preserved — and an active persistent pool is
-respawned so workers fork the refreshed state.
+restacks the cell state from the driver's unread mask, and an active
+persistent pool is respawned so workers fork the refreshed partition.
 
 Lockstep GHC: a runtime built with ``lockstep=True`` (the array-first
 driver running the registry's ``"ghc"``) solves every live cell with no
@@ -82,11 +81,11 @@ import numpy as np
 from repro.obs.events import ShardMerge
 from repro.obs.spans import span
 from repro.model.system import ReducedSystems
-from repro.perf.parallel import in_pool_worker
 from repro.perf.pool import WorkerPool
 from repro.perf.slotdelta import ScheduleContext
 from repro.shard.climb import CellStackKernel, climb_cells
 from repro.shard.partition import RefreshReport, ShardPartition
+from repro.shard.stack import CellStack
 from repro.util.rng import LazyRng
 
 
@@ -99,22 +98,23 @@ class ShardRuntime:
         The :class:`~repro.shard.partition.ShardPartition` to run over.
     unread:
         The driver's live global unread mask (its coverable-unread
-        population), held by reference and never written here.  Each
-        cell's context starts from it restricted to the cell's owned tags,
-        and :meth:`refresh` rebuilds dirtied cells from it, so the driver
-        must retire confirmed tags in it.
+        population), held by reference and never written here.  The cell
+        state starts from it restricted to each cell's owned tags, and
+        :meth:`refresh` restacks it from there, so the driver must retire
+        confirmed tags in it.
     solver:
         The one-shot solver every cell solve of the run calls.
     takes_context:
         Whether *solver* accepts a ``context`` keyword
         (:func:`repro.core.mcs.accepts_context`, computed once by the
-        driver); cell solves then receive their cell's live
-        :class:`~repro.perf.slotdelta.ScheduleContext`.
+        driver); cell solves then receive a
+        :class:`~repro.perf.slotdelta.ScheduleContext` over their cell's
+        unread slice.
     lockstep:
-        Whether *solver* is the registry's plain ``"ghc"``: in-process
-        slots then climb every cell with no suspected reader in one
-        lockstep GHC (:func:`repro.shard.climb.climb_cells`), which
-        activates exactly the readers the per-cell solves would.
+        Whether *solver* is the registry's plain ``"ghc"``: slots then
+        climb every cell with no suspected reader in one lockstep GHC
+        (:func:`repro.shard.climb.climb_cells`), which activates exactly
+        the readers the per-cell solves would.
     """
 
     def __init__(
@@ -130,9 +130,7 @@ class ShardRuntime:
         self._solver = solver
         self._takes_context = takes_context
         self._lockstep = lockstep
-        # the stacked cells of the lockstep climb, built on first use
-        self._stack: Optional[CellStackKernel] = None
-        self._contexts = [self._context(cell) for cell in partition.cells]
+        self._restack()
         #: Readers retired by :meth:`refresh` (confirmed permanent crashes).
         self.retired_readers = np.zeros(
             len(partition.reader_positions), dtype=bool
@@ -140,28 +138,25 @@ class ShardRuntime:
         # degraded per-cell subsystems, keyed by (cell, suspicion pattern);
         # per-process (workers fill their own copies deterministically)
         self._views = ReducedSystems()
-        # persistent-pool state (active only inside pool_scope)
+        # the persistent pool (active only inside pool_scope)
         self._pool: Optional[WorkerPool] = None
-        self._retired_logs: Optional[List[List[np.ndarray]]] = None
-        self._pool_applied: Optional[List[int]] = None
 
-    def _context(self, cell) -> ScheduleContext:
-        """A fresh context over *cell*'s owned tags still unread."""
-        return ScheduleContext(
-            cell.subsystem, cell.owned_tag_mask & self._unread[cell.tag_ids]
-        )
+    def _restack(self) -> None:
+        """Stack the cell state from the driver's unread mask, and the
+        lockstep climb's kernel over it, in set-up."""
+        cells = self.partition.cells
+        self._stack = CellStack(self.partition, self._unread)
+        self._kernel = CellStackKernel(self._stack, cells) if self._lockstep else None
 
     # ------------------------------------------------------------------
     @property
     def num_unread(self) -> int:
         """Unread owned tags summed over cells."""
-        return sum(ctx.num_unread for ctx in self._contexts)
+        return int(self._stack.cell_unread.sum())
 
     def live_cells(self) -> List[int]:
         """Indices of cells with owned unread tags remaining, ascending."""
-        return [
-            i for i, ctx in enumerate(self._contexts) if ctx.num_unread > 0
-        ]
+        return np.flatnonzero(self._stack.cell_unread).tolist()
 
     # ------------------------------------------------------------------
     @contextmanager
@@ -169,14 +164,12 @@ class ShardRuntime:
         """Hold one persistent :class:`~repro.perf.pool.WorkerPool` for
         every slot solved inside the ``with`` block.
 
-        The workers fork *now* and inherit the whole runtime — partition,
-        subsystems, per-cell contexts — as copy-on-write pages; afterwards
-        each :meth:`solve_slot` ships only the per-cell payloads plus each
-        cell's retired-tag log, and forked workers replay the log suffix
-        they have not yet applied before solving (``retire_tags`` is
-        idempotent on a tag set, so replay order cannot change state).
-        Exiting the scope — normally or through a solver exception —
-        terminates and joins the workers, so no child can leak.
+        The workers fork *now* and inherit the partition — cells and
+        their subsystems — as copy-on-write pages; afterwards each
+        :meth:`solve_slot` ships only the per-cell payloads, which carry
+        everything a cell solve reads of the cell state.  Exiting the
+        scope — normally or through a solver exception — terminates and
+        joins the workers, so no child can leak.
 
         Yields ``None`` and holds no pool — :meth:`solve_slot` then solves
         the live cells in an in-process loop — whenever the pool would run
@@ -184,48 +177,23 @@ class ShardRuntime:
         rule of :mod:`repro.perf.parallel`, counted and warned once by the
         pool), or on a platform without ``fork`` (warned once by the
         pool's :meth:`~repro.perf.pool.WorkerPool.start`).  A serial pool
-        would only ship and replay every retirement log a second time.
-        Only the dense sharded driver enters this scope; the array-first
-        driver always solves in process.
+        would only pickle every payload for nothing.  Only the dense
+        sharded driver enters this scope; the array-first driver always
+        solves in process.
         """
         pool = WorkerPool(self.partition.spec.workers)
         if pool.mode == "serial":
             pool.start()  # starts nothing; reports a missing fork
             yield None
             return
-        self._retired_logs = [[] for _ in self.partition.cells]
-        self._pool_applied = [0] * len(self.partition.cells)
         try:
-            pool.register(self._solve_cell_pool)
-            pool.start()  # fork here: contexts are in their slot-0 state
-            self._pool = pool
+            self._fork(pool)
             yield pool
         finally:
             # close self._pool, not the local: refresh() may have respawned
             pool, self._pool = self._pool, None
             if pool is not None:
                 pool.close()
-            self._retired_logs = None
-            self._pool_applied = None
-
-    def _solve_cell_pool(self, payload):
-        """Pool worker body: catch the cell up on retirements it has not
-        seen, then solve it (:meth:`_solve_cell`).
-
-        Forked workers keep their fork-time snapshot of the contexts, so
-        the payload carries the cell's full retired-tag log and each worker
-        applies only the suffix beyond its own ``_pool_applied`` watermark.
-        The supervisor's last-resort serial replay runs this in the parent,
-        whose contexts are already authoritative — the
-        :func:`in_pool_worker` guard skips the log replay there.
-        """
-        slot, idx, seed, susp, log = payload
-        if in_pool_worker():
-            applied = self._pool_applied[idx]
-            for entry in log[applied:]:
-                self._contexts[idx].retire_tags(entry)
-            self._pool_applied[idx] = len(log)
-        return self._solve_cell(slot, idx, seed, susp)
 
     # ------------------------------------------------------------------
     def solve_slot(
@@ -249,25 +217,21 @@ class ShardRuntime:
         # one child seed per live cell, from the driver's stream — worker
         # count never touches the rng, so parallelism cannot change results
         seeds = rng.integers(0, 2 ** 63 - 1, size=len(live))
+        susp = [self._local_suspicion(idx, suspected) for idx in live]
+        # a lockstep runtime climbs every calm cell at once; cells with a
+        # suspected reader solve a degraded subsystem one by one
+        calm = [i for i, s in zip(live, susp) if s is None and self._lockstep]
         payloads = [
-            (slot, idx, int(seed), self._local_suspicion(idx, suspected))
-            for idx, seed in zip(live, seeds)
+            (slot, idx, int(seed), s, np.packbits(self._stack.cell_unread_mask(idx)))
+            for idx, seed, s in zip(live, seeds, susp)
+            if s is not None or not self._lockstep
         ]
         if self._pool is not None:
-            # persistent pool: add each cell's retirement log (workers
-            # replay only their unseen suffix; see pool_scope)
-            parts = self._pool.map(
-                self._solve_cell_pool,
-                [p + (tuple(self._retired_logs[p[1]]),) for p in payloads],
-            )
-        elif self._lockstep:
-            # cells with a suspected reader solve a degraded subsystem
-            parts = [self._solve_cell(*p) for p in payloads if p[3] is not None]
-            calm = [p[1] for p in payloads if p[3] is None]
-            if calm:
-                parts.append(self._climb_cells(slot, calm))
+            parts = self._pool.map(self._solve_cell, payloads)
         else:
-            parts = [self._solve_cell(*p) for p in payloads]
+            parts = [self._solve_cell(p) for p in payloads]
+        if calm:
+            parts.append(self._climb_cells(slot, calm))
         merged = (
             np.sort(np.concatenate([ids for ids, _ in parts]))
             if parts
@@ -309,10 +273,9 @@ class ShardRuntime:
         return local if local.any() else None
 
     # ------------------------------------------------------------------
-    def _solve_cell(
-        self, slot: int, idx: int, seed: int, susp: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, bool]:
-        """Worker body: solve one cell with its own seeded rng under a
+    def _solve_cell(self, payload) -> Tuple[np.ndarray, bool]:
+        """Worker body: solve one cell from its ``(slot, cell, seed,
+        suspicion, unread bits)`` payload with its own seeded rng under a
         ``shard.solve`` span; returns the owned active readers as global
         ids and whether the solver reported its search cut off
         (``meta['budget_exhausted']``, set by PTAS and exact).
@@ -321,13 +284,15 @@ class ShardRuntime:
         sees ``default_rng(seed)``'s stream, and the deterministic solvers
         (GHC, PTAS, exact, centralized, distributed) never build it.
 
-        Runs in a pool worker (through :meth:`_solve_cell_pool`) or inline
-        when serial.  A local suspicion mask *susp* (``None`` for an
-        unaffected cell) routes the solve through a degraded subsystem over
-        the unsuspected local readers (no warm-start context — the cell
-        context indexes the full subsystem).  Only picklable values cross
-        the process boundary.
+        It reads the cell state from the payload alone, so it runs alike
+        in a pool worker, inline, or in the supervisor's last-resort
+        serial replay.  A context-taking solver gets a fresh
+        :class:`~repro.perf.slotdelta.ScheduleContext` over the unpacked
+        unread slice.  A local suspicion mask (``None`` for an unaffected
+        cell) routes the solve through a degraded subsystem over the
+        unsuspected local readers, without a context.
         """
+        slot, idx, seed, susp, bits = payload
         cell = self.partition.cells[idx]
         with span(
             "shard.solve",
@@ -336,7 +301,7 @@ class ShardRuntime:
             readers=len(cell.all_reader_ids),
             halo=len(cell.halo_reader_ids),
         ):
-            ctx = self._contexts[idx]
+            unread = np.unpackbits(bits, count=len(cell.tag_ids)).view(bool)
             system = cell.subsystem
             live_local = None
             kwargs = {}
@@ -346,8 +311,8 @@ class ShardRuntime:
                     # every local reader suspected: nothing to solve
                     return np.empty(0, dtype=np.int64), False
             elif self._takes_context:
-                kwargs["context"] = ctx
-            result = self._solver(system, ctx.unread, LazyRng(seed), **kwargs)
+                kwargs["context"] = ScheduleContext(system, unread)
+            result = self._solver(system, unread, LazyRng(seed), **kwargs)
             active_local = np.asarray(result.active, dtype=np.int64)
             if live_local is not None:
                 active_local = live_local[active_local]
@@ -367,33 +332,13 @@ class ShardRuntime:
         one ``solver.call`` span inside — the span tree of a per-cell
         solve; it emits no :class:`~repro.obs.events.SolverCall` event.
         """
-        if self._stack is None:
-            self._stack = CellStackKernel(self.partition.cells)
         with span("shard.solve", slot=slot, cells=len(cells)), span(
             "solver.call", solver="greedy_hill_climbing", cells=len(cells)
         ):
-            ids = climb_cells(
-                self._stack,
-                [ctx.unread for ctx in self._contexts],
-                [ctx.remaining_counts for ctx in self._contexts],
-                cells,
-            )
+            ids = climb_cells(self._kernel, self._stack, cells)
         return ids, False
 
     # ------------------------------------------------------------------
-    def _owner_counts(self, readers: np.ndarray) -> np.ndarray:
-        """Each reader's remaining covered-unread count in its owner cell:
-        one searchsorted per owner cell."""
-        cells = self.partition.cell_of_reader[readers]
-        order = np.argsort(cells, kind="stable")
-        groups, starts = np.unique(cells[order], return_index=True)
-        vals = np.empty(len(readers), dtype=np.int64)
-        for c, sel in zip(groups.tolist(), np.split(order, starts[1:])):
-            cell = self.partition.cells[c]
-            loc = np.searchsorted(cell.all_reader_ids, readers[sel])
-            vals[sel] = self._contexts[c].remaining_counts[loc]
-        return vals
-
     def _reconcile(self, active: np.ndarray) -> Tuple[np.ndarray, int]:
         """Drop readers until the sorted merged set *active* has no
         cross-cell conflict; returns ``(kept, repairs)``.
@@ -420,7 +365,7 @@ class ShardRuntime:
             return active, 0
         cand, starts = np.unique(rows, return_index=True)
         ends = np.append(starts[1:], len(rows))
-        vals = self._owner_counts(active[cand])
+        vals = self._stack.owner_counts(active[cand])
         live = np.ones(len(active), dtype=bool)
         repairs = 0
         # active is ascending, so -cand orders ties by descending id
@@ -432,34 +377,11 @@ class ShardRuntime:
 
     # ------------------------------------------------------------------
     def retire(self, confirmed: np.ndarray) -> None:
-        """Mark the slot's confirmed-read tags retired in their owner cells.
-
-        A tag is unread only in its owner cell (halo tags start read
-        locally), so confirmed tags are bucketed by owner and each owner
-        context retires its own — one searchsorted per live owner cell, not
-        per cell over the whole confirmed set.  The driver updates its own
-        unread mask.
+        """Mark the slot's confirmed-read tags retired in their owner cells
+        (:meth:`~repro.shard.stack.CellStack.retire`: one vectorised pass
+        over every owner cell).  The driver updates its own unread mask.
         """
-        tags = np.asarray(confirmed, dtype=np.int64).ravel()
-        if tags.size == 0:
-            return
-        owners = self.partition.owner_of_tag[tags]
-        keep = owners >= 0
-        tags, owners = tags[keep], owners[keep]
-        if tags.size == 0:
-            return
-        order = np.argsort(owners, kind="stable")
-        tags, owners = tags[order], owners[order]
-        groups, starts = np.unique(owners, return_index=True)
-        bounds = np.append(starts, len(tags))
-        for c, s, e in zip(groups, bounds[:-1], bounds[1:]):
-            cell = self.partition.cells[int(c)]
-            local = np.searchsorted(cell.tag_ids, tags[s:e])
-            self._contexts[int(c)].retire_tags(local)
-            if self._retired_logs is not None:
-                # pool active: append to the cell's log so forked workers
-                # can catch up before their next solve (pool_scope)
-                self._retired_logs[int(c)].append(local)
+        self._stack.retire(confirmed)
 
     # ------------------------------------------------------------------
     def refresh(self, dead_ids) -> RefreshReport:
@@ -467,36 +389,36 @@ class ShardRuntime:
 
         Delegates the re-bucketing and cell rebuilds to
         :meth:`~repro.shard.partition.ShardPartition.retire_readers`, then
-        rebuilds exactly the dirtied cells' contexts from the driver's
-        unread mask (already-read tags stay read; surviving cells keep
-        their contexts object-identically; emptied cells own nothing, so
-        their contexts hold zero unread), and — when a persistent pool is
-        active — respawns it so workers fork the refreshed partition instead
-        of their stale snapshot.  Degraded-subsystem caches are cleared: a
+        restacks the cell state from the driver's unread mask
+        (already-read tags stay read; emptied cells own nothing, so they
+        hold zero unread), and — when a persistent pool is active —
+        respawns it so workers fork the refreshed partition instead of
+        their stale snapshot.  Degraded-subsystem caches are cleared: a
         rebuilt cell's local id map changed.
         """
         report = self.partition.retire_readers(dead_ids)
         if report.retired:
             self.retired_readers[list(report.retired)] = True
             self._views.clear()
-            self._stack = None
-            for idx in report.rebuilt_cells + report.emptied_cells:
-                self._contexts[idx] = self._context(self.partition.cells[idx])
+            self._restack()
             if self._pool is not None:
                 self._respawn_pool()
         return report
 
     def _respawn_pool(self) -> None:
         """Replace the persistent pool after a refresh: the old fork
-        snapshot holds stale cells/contexts.  The new fork inherits the
-        parent's fully-retired contexts, so logs and watermarks restart
-        empty — there is nothing left to replay."""
+        snapshot holds stale cells."""
         old, self._pool = self._pool, None
         old.close()
-        self._retired_logs = [[] for _ in self.partition.cells]
-        self._pool_applied = [0] * len(self.partition.cells)
-        pool = WorkerPool(self.partition.spec.workers)
-        pool.register(self._solve_cell_pool)
+        self._fork(WorkerPool(self.partition.spec.workers))
+
+    def _fork(self, pool: WorkerPool) -> None:
+        """Start *pool*'s workers on :meth:`_solve_cell` and hold it.  The
+        cells' coverage is packed first, so every worker inherits the
+        packing instead of redoing it in its first solve of each cell."""
+        for cell in self.partition.cells:
+            cell.subsystem.packed_coverage  # built on first access
+        pool.register(self._solve_cell)
         pool.start()
         self._pool = pool
 
@@ -515,21 +437,4 @@ class ShardRuntime:
         suspected the fallback returns ``None`` and the slot makes no
         progress (bounded by the policy's stall guard).
         """
-        best: Optional[Tuple[int, int]] = None
-        for cell, ctx in zip(self.partition.cells, self._contexts):
-            if ctx.num_unread == 0:
-                continue
-            counts = np.where(cell.owned_reader_mask, ctx.remaining_counts, 0)
-            if counts.size == 0:
-                continue
-            if suspected is not None:
-                counts = np.where(
-                    suspected[cell.all_reader_ids], 0, counts
-                )
-            cmax = int(counts.max())
-            if cmax <= 0:
-                continue
-            gid = int(cell.all_reader_ids[int(np.argmax(counts == cmax))])
-            if best is None or (-cmax, gid) < (-best[0], best[1]):
-                best = (cmax, gid)
-        return None if best is None else best[1]
+        return self._stack.best_singleton(suspected)

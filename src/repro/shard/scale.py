@@ -24,9 +24,8 @@ global state, so :func:`run_scale_schedule` runs the same greedy loop
   restricted to the *active* readers;
 * the singleton fallback uses owned-cell counts
   (:meth:`~repro.shard.runtime.ShardRuntime.best_singleton`);
-* retirement updates the per-cell contexts through
-  :meth:`~repro.shard.runtime.ShardRuntime.retire` — one searchsorted per
-  live owner cell, never a scan of the 10⁶-tag population per cell.
+* retirement (:meth:`~repro.shard.runtime.ShardRuntime.retire`) is one
+  vectorised pass over the stacked cell state, never a per-cell scan.
 
 Being the same loop, it emits the standard driver spans (``mcs.run`` /
 ``mcs.slot`` / ``mcs.solve`` / ``mcs.retire``, plus ``scale.verify``

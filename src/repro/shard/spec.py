@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.util.validation import check_workers
+from repro.util.validation import check_nonnegative_int, check_workers
 
 
 def interaction_radius(
@@ -70,7 +70,8 @@ class ShardSpec:
         driver; certified by ``tests/test_shard.py``).  Values
         above 1 are a *target*: the actual side is clamped to at least the
         interaction radius, so the realised cell count never exceeds what
-        the one-ring halo contract allows.
+        the one-ring halo contract allows.  A float, boolean or negative
+        value raises :class:`ValueError` here.
     workers:
         Dense sharded driver only
         (``greedy_covering_schedule(..., shard=)``): worker processes for
@@ -90,8 +91,7 @@ class ShardSpec:
     workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.cells < 0:
-            raise ValueError(f"cells must be >= 0, got {self.cells}")
+        check_nonnegative_int("cells", self.cells)
         if self.workers is not None:
             check_workers("workers", self.workers)
 

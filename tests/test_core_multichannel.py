@@ -166,17 +166,17 @@ class TestColoringScheduler:
 
 class TestCoveringSchedule:
     def test_completes(self, system):
-        result = multichannel_covering_schedule(system, 2, seed=0)
+        result = multichannel_covering_schedule(system, 2)
         assert result.complete
         assert result.tags_read_total == int(system.covered_by_any().sum())
 
     def test_channels_reduce_or_tie_slots(self, system):
-        s1 = multichannel_covering_schedule(system, 1, seed=0).size
-        s3 = multichannel_covering_schedule(system, 3, seed=0).size
+        s1 = multichannel_covering_schedule(system, 1).size
+        s3 = multichannel_covering_schedule(system, 3).size
         assert s3 <= s1
 
     def test_coloring_scheduler_variant(self, system):
-        result = multichannel_covering_schedule(system, 2, scheduler="coloring", seed=0)
+        result = multichannel_covering_schedule(system, 2, scheduler="coloring")
         assert result.complete
 
     def test_bad_scheduler(self, system):
@@ -184,7 +184,7 @@ class TestCoveringSchedule:
             multichannel_covering_schedule(system, 2, scheduler="magic")
 
     def test_slot_metadata_carries_channels(self, system):
-        result = multichannel_covering_schedule(system, 2, seed=0)
+        result = multichannel_covering_schedule(system, 2)
         for slot in result.slots:
             channels = slot.solver_meta["channels"]
             assert len(channels) == system.num_readers

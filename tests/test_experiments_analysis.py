@@ -50,11 +50,11 @@ class TestLatencyStats:
         assert stats.worst == schedule.size - 1  # last slot served something
 
     def test_empty_schedule(self):
-        from repro.core.mcs import ScheduleResult
+        from repro.core.mcs import ScheduleOutcome, ScheduleResult
 
         empty = ScheduleResult(
             slots=[], tags_read_total=0, uncovered_tags=np.empty(0, dtype=np.int64),
-            complete=True,
+            complete=True, outcome=ScheduleOutcome.complete,
         )
         stats = LatencyStats.from_schedule(empty)
         assert stats.count == 0 and stats.worst == 0

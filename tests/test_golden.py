@@ -395,13 +395,13 @@ BASELINE_DRIVERS = {
         system, seed=seed, max_slots=3
     ),
     "multichannel-greedy-1": lambda system, seed: multichannel_covering_schedule(
-        system, 1, seed=seed
+        system, 1
     ),
     "multichannel-greedy-2": lambda system, seed: multichannel_covering_schedule(
-        system, 2, seed=seed
+        system, 2
     ),
     "multichannel-coloring-3": lambda system, seed: multichannel_covering_schedule(
-        system, 3, scheduler="coloring", seed=seed
+        system, 3, scheduler="coloring"
     ),
     "csma": lambda system, seed: csma_covering_schedule(system, seed=seed),
 }

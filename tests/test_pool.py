@@ -480,7 +480,7 @@ class TestShardedBitIdentity:
         with pytest.raises(RuntimeError, match="solver blew up"):
             with runtime.pool_scope():
                 runtime.solve_slot(0, as_rng(0), get_recorder())
-        assert runtime._pool is None and runtime._retired_logs is None
+        assert runtime._pool is None
         assert no_leaked_children()
 
 

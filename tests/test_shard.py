@@ -22,6 +22,7 @@ from repro.core import get_solver, greedy_covering_schedule
 from repro.deployment.scenario import Scenario
 from repro.obs.collectors import RunCollector
 from repro.obs.events import recording
+from repro.perf.slotdelta import ScheduleContext
 from repro.shard import (
     ShardPartition,
     ShardRuntime,
@@ -97,6 +98,14 @@ class TestSpec:
         ShardSpec(cells=1)
         ShardSpec(cells=16, workers=4)
         ShardSpec(cells=16, workers=-1)
+        ShardSpec(cells=np.int64(4))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.5, 4.0, True])
+    def test_bad_cells_rejected(self, bad):
+        """A non-integer cell target is an error, not a silent auto-size
+        (NaN, inf) or a silent "no partition" (``True``)."""
+        with pytest.raises(ValueError, match="cells"):
+            ShardSpec(cells=bad)
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, True, "two"])
     def test_bad_workers_rejected_before_any_build(
@@ -647,9 +656,25 @@ def dense_conflicts(rpos, R):
     return hit
 
 
-def dense_reconcile(runtime, active):
-    """The dense iterate-until-clean merge the one-pass version replaced."""
-    partition = runtime.partition
+def reference_contexts(partition, unread):
+    """Per cell, a context over its owned tags unread in the driver's
+    *unread* mask: what the runtime's stacked cell state must hold."""
+    return [
+        ScheduleContext(cell.subsystem, cell.owned_tag_mask & unread[cell.tag_ids])
+        for cell in partition.cells
+    ]
+
+
+def reference_owner_count(partition, contexts, reader):
+    """*reader*'s remaining count in its owner cell's reference context."""
+    cell = partition.cells[int(partition.cell_of_reader[reader])]
+    loc = int(np.searchsorted(cell.all_reader_ids, reader))
+    return int(contexts[cell.index].remaining_counts[loc])
+
+
+def dense_reconcile(partition, unread, active):
+    """The dense iterate-until-clean merge the one-pass version replaced,
+    with owner counts from :func:`reference_contexts`."""
     k = int(len(active))
     if k <= 1:
         return active, 0
@@ -662,11 +687,11 @@ def dense_reconcile(runtime, active):
     cross = (d2 <= rmax * rmax) & (owner[:, None] != owner[None, :])
     if not cross.any():
         return active, 0
-    vals = np.empty(k, dtype=np.int64)
-    for i, g in enumerate(active):
-        cell = partition.cells[int(partition.cell_of_reader[g])]
-        loc = int(np.searchsorted(cell.all_reader_ids, g))
-        vals[i] = runtime._contexts[cell.index].remaining_counts[loc]
+    contexts = reference_contexts(partition, unread)
+    vals = np.array(
+        [reference_owner_count(partition, contexts, g) for g in active],
+        dtype=np.int64,
+    )
     live = np.ones(k, dtype=bool)
     repairs = 0
     while True:
@@ -810,11 +835,11 @@ class TestReconcileDifferential:
     dense iterate-until-clean rule."""
 
     @staticmethod
-    def _check(runtime, rng, readers):
+    def _check(runtime, unread, rng, readers):
         for _ in range(5):
             active = random_active(rng, readers)
             got, got_repairs = runtime._reconcile(active)
-            want, want_repairs = dense_reconcile(runtime, active)
+            want, want_repairs = dense_reconcile(runtime.partition, unread, active)
             assert np.array_equal(got, want)
             assert got_repairs == want_repairs
 
@@ -823,17 +848,21 @@ class TestReconcileDifferential:
     def test_matches_dense_rule(self, deployment, data):
         partition = multi_cell_partition(deployment)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        runtime = owned_runtime(partition)
-        coverable = np.flatnonzero(partition.owner_of_tag >= 0)
-        runtime.retire(coverable[rng.random(len(coverable)) < 0.4])
-        self._check(runtime, rng, np.arange(len(deployment[0])))
+        unread = partition.owner_of_tag >= 0
+        runtime = owned_runtime(partition, unread)
+        coverable = np.flatnonzero(unread)
+        gone = coverable[rng.random(len(coverable)) < 0.4]
+        runtime.retire(gone)
+        unread[gone] = False
+        self._check(runtime, unread, rng, np.arange(len(deployment[0])))
 
     @given(deployment=shard_deployments(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_rule_after_refresh(self, deployment, data):
         partition = multi_cell_partition(deployment)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        runtime = owned_runtime(partition)
+        unread = partition.owner_of_tag >= 0
+        runtime = owned_runtime(partition, unread)
         graph = (partition.conflict_indptr, partition.conflict_ids)
         n = len(deployment[0])
         dead = rng.choice(n, size=int(rng.integers(1, n // 2 + 1)), replace=False)
@@ -841,7 +870,95 @@ class TestReconcileDifferential:
         # the graph depends on positions and radii only: refresh keeps it
         assert partition.conflict_indptr is graph[0]
         assert partition.conflict_ids is graph[1]
-        self._check(runtime, rng, np.flatnonzero(partition.reader_alive))
+        self._check(
+            runtime, unread, rng, np.flatnonzero(partition.reader_alive)
+        )
+
+
+class TestCellStateDifferential:
+    """The runtime's stacked cell state equals one fresh
+    :class:`ScheduleContext` per cell over the driver's unread mask,
+    through retire batches and a refresh that orphans tags."""
+
+    @staticmethod
+    def assert_matches(runtime, unread, rng):
+        partition, stack = runtime.partition, runtime._stack
+        contexts = reference_contexts(partition, unread)
+        assert runtime.num_unread == sum(c.num_unread for c in contexts)
+        assert runtime.live_cells() == [
+            i for i, c in enumerate(contexts) if c.num_unread > 0
+        ]
+        for i, ctx in enumerate(contexts):
+            np.testing.assert_array_equal(stack.cell_unread_mask(i), ctx.unread)
+            r = slice(stack.reader_start[i], stack.reader_start[i + 1])
+            np.testing.assert_array_equal(
+                stack.remaining[r], ctx.remaining_counts
+            )
+        owned = np.flatnonzero(partition.reader_alive)
+        owned = owned[[
+            g in partition.cells[int(partition.cell_of_reader[g])].reader_ids
+            for g in owned
+        ]]
+        np.testing.assert_array_equal(
+            stack.owner_counts(owned),
+            [reference_owner_count(partition, contexts, g) for g in owned],
+        )
+        for rate in (0.0, 0.3):
+            suspected = rng.random(len(partition.reader_positions)) < rate
+            best = None
+            for cell, ctx in zip(partition.cells, contexts):
+                ok = cell.owned_reader_mask & ~suspected[cell.all_reader_ids]
+                for loc in np.flatnonzero(ok & (ctx.remaining_counts > 0)):
+                    key = (-int(ctx.remaining_counts[loc]),
+                           int(cell.all_reader_ids[loc]))
+                    best = key if best is None else min(best, key)
+            want = None if best is None else best[1]
+            assert runtime.best_singleton(suspected if rate else None) == want
+
+    @staticmethod
+    def retire_batch(runtime, unread, rng):
+        """Retire a batch of still-unread tags mixed with repeats and
+        arbitrary tags: halo, unowned and already-read ones."""
+        m = len(unread)
+        left = np.flatnonzero(unread)
+        batch = np.concatenate([
+            left[rng.random(len(left)) < 0.3],
+            rng.integers(0, m, size=int(rng.integers(0, 6))) if m else [],
+        ]).astype(np.int64)
+        batch = np.concatenate([batch, batch[: len(batch) // 2]])
+        runtime.retire(rng.permutation(batch))
+        unread[batch] = False
+
+    @given(deployment=shard_deployments(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_cell_contexts(self, deployment, data):
+        partition = multi_cell_partition(deployment)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        # the dense driver's mask: coverable tags, orphans of a refresh
+        # stay unread
+        unread = partition.owner_of_tag >= 0
+        runtime = owned_runtime(partition, unread)
+        self.assert_matches(runtime, unread, rng)
+        for step in range(4):
+            self.retire_batch(runtime, unread, rng)
+            self.assert_matches(runtime, unread, rng)
+            if step == 1:
+                # kill every cover of one unread tag, and a few readers more
+                dead = rng.choice(
+                    len(partition.reader_positions),
+                    size=int(rng.integers(0, 3)),
+                )
+                owners = partition.owner_of_tag
+                left = np.flatnonzero(unread & (owners >= 0))
+                if left.size:
+                    tag = int(rng.choice(left))
+                    cell = partition.cells[int(owners[tag])]
+                    row = int(np.searchsorted(cell.tag_ids, tag))
+                    covers = cell.all_reader_ids[cell.subsystem.coverage[row]]
+                    dead = np.concatenate([dead, covers])
+                report = runtime.refresh(dead)
+                assert report.orphaned_tags > 0 or not left.size
+                self.assert_matches(runtime, unread, rng)
 
 
 class TestSparseVerification:
