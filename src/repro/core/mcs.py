@@ -92,6 +92,7 @@ from repro.shard.partition import ShardPartition
 from repro.shard.runtime import ShardRuntime
 from repro.shard.spec import ShardSpec
 from repro.util.rng import RngLike, as_rng
+from repro.util.validation import check_nonnegative_int
 
 
 @dataclass(frozen=True)
@@ -484,6 +485,14 @@ class _DenseWorld:
         )
 
 
+def check_slot_caps(cap, max_stall_slots: Optional[int]) -> None:
+    """Reject a slot cap that is not an integer ``>= 0`` and a stall
+    limit (``None``: the policy's, or off) that is not one ``>= 1``."""
+    check_nonnegative_int("max_slots", cap)
+    if max_stall_slots is not None:
+        check_nonnegative_int("max_stall_slots", max_stall_slots, minimum=1)
+
+
 def run_slot_loop(
     world,
     rng,
@@ -513,6 +522,7 @@ def run_slot_loop(
     Returns ``(slot records, tags read, complete, outcome)`` with
     *outcome* one of ``"complete"``, ``"exhausted"``, ``"stalled"``.
     """
+    check_slot_caps(cap, max_stall_slots)
     rec = get_recorder()
     stall_limit = max_stall_slots
     if stall_limit is None and faults is not None:

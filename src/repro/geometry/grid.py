@@ -1,10 +1,8 @@
 """Uniform spatial hash grid.
 
 Bucketing points into square cells turns "who is within distance d of p?"
-into a constant number of bucket scans.  The array-first scale driver
-(:mod:`repro.shard.scale`) uses it for per-active-reader tag coverage
-lookups, and the shard partition buckets readers and tags with the same
-:func:`group_by_key`.
+into a constant number of bucket scans.  The shard partition buckets
+readers and tags with the same :func:`group_by_key`.
 """
 
 from __future__ import annotations

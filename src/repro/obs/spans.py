@@ -82,7 +82,7 @@ SPAN_NAMES: Dict[str, str] = {
     "placement, radii and the derived coverage/conflict arrays "
     "(deployment.scenario.Scenario.build)",
     "partition.build": "one spatial partition of a deployment into cells "
-    "with halos and per-cell subsystems "
+    "with halos, the coverage relation and the conflict graph "
     "(shard.partition.ShardPartition.from_arrays)",
     "coverage.pack": "the lazy word-packing of a system's coverage matrix "
     "on first use (model.system.RFIDSystem.packed_coverage)",

@@ -29,7 +29,9 @@ So the readers each cell activates equal its own GHC solve, step for step
 through :class:`CellStackKernel`, a
 :class:`~repro.perf.backends.NumpyKernel` over the stacked cells, so the
 kernel's ``climb_weights_with`` entry point times and counts it like any
-other climb.
+other climb.  The kernel is built from the partition's two relations —
+the stack's coverage pairs and the conflict graph — so climbing builds
+no cell subsystem.
 """
 
 from __future__ import annotations
@@ -41,50 +43,52 @@ import numpy as np
 from repro.perf.backends import NumpyKernel
 from repro.perf.backends.numpy_batched import _row_counts
 from repro.perf.packed import _bytes_to_words
-from repro.shard.stack import CellStack, _ranges
-
-
-def _csr(rows: np.ndarray, cols: np.ndarray, n: int):
-    """``(indptr, degree, ids)`` of the pairs ``(rows[j], cols[j])``
-    grouped by row, each row's ids ascending."""
-    order = np.lexsort((cols, rows))
-    degree = np.bincount(rows, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    return indptr, degree, cols[order]
+from repro.shard.partition import _csr, _ranges
+from repro.shard.stack import CellStack
 
 
 class CellStackKernel(NumpyKernel):
     """The climb kernel over the cells of a :class:`~repro.shard.stack.
-    CellStack`, in its layout.
+    CellStack`, in its layout, built from *partition*'s two relations
+    without any cell subsystem.
 
-    A stacked reader's coverage row is its cell subsystem's packed row,
-    zero-padded to the widest cell's word count, so each cell's tag words
-    line up with that cell's state rows.  A reader silences only readers
-    of its own cell (its subsystem's ``in_interference_range``), kept as
-    sparse pairs in both directions.
+    A stacked reader's coverage row holds the bits of the owned tags it
+    covers in its cell (the stack's pairs), at their local ids, with
+    every row as wide as the widest cell.  Halo-tag bits are left out:
+    every gain term is masked by the cell's ``unread`` tags, and halo tags
+    are never unread there.  A reader silences only readers of its own
+    cell — the conflict graph's pairs within the cell with ``d² <= R_j²``,
+    reader *i* in reader *j*'s disk — kept as sparse pairs in both
+    directions.
 
     Only :meth:`~repro.perf.backends.NumpyKernel.climb_weights_with` is
     served, with a :class:`_LockstepState` as the climb; the other batch
     methods need a single system and are not defined on a stack.
     """
 
-    def __init__(self, stack: CellStack, cells: Sequence) -> None:
+    def __init__(self, stack: CellStack, partition) -> None:
         self.cell_of = stack.cell_of
         self.num_readers = n = len(stack.global_ids)
-        self.num_words = max(
-            [c.subsystem.packed_coverage.num_words for c in cells] + [1]
+        self.num_words = max(int(np.diff(stack.tag_start).max() + 63) // 64, 1)
+        local = stack.tag_pos[stack.pair_tags]
+        local -= stack.tag_start[stack.cell_of[stack.pair_readers]]
+        words = np.zeros(n * self.num_words, dtype=np.uint64)
+        bits = np.left_shift(np.uint64(1), (local % 64).astype(np.uint64))
+        np.bitwise_or.at(
+            words, stack.pair_readers * self.num_words + local // 64, bits
         )
-        self.words = np.zeros((n, self.num_words), dtype=np.uint64)
-        silenced, silencer = [], []
-        for c, start in zip(cells, stack.reader_start[:-1].tolist()):
-            rows = c.subsystem.packed_coverage.words
-            self.words[start:start + len(rows), : rows.shape[1]] = rows
-            # in_interference_range[i, j]: reader i lies in j's disk
-            i, j = np.nonzero(c.subsystem.in_interference_range)
-            silenced.append(i + start)
-            silencer.append(j + start)
-        i, j = np.concatenate(silenced), np.concatenate(silencer)
+        self.words = words.reshape(n, self.num_words)
+        # conflict pairs within a cell where reader i lies in j's disk
+        # (in_interference_range[i, j])
+        i, j = stack.cell_pairs(
+            partition.conflict_indptr, partition.conflict_ids,
+            stack.global_ids, stack.cell_of,
+        )
+        rpos, R = partition.reader_positions, partition.interference_radii
+        near = stack.global_ids[j]
+        diff = rpos[stack.global_ids[i]] - rpos[near]
+        inside = (diff * diff).sum(axis=-1) <= R[near] * R[near]
+        i, j = i[inside], j[inside]
         #: readers each stacked reader silences, and readers silencing it
         self.silencees = _csr(j, i, n)
         self.silencers = _csr(i, j, n)
@@ -104,9 +108,9 @@ class CellStackKernel(NumpyKernel):
         # each operational i that a candidate silences loses |E_i ∖ c|
         op = np.flatnonzero(climb.operational)
         if op.size:
-            indptr, degree, ids = self.silencers
+            indptr, ids = self.silencers
             by = ids[_ranges(indptr[op], indptr[op + 1])]
-            lost_i = np.repeat(op, degree[op])
+            lost_i = np.repeat(op, indptr[op + 1] - indptr[op])
             pos = np.full(self.num_readers, -1, dtype=np.int64)
             pos[cands] = np.arange(len(cands))
             keep = pos[by] >= 0
@@ -155,9 +159,10 @@ class _LockstepState:
         once, multi = self.once[cell], self.multi[cell]
         zone = c & self.unread[cell] & ~(once | multi)
         well = self.well[cell] & ~c
-        indptr, degree, ids = kernel.silencees
-        hits = ids[_ranges(indptr[readers], indptr[readers + 1])]
-        row = np.repeat(np.arange(len(readers)), degree[readers])
+        indptr, ids = kernel.silencees
+        starts, ends = indptr[readers], indptr[readers + 1]
+        hits = ids[_ranges(starts, ends)]
+        row = np.repeat(np.arange(len(readers)), ends - starts)
         lost = self.operational[hits]
         if lost.any():
             np.bitwise_and.at(well, row[lost], ~kernel.words[hits[lost]])

@@ -1,13 +1,20 @@
 """Spatial partition of a deployment into cells with one-ring halos.
 
 The partition assigns every reader to the square grid cell containing it
-and materialises, per cell, a self-contained :class:`~repro.model.system.
-RFIDSystem` over the cell's **owned** readers, its **halo** readers (nearby
-readers from neighbouring cells whose activation can influence the cell),
-and a band of tags wide enough that every owned tag's coverage is fully
-represented.  Because the cell side is at least the interaction radius
-``H`` of :func:`repro.shard.spec.interaction_radius`, all of this lives in
-the cell's 3×3 bucket neighbourhood — the one-ring halo contract.
+and describes, per cell, a self-contained deployment over the cell's
+**owned** readers, its **halo** readers (nearby readers from neighbouring
+cells whose activation can influence the cell), and a band of tags wide
+enough that every owned tag's coverage is fully represented.  Because the
+cell side is at least the interaction radius ``H`` of
+:func:`repro.shard.spec.interaction_radius`, all of this lives in the
+cell's 3×3 bucket neighbourhood — the one-ring halo contract.  A cell's
+dense :attr:`ShardCell.subsystem` is built only on first access.
+
+Every partition holds the one **coverage relation** — each (coverable
+tag, covering reader) pair, ``d² <= γ_j²``, as a tag-sorted CSR — from
+which ownership, the stacked cell state (:mod:`repro.shard.stack`), the
+lockstep climb (:mod:`repro.shard.climb`) and the scale verification
+(:attr:`ShardPartition.tags_by_reader`) all derive.
 
 Ownership rules (``docs/scale.md``):
 
@@ -43,13 +50,14 @@ graph** — every pair with ``d <= max(R_i, R_j)`` as a symmetric CSR,
 built once from the reader buckets.  The boundary merge and the scale
 driver's RTc verification both read it through
 :meth:`ShardPartition.active_conflicts` instead of a dense pass over the
-slot's active set.  Refreshes keep it: it depends on positions and radii
-alone.
+slot's active set.  Refreshes keep both relations: they depend on
+positions and radii alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -104,12 +112,51 @@ def _conflict_graph(
         i, j = np.nonzero(hit)
         src_parts.append(owned[i])
         dst_parts.append(cand[j])
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    order = np.lexsort((dst, src))
+    return _csr(np.concatenate(src_parts), np.concatenate(dst_parts), n)
+
+
+def _cover_relation(
+    tpos: np.ndarray,
+    rpos: np.ndarray,
+    gamma: np.ndarray,
+    reader_buckets: Dict[Key, np.ndarray],
+    tag_buckets: Dict[Key, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Tag-sorted CSR ``(indptr, ids)`` of every (tag, reader) pair with
+    ``d² <= γ_j²``: row *t* lists the readers covering tag *t*, ascending.
+
+    Built per tag bucket against the bucket's one-ring readers, which is
+    exhaustive because ``γ_max <= H <= side``; ``d²`` is the split ``dx*dx
+    + dy*dy`` of :func:`_conflict_graph`.
+    """
+    gamma_sq = gamma * gamma
+    tag_parts: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    reader_parts: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    for key, tids in tag_buckets.items():
+        cand = _pairs(reader_buckets, [key], NEIGHBOURHOOD)[1]
+        i, j = np.nonzero(_sq_dist(tpos, tids, rpos, cand) <= gamma_sq[cand])
+        tag_parts.append(tids[i])
+        reader_parts.append(cand[j])
+    return _csr(np.concatenate(tag_parts), np.concatenate(reader_parts), len(tpos))
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, ids)``: the pairs ``(rows[j], cols[j])`` grouped into *n*
+    rows, each row's ids ascending."""
+    order = np.lexsort((cols, rows))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[order]
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order]
+
+
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges ``starts[j]:ends[j]``."""
+    lens = ends - starts
+    total = int(lens.sum())
+    if not total:
+        return np.zeros(0, dtype=np.int64)
+    offsets = np.repeat(starts - np.cumsum(lens) + lens, lens)
+    return offsets + np.arange(total)
 
 
 def _sq_dist(p: np.ndarray, a: np.ndarray, q: np.ndarray, b: np.ndarray):
@@ -184,7 +231,9 @@ class ShardCell:
     local→global reader id map of ``subsystem`` (local id *i* is global id
     ``all_reader_ids[i]``).  ``tag_ids`` plays the same role for tags.
     ``owned_reader_mask`` / ``owned_tag_mask`` are boolean masks over the
-    local ids marking ownership.
+    local ids marking ownership.  ``source`` is the partition's
+    ``(reader_positions, interference_radii, interrogation_radii,
+    tag_positions)``, from which ``subsystem`` is built.
     """
 
     index: int
@@ -196,7 +245,14 @@ class ShardCell:
     tag_ids: np.ndarray
     owned_reader_mask: np.ndarray
     owned_tag_mask: np.ndarray
-    subsystem: RFIDSystem = field(repr=False)
+    source: Optional[Tuple[np.ndarray, ...]] = field(default=None, repr=False)
+
+    @cached_property
+    def subsystem(self) -> RFIDSystem:
+        """The cell's halo-augmented system, built on first access."""
+        rpos, R, gamma, tpos = self.source
+        r, t = self.all_reader_ids, self.tag_ids
+        return RFIDSystem._from_arrays(rpos[r], R[r], gamma[r], tpos[t])
 
 
 class ShardPartition:
@@ -215,7 +271,14 @@ class ShardPartition:
     cell_of_reader:
         ``(n,)`` owner cell index per reader.
     owner_of_tag:
-        ``(m,)`` owner cell index per tag, ``-1`` for uncoverable tags.
+        ``(m,)`` owner cell index per tag, ``-1`` for uncoverable tags:
+        the cell of the tag's first alive pair.
+    cover_indptr, cover_ids:
+        The coverage relation, every (tag, reader) pair with ``d² <=
+        γ_j²``, as a tag-sorted CSR (row *t* is ``cover_ids[cover_indptr[t]:
+        cover_indptr[t + 1]]``, ascending; :func:`_cover_relation`).
+        Like the conflict graph it depends on positions and radii alone
+        and refreshes keep it; :attr:`tags_by_reader` is its transpose.
     conflict_indptr, conflict_ids:
         The reader conflict graph ``d <= max(R_i, R_j)`` as a symmetric
         CSR (row *i* is ``conflict_ids[conflict_indptr[i]:
@@ -231,7 +294,6 @@ class ShardPartition:
         origin: np.ndarray,
         cell_side: float,
         cell_of_reader: np.ndarray,
-        owner_of_tag: np.ndarray,
         reader_positions: np.ndarray,
         interference_radii: np.ndarray,
         interrogation_radii: np.ndarray,
@@ -239,6 +301,8 @@ class ShardPartition:
         reader_buckets: Dict[Key, np.ndarray],
         tag_buckets: Dict[Key, np.ndarray],
         cell_keys: List[Key],
+        cover_indptr: np.ndarray,
+        cover_ids: np.ndarray,
         conflict_indptr: np.ndarray,
         conflict_ids: np.ndarray,
     ):
@@ -246,7 +310,6 @@ class ShardPartition:
         self.origin = origin
         self.cell_side = float(cell_side)
         self.cell_of_reader = cell_of_reader
-        self.owner_of_tag = owner_of_tag
         self.reader_positions = reader_positions
         self.interference_radii = interference_radii
         self.interrogation_radii = interrogation_radii
@@ -254,10 +317,15 @@ class ShardPartition:
         self._reader_buckets = reader_buckets
         self._tag_buckets = tag_buckets
         self._cell_keys = cell_keys
+        self.cover_indptr = cover_indptr
+        self.cover_ids = cover_ids
         self.conflict_indptr = conflict_indptr
         self.conflict_ids = conflict_ids
         #: Alive mask over readers; cleared by :meth:`retire_readers`.
         self.reader_alive = np.ones(len(reader_positions), dtype=bool)
+        self.owner_of_tag = np.full(len(tag_positions), -1, dtype=np.int64)
+        coverable = np.flatnonzero(np.diff(cover_indptr))
+        self.owner_of_tag[coverable] = self._first_alive_owner(coverable)
         self.cells: List[ShardCell] = self._build_cells(range(len(cell_keys)))
 
     # ------------------------------------------------------------------
@@ -288,6 +356,24 @@ class ShardPartition:
         cols = where[nbrs]
         keep = cols >= 0
         return rows[keep], cols[keep]
+
+    @cached_property
+    def tags_by_reader(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The coverage relation as a reader-sorted CSR ``(indptr,
+        tag_ids)``, each row ascending; built on first use."""
+        indptr = self.cover_indptr
+        tags = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        return _csr(self.cover_ids, tags, len(self.reader_positions))
+
+    def _first_alive_owner(self, tags: np.ndarray) -> np.ndarray:
+        """Owner cell of each coverable tag in *tags*: the cell of its first
+        alive pair (its lowest-id alive cover), or ``-1`` when none is."""
+        indptr, n = self.cover_indptr, len(self.reader_positions)
+        lens = indptr[tags + 1] - indptr[tags]
+        readers = self.cover_ids[_ranges(indptr[tags], indptr[tags + 1])]
+        readers = np.where(self.reader_alive[readers], readers, n)
+        first = np.minimum.reduceat(readers, np.cumsum(lens) - lens)
+        return np.append(self.cell_of_reader, -1)[first]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -356,27 +442,10 @@ class ShardPartition:
             for idx, key in enumerate(cell_keys):
                 cell_of_reader[reader_buckets[key]] = idx
 
-            # Tag ownership: cell of the lowest-id covering reader.  Any reader
-            # covering a tag is within gamma_max <= H <= side of it, hence in
-            # the tag bucket's one-ring neighbourhood.
-            owner_of_tag = np.full(m, -1, dtype=np.int64)
-            gamma_sq = gamma * gamma
-            for key, tids in tag_buckets.items():
-                cand = np.sort(_pairs(reader_buckets, [key], NEIGHBOURHOOD)[1])
-                if not cand.size:
-                    continue
-                d2 = _sq_dist(tpos, tids, rpos, cand)
-                covers = d2 <= gamma_sq[cand][None, :]
-                covered = covers.any(axis=1)
-                if not covered.any():
-                    continue
-                # cand is ascending, so argmax finds the lowest covering id
-                first = np.argmax(covers[covered], axis=1)
-                owner_of_tag[tids[covered]] = cell_of_reader[cand[first]]
-
             return cls(
-                spec, origin, side, cell_of_reader, owner_of_tag,
-                rpos, R, gamma, tpos, reader_buckets, tag_buckets, cell_keys,
+                spec, origin, side, cell_of_reader, rpos, R, gamma, tpos,
+                reader_buckets, tag_buckets, cell_keys,
+                *_cover_relation(tpos, rpos, gamma, reader_buckets, tag_buckets),
                 *_conflict_graph(rpos, R, reader_buckets),
             )
 
@@ -394,11 +463,8 @@ class ShardPartition:
         keep their per-cell state.  Idempotent per reader: already-dead ids
         are ignored.
 
-        The ownership rescan needs no global search: every alive reader
-        covering a tag owned by cell *c* is already in *c*'s halo-augmented
-        subsystem (any cover of an owned tag is within ``gamma_j + g_own <=
-        2*gamma_max <= H <= side`` of the cell rectangle — the same bound
-        that built the halo)."""
+        The rescan reads the coverage relation: a tag's new owner is the
+        cell of its first alive pair."""
         dead = np.unique(np.asarray(dead_ids, dtype=np.int64).ravel())
         if dead.size and (
             dead.min() < 0 or dead.max() >= len(self.reader_positions)
@@ -409,35 +475,19 @@ class ShardPartition:
             return RefreshReport((), (), (), 0, 0)
         self.reader_alive[dead] = False
 
-        affected = np.unique(self.cell_of_reader[dead])
-        moved = orphaned = 0
-        dirty = set(int(c) for c in affected)
-        emptied: List[int] = []
-        for ci in affected.tolist():
-            cell = self.cells[ci]
-            owned_local = np.flatnonzero(cell.owned_tag_mask)
-            if owned_local.size:
-                alive_local = self.reader_alive[cell.all_reader_ids]
-                cov = cell.subsystem.coverage[owned_local] & alive_local[None, :]
-                covered = cov.any(axis=1)
-                tags_g = cell.tag_ids[owned_local]
-                lost = tags_g[~covered]
-                self.owner_of_tag[lost] = -1
-                orphaned += int(lost.size)
-                if covered.any():
-                    # all_reader_ids is ascending, so the first covering
-                    # local id is the lowest alive global cover
-                    first_local = np.argmax(cov[covered], axis=1)
-                    new_reader = cell.all_reader_ids[first_local]
-                    new_cell = self.cell_of_reader[new_reader]
-                    kept = tags_g[covered]
-                    changed = new_cell != ci
-                    self.owner_of_tag[kept[changed]] = new_cell[changed]
-                    moved += int(changed.sum())
-                    dirty.update(int(c) for c in np.unique(new_cell[changed]))
-            if not self.reader_alive[cell.reader_ids].any():
-                emptied.append(ci)
-
+        affected = np.unique(self.cell_of_reader[dead]).tolist()
+        cells = [self.cells[ci] for ci in affected]
+        tags = np.concatenate([c.tag_ids[c.owned_tag_mask] for c in cells])
+        old = self.owner_of_tag[tags]
+        new = self._first_alive_owner(tags)
+        self.owner_of_tag[tags] = new
+        lost = new < 0
+        changed = (new != old) & ~lost
+        dirty = set(affected) | set(np.unique(new[changed]).tolist())
+        emptied = [
+            ci for ci, c in zip(affected, cells)
+            if not self.reader_alive[c.reader_ids].any()
+        ]
         for ci in emptied:
             self._empty_cell(ci)
         rebuilt = sorted(dirty.difference(emptied))
@@ -447,35 +497,29 @@ class ShardPartition:
             retired=tuple(dead.tolist()),
             rebuilt_cells=tuple(rebuilt),
             emptied_cells=tuple(emptied),
-            moved_tags=moved,
-            orphaned_tags=orphaned,
+            moved_tags=int(changed.sum()),
+            orphaned_tags=int(lost.sum()),
         )
 
     def _empty_cell(self, idx: int) -> None:
         """Degenerate replacement for a cell with no alive owned reader: it
-        owns nothing and is never solved again (its old subsystem is kept
-        only so local id maps stay valid for stale references)."""
+        owns nothing and is never solved again (its local id maps stay
+        those of the old cell, for stale references)."""
         cell = self.cells[idx]
-        self.cells[idx] = ShardCell(
-            index=cell.index,
-            key=cell.key,
-            bounds=cell.bounds,
+        self.cells[idx] = replace(
+            cell,
             reader_ids=np.empty(0, dtype=np.int64),
-            halo_reader_ids=cell.halo_reader_ids,
-            all_reader_ids=cell.all_reader_ids,
-            tag_ids=cell.tag_ids,
             owned_reader_mask=np.zeros(len(cell.all_reader_ids), dtype=bool),
             owned_tag_mask=np.zeros(len(cell.tag_ids), dtype=bool),
-            subsystem=cell.subsystem,
         )
 
     def _build_cells(self, indices) -> List[ShardCell]:
         """Cells *indices* over the alive fleet and the current
         ``owner_of_tag`` map, in the given order: each cell's alive owned
         readers, the one-ring halo that can conflict with them or cover a
-        tag they own, the tag band, and the halo-augmented subsystem.
-        Builds every cell at construction and rebuilds the cells a refresh
-        dirties.
+        tag they own, and the tag band (the subsystem waits for its first
+        access).  Builds every cell at construction and rebuilds the cells
+        a refresh dirties.
 
         The ``(cell, id)`` pairs of all requested cells are gathered at
         once and decided in whole-array passes (rectangle distance,
@@ -562,9 +606,7 @@ class ShardPartition:
         owned_tag_mask = self.owner_of_tag[tags] == np.repeat(
             index, np.diff(t_bounds)
         )
-        # subsystem inputs: gathered from the arrays from_arrays validated
-        sub_rpos, sub_R, sub_gamma = rpos[readers], R[readers], gamma[readers]
-        sub_tpos = tpos[tags]
+        source = (rpos, R, gamma, tpos)
         r_bounds, t_bounds = r_bounds.tolist(), t_bounds.tolist()
         cells: List[ShardCell] = []
         for p, ci in enumerate(block):
@@ -583,9 +625,7 @@ class ShardPartition:
                     tag_ids=tags[t],
                     owned_reader_mask=mask,
                     owned_tag_mask=owned_tag_mask[t],
-                    subsystem=RFIDSystem._from_arrays(
-                        sub_rpos[r], sub_R[r], sub_gamma[r], sub_tpos[t]
-                    ),
+                    source=source,
                 )
             )
         return cells

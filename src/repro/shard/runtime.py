@@ -144,9 +144,10 @@ class ShardRuntime:
     def _restack(self) -> None:
         """Stack the cell state from the driver's unread mask, and the
         lockstep climb's kernel over it, in set-up."""
-        cells = self.partition.cells
         self._stack = CellStack(self.partition, self._unread)
-        self._kernel = CellStackKernel(self._stack, cells) if self._lockstep else None
+        self._kernel = (
+            CellStackKernel(self._stack, self.partition) if self._lockstep else None
+        )
 
     # ------------------------------------------------------------------
     @property

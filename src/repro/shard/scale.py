@@ -8,9 +8,10 @@ global state, so :func:`run_scale_schedule` runs the same greedy loop
 (:func:`repro.core.mcs.run_slot_loop`) over a *sparse world*:
 
 * the deployment is partitioned by :class:`~repro.shard.partition.
-  ShardPartition` straight from coordinate/radius arrays — only the
-  per-cell subsystems are ever materialised densely, and each is small by
-  the interaction-radius sizing rule;
+  ShardPartition` straight from coordinate/radius arrays, recording the
+  one (tag, reader) coverage relation the driver reads.  A cell's small
+  dense subsystem is built only for a cell solved on its own (a non-GHC
+  solver, or a suspected reader), so a fault-free GHC run builds none;
 * each slot's active set comes from :class:`~repro.shard.runtime.
   ShardRuntime` (cell solves plus boundary reconciliation), exactly as in
   the sharded MCS driver — but always in process: ``spec.workers`` is a
@@ -18,10 +19,10 @@ global state, so :func:`run_scale_schedule` runs the same greedy loop
   small GHC cells parallel solves lost to serial end to end
   (``docs/scale.md``);
 * the global well-covered verification (Definition 1) is computed sparsely:
-  per-active-reader tag lookups through a
-  :class:`~repro.geometry.grid.SpatialHashGrid` give exact coverage counts,
-  and RTc suppression walks the partition's reader conflict graph
-  restricted to the *active* readers;
+  the active readers' unread tags, read from the coverage relation by
+  reader, give exact coverage counts in one ``bincount``, and RTc
+  suppression walks the partition's reader conflict graph restricted to
+  the *active* readers;
 * the singleton fallback uses owned-cell counts
   (:meth:`~repro.shard.runtime.ShardRuntime.best_singleton`);
 * retirement (:meth:`~repro.shard.runtime.ShardRuntime.retire`) is one
@@ -57,10 +58,9 @@ import numpy as np
 from repro.deployment.generators import uniform_deployment
 from repro.deployment.radii import sample_radii
 from repro.faults import FaultPlan, FaultPolicy
-from repro.geometry.grid import SpatialHashGrid
 from repro.obs.events import get_recorder
 from repro.obs.spans import span
-from repro.shard.partition import ShardPartition
+from repro.shard.partition import ShardPartition, _ranges
 from repro.shard.runtime import ShardRuntime
 from repro.shard.spec import ShardSpec
 from repro.util.rng import RngLike, as_rng
@@ -141,29 +141,23 @@ class ScaleScheduleResult:
 
 
 def _slot_verification(
-    active: np.ndarray,
-    partition: ShardPartition,
-    tag_grid: SpatialHashGrid,
-    unread: np.ndarray,
-    counts: np.ndarray,
-    owner: np.ndarray,
+    active: np.ndarray, partition: ShardPartition, unread: np.ndarray
 ) -> Tuple[np.ndarray, int, int]:
     """Exact well-covered tags of *active* (Definition 1), sparsely.
 
-    Uses per-active-reader grid lookups for coverage.  RTc is checked over
-    the partition's conflict graph restricted to *active*: reader *i* is
-    silenced iff some active neighbour *j* has ``d² <= R_j²``, and any such
-    *j* is a neighbour because ``R_j <= max(R_i, R_j)``.  *counts*/*owner*
-    are reusable scratch arrays over the tag population; returns
-    ``(well_covered_tags, rrc_blocked, rtc_silenced)``.
+    Coverage comes from the partition's coverage relation, read by reader
+    (:attr:`~repro.shard.partition.ShardPartition.tags_by_reader`): the
+    active readers' unread tags are counted with one ``bincount``.  RTc is
+    checked over the partition's conflict graph restricted to *active*:
+    reader *i* is silenced iff some active neighbour *j* has ``d² <=
+    R_j²``, and any such *j* is a neighbour because ``R_j <= max(R_i,
+    R_j)``.  Returns ``(well_covered_tags, rrc_blocked, rtc_silenced)``.
     """
     k = int(len(active))
-    empty = np.empty(0, dtype=np.int64)
     if k == 0:
-        return empty, 0, 0
+        return np.empty(0, dtype=np.int64), 0, 0
     rpos = partition.reader_positions
     R = partition.interference_radii
-    gamma = partition.interrogation_radii
     rows, cols = partition.active_conflicts(active)
     near = active[cols]
     diff = rpos[active[rows]] - rpos[near]
@@ -171,23 +165,16 @@ def _slot_verification(
     suffering = np.zeros(k, dtype=bool)
     suffering[rows[d2 <= R[near] ** 2]] = True
 
-    touched_parts: List[np.ndarray] = []
-    for i, a in enumerate(active):
-        hits = tag_grid.query_radius(rpos[a], float(gamma[a]))
-        if hits.size:
-            counts[hits] += 1
-            owner[hits] = i  # local index into the active set
-            touched_parts.append(hits)
-    if not touched_parts:
-        return empty, 0, int(suffering.sum())
-    touched = np.unique(np.concatenate(touched_parts))
-    t_counts = counts[touched]
-    t_unread = unread[touched]
-    once = t_unread & (t_counts == 1)
-    well = touched[once & ~suffering[owner[touched]]]
-    rrc = int((t_unread & (t_counts >= 2)).sum())
-    counts[touched] = 0  # reset scratch for the next slot
-    return well, rrc, int(suffering.sum())
+    indptr, tag_ids = partition.tags_by_reader
+    starts, ends = indptr[active], indptr[active + 1]
+    tags = tag_ids[_ranges(starts, ends)]
+    by = np.repeat(np.arange(k), ends - starts)
+    keep = unread[tags]
+    tags, by = tags[keep], by[keep]
+    counts = np.bincount(tags, minlength=len(unread))
+    once = counts[tags] == 1
+    well = np.sort(tags[once & ~suffering[by]])
+    return well, int((counts >= 2).sum()), int(suffering.sum())
 
 
 class _ArrayWorld:
@@ -195,8 +182,7 @@ class _ArrayWorld:
 
     Slots are solved by a :class:`ShardRuntime` over *partition*
     (:meth:`ShardRuntime.solve_slot`), which shares this world's unread
-    mask, and verified sparsely by :func:`_slot_verification` over a
-    :class:`~repro.geometry.grid.SpatialHashGrid` of the tags; the
+    mask, and verified sparsely by :func:`_slot_verification`; the
     singleton fallback uses owned-cell counts
     (:meth:`ShardRuntime.best_singleton`).  Only the runtime's owned tags
     count as solvable work, so a refresh that orphans every remaining tag
@@ -217,13 +203,6 @@ class _ArrayWorld:
         self.runtime = ShardRuntime(
             partition, self.unread, solver, takes_context, lockstep
         )
-        tpos = partition.tag_positions
-        self._grid = SpatialHashGrid(
-            tpos, cell_size=max(float(partition.interrogation_radii.max()), 1.0)
-        )
-        m = len(tpos)
-        self._counts = np.zeros(m, dtype=np.int32)
-        self._owner = np.zeros(m, dtype=np.int64)
         self._tally = (0, 0)
 
     @property
@@ -240,8 +219,7 @@ class _ArrayWorld:
     def verify(self, active: np.ndarray, unread: np.ndarray) -> np.ndarray:
         with span("scale.verify", active=int(len(active))):
             well, rrc, rtc = _slot_verification(
-                active, self.runtime.partition, self._grid, unread,
-                self._counts, self._owner,
+                active, self.runtime.partition, unread
             )
         self._tally = (rrc, rtc)
         return well
@@ -310,9 +288,17 @@ def run_scale_schedule(
     unreachable; the run then terminates with ``outcome="stalled"``.
     """
     # deferred: core imports shard
-    from repro.core.mcs import FaultLayer, accepts_context, run_slot_loop
+    from repro.core.mcs import (
+        FaultLayer, accepts_context, check_slot_caps, run_slot_loop,
+    )
     from repro.core.oneshot import get_solver
 
+    # reject a bad solver or cap before the deployment is drawn
+    solver_fn = get_solver(solver)
+    cap = (
+        max_slots if max_slots is not None else 4 * deployment.num_readers + 64
+    )
+    check_slot_caps(cap, max_stall_slots)
     rpos, interference, interrogation, tpos = deployment.materialize()
     partition = ShardPartition.from_arrays(
         rpos, interference, interrogation, tpos, spec
@@ -322,7 +308,6 @@ def run_scale_schedule(
             "deployment collapses to a single cell; use "
             "greedy_covering_schedule (optionally with shard=) instead"
         )
-    solver_fn = get_solver(solver)
     takes_context = accepts_context(solver_fn)
     rng = as_rng(seed)
     rec = get_recorder()
@@ -334,9 +319,6 @@ def run_scale_schedule(
         partition, solver_fn, takes_context, rec, lockstep=solver == "ghc"
     )
     uncoverable = int((~world.unread).sum())
-    cap = (
-        max_slots if max_slots is not None else 4 * deployment.num_readers + 64
-    )
     slots, total_read, complete, outcome = run_slot_loop(
         world, rng, cap, fault_layer, max_stall_slots,
         solver=getattr(solver_fn, "__name__", solver),

@@ -10,9 +10,13 @@ Over it :class:`CellStack` keeps the covering schedule's per-cell state,
 a pure function of the driver's unread mask: ``unread``, whether each
 stacked tag is an *owned* tag of its cell still unread (halo tags never
 are, so each tag's weight counts in exactly one cell), and ``remaining``,
-how many of those each stacked reader covers.  A cell's slices equal a
-:class:`~repro.perf.slotdelta.ScheduleContext` over its subsystem and
-unread slice (differential-tested in ``tests/test_shard.py``).
+how many of those each stacked reader covers.  Both come from the
+partition's coverage relation (:attr:`~repro.shard.partition.
+ShardPartition.cover_ids`), restricted to each owned tag's owner cell by
+one ``searchsorted`` on ``cell * n + reader`` keys; no cell subsystem is
+built.  A cell's slices equal a :class:`~repro.perf.slotdelta.
+ScheduleContext` over its subsystem and unread slice (differential-tested
+in ``tests/test_shard.py``).
 """
 
 from __future__ import annotations
@@ -21,15 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-
-def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The concatenated index ranges ``starts[j]:ends[j]``."""
-    lens = ends - starts
-    total = int(lens.sum())
-    if not total:
-        return np.zeros(0, dtype=np.int64)
-    offsets = np.repeat(starts - np.cumsum(lens) + lens, lens)
-    return offsets + np.arange(total)
+from repro.shard.partition import _ranges
 
 
 class CellStack:
@@ -40,6 +36,10 @@ class CellStack:
     ``cell_of`` each stacked reader's cell,
     ``global_ids``/``owned`` each stacked reader's global id and
     ownership, and ``cell_unread`` each cell's count of ``unread`` tags.
+    ``pair_tags``/``pair_readers`` are the coverage pairs of owned tags
+    with their covers in the owner cell, as global tag ids (ascending) and
+    stacked reader positions; ``tag_pos`` maps a global tag id to its
+    stacked position in its owner cell (``-1`` for none).
     """
 
     def __init__(self, partition, unread: np.ndarray) -> None:
@@ -54,36 +54,45 @@ class CellStack:
         # a partition has at least two cells, so nothing concatenates empty
         self.global_ids = np.concatenate([c.all_reader_ids for c in cells])
         self.owned = np.concatenate([c.owned_reader_mask for c in cells])
-        # each owned tag's global id, stacked position and covering
-        # stacked readers (each owned tag has exactly one owner cell)
-        ids, pos, t, r = [], [], [], []
-        starts = zip(self.reader_start.tolist(), self.tag_start.tolist())
-        for c, (rs, ts) in zip(cells, starts):
-            local = np.flatnonzero(c.owned_tag_mask)
-            rows, cols = np.nonzero(c.subsystem.coverage[local])
-            ids.append(c.tag_ids[local])
-            pos.append(local + ts)
-            t.append(ids[-1][rows])
-            r.append(cols + rs)
-        ids, pos, t = np.concatenate(ids), np.concatenate(pos), np.concatenate(t)
-        # the (tag, cover) pairs sorted by global tag id
-        order = np.argsort(t, kind="stable")
-        self._pair_tags, self._covers = t[order], np.concatenate(r)[order]
-        # global id -> stacked position in its owner cell, -1 for none
-        self._tag_pos = np.full(len(unread), -1, dtype=np.int64)
-        self._tag_pos[ids] = pos
         self._reader_pos = np.full(len(partition.reader_positions), -1)
         owned = np.flatnonzero(self.owned)
         self._reader_pos[self.global_ids[owned]] = owned
+        self._reader_keys = self.cell_of * len(self._reader_pos) + self.global_ids
+        # each owned tag's stacked position in its owner cell: the stacked
+        # tags are ascending in (cell, id), like their keys
+        m = len(unread)
+        owner = partition.owner_of_tag
+        ids = np.flatnonzero(owner >= 0)
+        tag_keys = np.repeat(np.arange(k), tag_sizes) * m
+        tag_keys += np.concatenate([c.tag_ids for c in cells])
+        pos = np.searchsorted(tag_keys, owner[ids] * m + ids)
+        self.tag_pos = np.full(m, -1, dtype=np.int64)
+        self.tag_pos[ids] = pos
+        # the relation is tag-sorted, so pair_tags ascends
+        at, self.pair_readers = self.cell_pairs(
+            partition.cover_indptr, partition.cover_ids, ids, owner[ids]
+        )
+        self.pair_tags = ids[at]
         self.unread = np.zeros(self.tag_start[-1], dtype=bool)
         self.unread[pos] = unread[ids]
         self.remaining = np.bincount(
-            self._covers[unread[self._pair_tags]],
+            self.pair_readers[unread[self.pair_tags]],
             minlength=len(self.global_ids),
         )
-        self.cell_unread = np.bincount(
-            self._cells_of(pos[unread[ids]]), minlength=k
-        )
+        self.cell_unread = np.bincount(owner[ids[unread[ids]]], minlength=k)
+
+    def cell_pairs(self, indptr, ids, rows, cells):
+        """The pairs of CSR ``(indptr, ids)`` in rows *rows* whose reader
+        (the ``ids`` entry) sits in the matching cell of *cells*, as
+        ``(index into rows, stacked reader position)``, row by row."""
+        lens = indptr[rows + 1] - indptr[rows]
+        at = np.repeat(np.arange(len(rows)), lens)
+        keys = cells[at] * len(self._reader_pos)
+        keys += ids[_ranges(indptr[rows], indptr[rows + 1])]
+        pos = np.searchsorted(self._reader_keys, keys)
+        pos[pos == len(self._reader_keys)] = 0
+        hit = self._reader_keys[pos] == keys
+        return at[hit], pos[hit]
 
     def _cells_of(self, pos: np.ndarray) -> np.ndarray:
         """The cell of each stacked tag position in *pos*."""
@@ -103,21 +112,21 @@ class CellStack:
         decrement their covering readers' counts — one pass for all cells.
         Unowned and already-read tags and repeats are ignored."""
         tags = np.unique(np.asarray(tags, dtype=np.int64))
-        tags = tags[self._tag_pos[tags] >= 0]
-        tags = tags[self.unread[self._tag_pos[tags]]]
+        tags = tags[self.tag_pos[tags] >= 0]
+        tags = tags[self.unread[self.tag_pos[tags]]]
         if not tags.size:
             return
-        pos = self._tag_pos[tags]
+        pos = self.tag_pos[tags]
         self.unread[pos] = False
         self.cell_unread -= np.bincount(
             self._cells_of(pos), minlength=self.num_cells
         )
         pairs = _ranges(
-            np.searchsorted(self._pair_tags, tags, side="left"),
-            np.searchsorted(self._pair_tags, tags, side="right"),
+            np.searchsorted(self.pair_tags, tags, side="left"),
+            np.searchsorted(self.pair_tags, tags, side="right"),
         )
         self.remaining -= np.bincount(
-            self._covers[pairs], minlength=len(self.remaining)
+            self.pair_readers[pairs], minlength=len(self.remaining)
         )
 
     def best_singleton(self, suspected: Optional[np.ndarray]) -> Optional[int]:

@@ -51,6 +51,39 @@ class TestTermination:
         assert result.complete
 
 
+class TestSlotCaps:
+    """``run_slot_loop`` validates both caps, so every driver rejects a
+    cap that is not an integer in range instead of misreading it."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        from repro.deployment.scenario import Scenario
+
+        return Scenario(40, 400, 100.0, seed=1).build()
+
+    @pytest.mark.parametrize("cap", [-1, 1.5, True])
+    def test_bad_max_slots_rejected(self, scenario, cap):
+        with pytest.raises(ValueError, match="max_slots"):
+            greedy_covering_schedule(scenario, get_solver("ghc"), max_slots=cap)
+
+    @pytest.mark.parametrize("limit", [0, -1, 2.5])
+    def test_bad_max_stall_slots_rejected(self, scenario, limit):
+        from repro.faults import FaultPlan
+
+        with pytest.raises(ValueError, match="max_stall_slots"):
+            greedy_covering_schedule(
+                scenario, get_solver("ghc"),
+                faults=FaultPlan(miss_rate=0.3, seed=3), max_stall_slots=limit,
+            )
+
+    def test_zero_slots_stays_legal(self, scenario):
+        result = greedy_covering_schedule(
+            scenario, get_solver("ghc"), max_slots=0
+        )
+        assert result.size == 0
+        assert result.outcome.value == "exhausted"
+
+
 class TestBookkeeping:
     def test_slots_partition_coverable_tags(self, system, exact_solver):
         result = greedy_covering_schedule(system, exact_solver)

@@ -10,6 +10,7 @@ import os
 import signal
 import sys
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -130,6 +131,98 @@ class TestScaleDriver:
         deployment = ScaleDeployment(2000, 50_000, 632.0, seed=4242)
         with pytest.raises(ValueError, match="single cell"):
             run_scale_schedule(deployment, ShardSpec(cells=1))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_slots": -1},
+            {"max_slots": 1.5},
+            {"max_slots": True},
+            {"max_stall_slots": 0},
+            {"max_stall_slots": -1},
+            {"max_stall_slots": 2.5},
+            {"solver": "bogus"},
+        ],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_bad_arguments_rejected_before_the_deployment_is_drawn(
+        self, monkeypatch, kwargs
+    ):
+        def no_draw(self):
+            raise AssertionError("drawn before the arguments were checked")
+
+        monkeypatch.setattr(ScaleDeployment, "materialize", no_draw)
+        with pytest.raises((ValueError, KeyError)):
+            run_scale_schedule(SMALL, ShardSpec(cells=0), **kwargs)
+
+
+def _counting(monkeypatch, owner, name, calls):
+    """Count calls of *owner.name* into *calls* while still running it."""
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[f"{owner.__name__}.{name}"] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestLazyCells:
+    """The scale driver works from the partition's coverage relation: cell
+    systems are built only for the cells that are solved one by one."""
+
+    def test_fault_free_run_builds_no_system_packing_or_grid(self, monkeypatch):
+        from collections import Counter
+
+        from repro.geometry.grid import SpatialHashGrid
+        from repro.perf.packed import PackedCoverage
+
+        calls = Counter()
+        _counting(monkeypatch, RFIDSystem, "_derive", calls)
+        _counting(monkeypatch, SpatialHashGrid, "__init__", calls)
+        _counting(monkeypatch, PackedCoverage, "__init__", calls)
+        result = run_scale_schedule(SMALL, ShardSpec(cells=0), seed=17)
+        assert result.complete
+        assert not calls
+        # the counters do see constructions
+        build_system(*ScaleDeployment(20, 50, 30.0, seed=1).materialize())
+        assert calls["RFIDSystem._derive"] == 1
+
+    def test_faulted_run_builds_only_the_cells_it_solves_degraded(
+        self, monkeypatch
+    ):
+        from repro.shard.partition import ShardCell
+        from repro.shard.runtime import ShardRuntime
+
+        # the cells themselves are kept, so their ids stay unique
+        built, degraded = [], []
+        build = ShardCell.subsystem.func
+
+        def subsystem(cell):
+            built.append(cell)
+            return build(cell)
+
+        solve = ShardRuntime._solve_cell
+
+        def solve_cell(runtime, payload):
+            if payload[3] is not None:
+                degraded.append(runtime.partition.cells[payload[1]])
+            return solve(runtime, payload)
+
+        counted = cached_property(subsystem)
+        counted.__set_name__(ShardCell, "subsystem")
+        monkeypatch.setattr(ShardCell, "subsystem", counted)
+        monkeypatch.setattr(ShardRuntime, "_solve_cell", solve_cell)
+        deployment = TestScaleFaults.DEPLOY
+        plan = FaultPlan.uniform_flaky(
+            deployment.num_readers, 0.1, miss_rate=0.1, seed=3
+        )
+        result = run_scale_schedule(
+            deployment, ShardSpec(cells=16), seed=11, faults=plan
+        )
+        assert result.complete
+        assert built
+        assert {id(c) for c in built} == {id(c) for c in degraded}
 
 
 class TestScaleFaults:

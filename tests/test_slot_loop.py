@@ -74,6 +74,21 @@ def test_baseline_driver_is_traced(system, driver):
     assert summary["tags_per_slot"] == result.reads_per_slot()
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda system: colorwave_covering_schedule(system, seed=1, max_slots=-1),
+        lambda system: csma_covering_schedule(system, seed=1, max_slots=1.5),
+        lambda system: multichannel_covering_schedule(system, 2, max_slots=True),
+    ],
+    ids=list(DRIVERS),
+)
+def test_baseline_driver_rejects_a_bad_slot_cap(system, run):
+    """The loop validates its cap, so every driver inherits the check."""
+    with pytest.raises(ValueError, match="max_slots"):
+        run(system)
+
+
 def test_multichannel_rtc_counts_same_channel_only():
     """Two interfering readers on different channels both read: the tally
     charges no RTc, although single-channel RTc would silence both."""
