@@ -52,6 +52,7 @@ is always the last positional argument.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Sequence
 
 import numpy as np
@@ -79,10 +80,13 @@ class NumpyKernel:
     cached on it by :func:`repro.perf.backends.kernel_for`); they hold only
     read-only views of the system's packed coverage and interference rows,
     so one instance may be shared by every solver touching that system.
+    The system itself is held weakly: the kernel is that system's value in
+    the weakly keyed per-system memo, so a strong reference would keep the
+    key, and every structure memoised on it, alive for good.
     """
 
     def __init__(self, system) -> None:
-        self.system = system
+        self._system = weakref.ref(system)
         packed = system.packed_coverage
         self._masks = packed.masks
         self._words = packed.words  # (n, W) uint64, read-only
@@ -91,6 +95,11 @@ class NumpyKernel:
         self._silencer_bool = np.asarray(system.in_interference_range, dtype=bool)
         self._words_memo = {}
         self._solo_memo = {}
+
+    @property
+    def system(self):
+        """The system this kernel evaluates (alive while it is in use)."""
+        return self._system()
 
     def _to_words(self, value: int) -> np.ndarray:
         # The same big-int masks recur across calls — the unread mask is
