@@ -163,6 +163,9 @@ def _register_builtins() -> None:
                             weight=int(result.weight),
                             active_readers=result.size,
                             feasible=bool(result.feasible),
+                            budget_exhausted=bool(
+                                result.meta.get("budget_exhausted", False)
+                            ),
                         )
                     )
                 return result

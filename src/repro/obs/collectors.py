@@ -112,6 +112,7 @@ class RunCollector(Recorder):
             "slots": 0,
             "tags_read": 0,
             "solver_calls": 0,
+            "solver_budget_exhausted": 0,
             "sets_evaluated": 0,
             "rrc_blocked": 0,
             "rtc_silenced": 0,
@@ -190,6 +191,7 @@ class RunCollector(Recorder):
             self._open_slot_solve_s = 0.0
         elif isinstance(event, SolverCall):
             self.counters["solver_calls"] += 1
+            self.counters["solver_budget_exhausted"] += event.budget_exhausted
             self.solver_times.record(event.solver, event.seconds)
         elif isinstance(event, CandidateEvaluation):
             self.counters["sets_evaluated"] += event.count

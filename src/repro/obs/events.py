@@ -54,13 +54,16 @@ class SlotEnd:
 class SolverCall:
     """One one-shot solver invocation: *solver* took *seconds* of wall-clock
     and returned a set of *active_readers* readers with the given *weight*
-    and feasibility."""
+    and feasibility.  *budget_exhausted* is the solver's report that its
+    search budget cut the search off (``meta['budget_exhausted']``: PTAS
+    and exact), so the set carries no approximation guarantee."""
 
     solver: str
     seconds: float
     weight: int
     active_readers: int
     feasible: bool
+    budget_exhausted: bool = False
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,7 @@ METRIC_FIELDS: Dict[str, str] = {
     "feasible": "whether the returned one-shot set is feasible",
     "complete": "whether the covering schedule read every coverable tag",
     "solver_calls": "one-shot solver invocations (SolverCall count)",
+    "solver_budget_exhausted": "one-shot solver invocations that reported their search budget cut off (SolverCall.budget_exhausted: meta['budget_exhausted'] of PTAS or exact), sharded cell solves included",
     "solver_wall_clock_s": "total solver wall-clock, seconds",
     "solver_seconds_by_name": "solver wall-clock split by solver name",
     "stage_seconds_by_name": "inclusive wall-clock seconds per span name, summed over SpanEnd events (mcs.solve/mcs.inventory/mcs.retire, pool.dispatch, solver.call, ...)",
