@@ -113,6 +113,29 @@ def make_random_system(
     )
 
 
+def shrunken_chaos_shard():
+    """A shrunken perfbench ``chaos_shard``: a 100-reader system and the
+    keyword arguments of its faulted covering schedule (every reader
+    flaky, five crashing for good at slot 3, 30% of reads missed, the
+    tree-walking link layer), for ``greedy_covering_schedule(system,
+    solver, shard=ShardSpec(cells=4), **kwargs)``."""
+    from repro.faults import (
+        FaultPlan, FaultPolicy, FlakyActivation, PermanentCrash,
+    )
+
+    system = Scenario(num_readers=100, num_tags=2400, side=141.0, seed=3).build()
+    plan = FaultPlan(
+        reader_faults=tuple(FlakyActivation(r, 0.1) for r in range(100))
+        + tuple(PermanentCrash(r, 3) for r in range(0, 100, 20)),
+        miss_rate=0.3,
+        seed=99,
+    )
+    return system, dict(
+        seed=3, linklayer="treewalk", faults=plan, policy=FaultPolicy(),
+        max_stall_slots=8,
+    )
+
+
 # ---------------------------------------------------------------------------
 # hypothesis strategies
 # ---------------------------------------------------------------------------
