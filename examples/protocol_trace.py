@@ -16,7 +16,7 @@ from repro.core.distributed import RED, SchedulerNode, run_distributed_protocol
 from repro.deployment import Scenario
 from repro.distsim import Tracer
 from repro.distsim.async_engine import run_synchronous_over_async
-from repro.model import BitsetWeightOracle, adjacency_lists
+from repro.model import adjacency_lists
 
 
 def main() -> None:
@@ -46,10 +46,10 @@ def main() -> None:
     )
 
     # Same protocol, no global clock: asynchronous links + α-synchronizer.
-    oracle = BitsetWeightOracle(system)
+    masks = system.packed_coverage.masks
     adj = [a.tolist() for a in adjacency_lists(system)]
     inner = [
-        SchedulerNode(i, oracle.cover_mask(i), rho=1.3, c=2)
+        SchedulerNode(i, masks[i], rho=1.3, c=2)
         for i in range(system.num_readers)
     ]
     _, stats = run_synchronous_over_async(

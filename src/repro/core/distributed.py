@@ -38,7 +38,7 @@ from repro.distsim.engine import Node, SyncEngine
 from repro.distsim.flooding import FloodMessage, FloodService, ReliableFloodService
 from repro.model.interference import adjacency_lists
 from repro.model.system import RFIDSystem
-from repro.model.weights import BitsetWeightOracle
+from repro.perf.incremental import GeneralizedWeightClimber
 from repro.util.compat import bit_count
 from repro.util.rng import RngLike
 from repro.util.validation import check_in_range
@@ -191,7 +191,7 @@ class SchedulerNode(Node):
         if self.prune_zero:
             candidates = {u for u in candidates if self.view_weights.get(u, 0) > 0}
         masks = {u: self.view_masks[u] for u in candidates}
-        oracle = BitsetWeightOracle.from_masks(masks, unread_mask=-1)
+        oracle = GeneralizedWeightClimber.from_masks(masks, unread_mask=-1)
         neighbor_sets = {
             u: set(self.view_neighbors.get(u, ())) for u in candidates
         }
@@ -289,12 +289,13 @@ def run_distributed_protocol(
             0 if loss_rate == 0.0 else int(np.ceil((2 * c + 2) * 3 * loss_rate / (1 - loss_rate))) + 4
         )
     n = system.num_readers
-    oracle = BitsetWeightOracle(system, unread)
+    packed = system.packed_coverage
+    unread_mask = packed.full_mask if unread is None else packed.pack_mask(unread)
     adj = adjacency_lists(system)
     nodes = [
         SchedulerNode(
             i,
-            cover_mask=oracle.cover_mask(i) & oracle._unread_mask,
+            cover_mask=packed.masks[i] & unread_mask,
             rho=rho,
             c=c,
             ball_node_budget=ball_node_budget,

@@ -26,10 +26,10 @@ import numpy as np
 
 from repro.core.oneshot import OneShotResult, make_result
 from repro.model.system import RFIDSystem
-from repro.model.weights import BitsetWeightOracle
 from repro.obs.events import CandidateEvaluation, get_recorder
 from repro.perf.backends import kernel_for
 from repro.perf.cache import conflict_bits
+from repro.perf.incremental import GeneralizedWeightClimber
 from repro.util.rng import RngLike
 
 
@@ -41,7 +41,7 @@ class SearchBudgetExceeded(RuntimeError):
 
 def solve_mwfs_masks(
     candidates: Sequence[int],
-    oracle: BitsetWeightOracle,
+    oracle,
     conflict_fn,
     max_nodes: int = 1_000_000,
     warm_start: Optional[Sequence[int]] = None,
@@ -54,7 +54,11 @@ def solve_mwfs_masks(
     candidates:
         Reader ids to consider (any iterable of ints).
     oracle:
-        Bitset weight oracle holding coverage masks and the unread mask.
+        The weight engine holding coverage masks and the unread mask: a
+        :class:`~repro.perf.incremental.GeneralizedWeightClimber`, or a
+        :class:`~repro.model.weights.WeightedTagOracle` for valued tags.
+        Either serves ``solo_weight``, ``weight_of``, ``reset``,
+        ``push``/``pop``, ``current_weight`` and ``upper_bound_with``.
     conflict_fn:
         ``conflict_fn(i, j) -> bool`` — True iff readers conflict (are
         adjacent in the interference graph).
@@ -70,7 +74,7 @@ def solve_mwfs_masks(
     kernel:
         Optional :class:`~repro.perf.backends.NumpyKernel` built from the
         same system as *oracle*'s masks; batches the solo-weight ordering
-        pass.  The DFS itself stays on the oracle's sequential push/pop
+        pass.  The DFS itself stays on the engine's sequential push/pop
         state — its include/exclude structure is inherently serial — so
         node counts and the returned set do not depend on the kernel
         (``docs/backends.md``).
@@ -157,7 +161,7 @@ def exact_mwfs(
     candidates: Optional[Iterable[int]] = None,
     max_nodes: int = 1_000_000,
     on_budget: str = "best",
-    oracle: Optional[BitsetWeightOracle] = None,
+    oracle: Optional[GeneralizedWeightClimber] = None,
     context=None,
 ) -> OneShotResult:
     """Exact (within *max_nodes*) MWFS for the One-Shot Schedule Problem.
@@ -175,8 +179,8 @@ def exact_mwfs(
         ``'best'`` returns the incumbent when the node budget is exhausted;
         ``'raise'`` raises :class:`SearchBudgetExceeded`.
     oracle:
-        Reuse a prebuilt oracle (the MCS loop rebuilds one per slot
-        otherwise).
+        Reuse a prebuilt climber over *system* and *unread* (one is built
+        per call otherwise).
     context:
         Optional :class:`~repro.perf.slotdelta.ScheduleContext`.  Retired
         readers (zero remaining covered count) are dropped from the
@@ -195,7 +199,7 @@ def exact_mwfs(
         pool = set(candidates)
         warm = [c for c in context.warm_start() if c in pool]
     if oracle is None:
-        oracle = BitsetWeightOracle(system, unread)
+        oracle = GeneralizedWeightClimber(system, unread)
     adj = conflict_bits(system)
     kernel = kernel_for(system)
 

@@ -26,25 +26,22 @@ import numpy as np
 
 from repro.core.oneshot import OneShotResult, make_result
 from repro.model.system import RFIDSystem
-from repro.model.weights import BitsetWeightOracle
 from repro.obs.events import CandidateEvaluation, get_recorder
 from repro.perf.backends import kernel_for
+from repro.perf.incremental import GeneralizedWeightClimber
 from repro.util.rng import RngLike, as_rng
 
 
 def _random_greedy_start(
     system: RFIDSystem,
-    oracle: BitsetWeightOracle,
+    oracle: GeneralizedWeightClimber,
     rng: np.random.Generator,
-    kernel=None,
+    kernel,
 ) -> List[int]:
     """Randomized greedy seed: scan readers in solo-weight-biased random
     order, keep what stays independent."""
     n = system.num_readers
-    if kernel is not None:
-        solos = kernel.solo_weights(oracle.unread_mask, range(n)).astype(float)
-    else:
-        solos = np.array([oracle.solo_weight(i) for i in range(n)], dtype=float)
+    solos = kernel.solo_weights(oracle.unread_mask, range(n)).astype(float)
     # noisy-greedy ordering: multiplicative uniform noise on the solo weight
     order = np.argsort(-((solos + 1e-9) * rng.random(n)))
     conflict = system.conflict
@@ -88,7 +85,7 @@ def local_search_mwfs(
     n = system.num_readers
     if n == 0:
         return make_result(system, [], unread, solver="localsearch")
-    oracle = BitsetWeightOracle(system, unread)
+    oracle = GeneralizedWeightClimber(system, unread)
     conflict = system.conflict
     kernel = kernel_for(system)
 

@@ -31,9 +31,9 @@ from repro.core.exact import solve_mwfs_masks
 from repro.core.oneshot import OneShotResult, make_result
 from repro.model.interference import adjacency_lists
 from repro.model.system import RFIDSystem
-from repro.model.weights import BitsetWeightOracle
 from repro.perf.backends import kernel_for
 from repro.perf.cache import conflict_bits
+from repro.perf.incremental import GeneralizedWeightClimber
 from repro.util.rng import RngLike
 from repro.util.validation import check_in_range
 
@@ -65,7 +65,7 @@ def centralized_location_free(
     rho: float = 1.5,
     max_radius: Optional[int] = None,
     ball_node_budget: int = 200_000,
-    oracle: Optional[BitsetWeightOracle] = None,
+    oracle: Optional[GeneralizedWeightClimber] = None,
     context=None,
 ) -> OneShotResult:
     """Algorithm 2: location-free centralized MWFS approximation.
@@ -100,7 +100,7 @@ def centralized_location_free(
     if n == 0:
         return make_result(system, [], unread, solver="centralized", rho=rho)
     if oracle is None:
-        oracle = BitsetWeightOracle(system, unread)
+        oracle = GeneralizedWeightClimber(system, unread)
     adj = adjacency_lists(system)
     conflict_rows = conflict_bits(system)
     kernel = kernel_for(system)

@@ -12,8 +12,8 @@ Structure (faithful to the paper):
    enumerates independent subsets ``D`` of the level-``level(S)`` disks
    inside ``S`` and recurses into the child squares that contain deeper
    disks, passing down ``(I ∪ D)`` restricted to each child.
-3. Candidates are compared by their *actual* weight ``w(X)`` via the bitset
-   oracle — exactly the ``if w(X) > w(MWFS(S, I))`` step of the paper's
+3. Candidates are compared by their *actual* weight ``w(X)`` via the weight
+   climber — exactly the ``if w(X) > w(MWFS(S, I))`` step of the paper's
    pseudocode, which is what handles the non-additivity
    ``w(X₁ ∪ X₂) ≤ w(X₁) + w(X₂)`` caused by RRc.
 4. Return the best result over all ``k²`` shifts; Theorem 2 guarantees some
@@ -36,10 +36,10 @@ from repro.core.exact import solve_mwfs_masks
 from repro.core.oneshot import OneShotResult, make_result
 from repro.geometry.shifting import ShiftedHierarchy, Square, scale_radii
 from repro.model.system import RFIDSystem
-from repro.model.weights import BitsetWeightOracle
 from repro.obs.events import CandidateEvaluation, get_recorder
 from repro.perf.backends import kernel_for, resolve_backend
 from repro.perf.cache import conflict_bits, system_memo
+from repro.perf.incremental import GeneralizedWeightClimber
 from repro.perf.packed import pack_square_bool
 from repro.util.rng import RngLike
 
@@ -169,7 +169,7 @@ class _ShiftDP:
         self,
         index: _SquareIndex,
         view,
-        oracle: BitsetWeightOracle,
+        oracle: GeneralizedWeightClimber,
         adj: Sequence[int],
         kernel,
         budgets: Tuple[Optional[int], int, int, int],
@@ -286,7 +286,7 @@ def ptas_mwfs(
     leaf_node_budget: int = 20_000,
     call_budget: int = 2_000,
     polish: bool = True,
-    oracle: Optional[BitsetWeightOracle] = None,
+    oracle: Optional[GeneralizedWeightClimber] = None,
     context=None,
     backend: Optional[str] = None,
 ) -> OneShotResult:
@@ -331,7 +331,7 @@ def ptas_mwfs(
     if n == 0:
         return make_result(system, [], unread, solver="ptas", k=k)
     if oracle is None:
-        oracle = BitsetWeightOracle(system, unread)
+        oracle = GeneralizedWeightClimber(system, unread)
     resolve_backend(backend)
     kernel = kernel_for(system)
 
@@ -386,7 +386,7 @@ def ptas_mwfs(
             # per (r, s), so each shift benefits from its own augmentation
             # before the max is taken.
             candidate, w = _polish(
-                list(candidate), w, oracle, adj, n, live=live, kernel=kernel
+                candidate, w, oracle, adj, n, kernel, live=live
             )
         if w > best_weight:
             best_weight = w
@@ -421,11 +421,11 @@ def ptas_mwfs(
 def _polish(
     base: List[int],
     base_weight: int,
-    oracle: BitsetWeightOracle,
+    oracle: GeneralizedWeightClimber,
     adj: Sequence[int],
     n: int,
+    kernel,
     live=None,
-    kernel=None,
 ) -> Tuple[List[int], int]:
     """Greedy feasible augmentation: repeatedly add the independent reader
     with the largest positive weight gain.
@@ -435,26 +435,17 @@ def _polish(
     ``(1 − 1/k)²`` guarantee of Theorem 2 is preserved while the practical
     quality improves substantially (reported as ``meta['polish_gain']``).
 
-    The chosen set's once/multi coverage state lives in the oracle across
-    the whole climb (push per accepted reader, ``weight_with`` per
-    candidate), so evaluating a candidate costs O(m/64) instead of
-    O(|chosen|·m/64); the returned weights equal ``weight_of(chosen + [r])``
-    exactly.
+    The chosen set's state lives in the climber across the whole climb
+    (add per accepted reader, one ``climb_weights_with`` batch per round),
+    so evaluating a candidate costs O(m/64) instead of O(|chosen|·m/64).
+    Every candidate is independent of the chosen set, so each extension is
+    feasible and its generalised weight equals ``weight_of(chosen + [r])``.
     """
-    chosen = list(base)
-    weight = base_weight
-    in_set = np.zeros(n, dtype=bool)
-    in_set[chosen] = True
-    chosen_bits = 0
     oracle.reset()
-    for c in chosen:
-        chosen_bits |= 1 << c
-        oracle.push(c)
-    improved = True
-    while improved:
-        improved = False
-        best_r = None
-        best_w = weight
+    for c in base:
+        oracle.add(c)
+    weight = base_weight
+    while True:
         # Candidate frontier: not chosen, live, independent of the chosen
         # set (a retired reader covers no unread tag: weight_with(r) equals
         # the current weight, so its gain can never exceed the
@@ -462,25 +453,22 @@ def _polish(
         # the accepted reader is the first index of the maximum weight —
         # exactly the scalar loop's strict-improvement (`gain > best_gain`
         # from 0) winner.
+        chosen_bits = oracle.active_bits
         cands = [
             r
             for r in range(n)
-            if not in_set[r]
+            if not chosen_bits >> r & 1
             and (live is None or live(r))
             and not adj[r] & chosen_bits
         ]
-        if cands:
-            ws = oracle.weights_with_many(cands, kernel)
-            idx = int(np.argmax(ws))
-            if int(ws[idx]) - weight > 0:
-                best_r = cands[idx]
-                best_w = int(ws[idx])
-        if best_r is not None:
-            chosen.append(best_r)
-            in_set[best_r] = True
-            chosen_bits |= 1 << best_r
-            oracle.push(best_r)
-            weight = best_w
-            improved = True
+        if not cands:
+            break
+        ws = kernel.climb_weights_with(oracle, cands)
+        idx = int(np.argmax(ws))
+        if int(ws[idx]) <= weight:
+            break
+        oracle.add(cands[idx])
+        weight = int(ws[idx])
+    chosen = oracle.active
     oracle.reset()
     return sorted(chosen), weight

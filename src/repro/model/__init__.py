@@ -25,7 +25,7 @@ from repro.model.reader import Reader
 from repro.model.state import ReadState
 from repro.model.system import RFIDSystem, build_system
 from repro.model.tag import Tag
-from repro.model.weights import BitsetWeightOracle, WeightedTagOracle
+from repro.model.weights import WeightedTagOracle
 
 __all__ = [
     "Reader",
@@ -33,7 +33,6 @@ __all__ = [
     "RFIDSystem",
     "build_system",
     "ReadState",
-    "BitsetWeightOracle",
     "WeightedTagOracle",
     "adjacency_lists",
     "growth_profile",

@@ -7,9 +7,9 @@ Low-level representations and execution helpers shared by the solver stack:
 * :mod:`repro.perf.cache` — per-system memo for derived structures
   (conflict/silencer bitmasks, shifted hierarchies), keyed weakly so caches
   die with their system;
-* :mod:`repro.perf.incremental` — incremental generalised-weight engine for
-  hill-climbing searches (exactly matches
-  :meth:`~repro.model.system.RFIDSystem.weight` on infeasible sets);
+* :mod:`repro.perf.incremental` — the one Definition 3 weight engine: GHC
+  climbs with it and the feasible searches push/pop on it (exactly matches
+  :meth:`~repro.model.system.RFIDSystem.weight`, infeasible sets included);
 * :mod:`repro.perf.parallel` — worker-count resolution and the
   nested-parallelism rule;
 * :mod:`repro.perf.pool` — the persistent :class:`WorkerPool`, the only

@@ -14,7 +14,6 @@ from typing import Dict
 #: Every public kernel method, with its meaning.
 KERNEL_METHODS: Dict[str, str] = {
     "solo_weights": "per-candidate singleton weight popcount(cover & unread)",
-    "oracle_weights_with": "batch feasible-rule weight_with over a candidate frontier",
     "climb_weights_with": "batch generalised-rule (operational-reader) weight_with",
     "new_coverage_counts": "batch collision-naive new-coverage gain of each candidate",
     "filter_compatible": "conflict-row AND filter: candidates independent of a blocked set",

@@ -12,13 +12,9 @@ The contract is **bit-identity** with the scalar references named in
 big-int path produces, element for element, for any input
 (differential-tested in ``tests/test_backends.py``).  Selection between
 candidates always stays with the caller, so the kernel can never change a
-chosen set, a work counter or a schedule.  Three rewrites keep the
-batched path fast:
+chosen set, a work counter or a schedule.  Two rewrites keep the batched
+path fast:
 
-* the feasible-rule weight uses the identity
-  ``(once | c) & ~(multi | (once & c)) == (once ^ c) & ~multi`` — pure
-  boolean algebra, so the integers are unchanged while the op count per
-  frontier drops from five word-matrix passes to two;
 * solo weights are answered from a per-unread-mask table of **all**
   readers' counts, memoised on the kernel — the branch-and-bound ordering
   pass hits the same unread mask dozens of times per MCS slot, so the
@@ -63,8 +59,8 @@ from repro.util.compat import bit_count
 
 #: Frontier size below which the scalar path is used, and GHC's first
 #: exactly scored batch (see module docstring).  Measured crossover on
-#: 19-word (1200-tag) instances: the batched feasible-rule weight overtakes
-#: the scalar walk at ~32 candidates.
+#: 19-word (1200-tag) instances: a two-pass batched weight overtakes the
+#: scalar walk at ~32 candidates.
 BATCH_MIN = 32
 
 
@@ -144,37 +140,6 @@ class NumpyKernel:
         if not cands:
             return np.zeros(0, dtype=np.int64)
         return self._solo_table(unread_bits)[cands]
-
-    def oracle_weights_with(
-        self, once: int, multi: int, unread_bits: int, candidates: Sequence[int]
-    ) -> np.ndarray:
-        """Feasible-set rule: the weight of the current set (state
-        ``once``/``multi``) extended by each candidate, matching
-        :meth:`BitsetWeightOracle.weight_with` element-wise, for the whole
-        frontier in one word-matrix pass."""
-        cands = [int(c) for c in candidates]
-        if len(cands) < BATCH_MIN:
-            return self._oracle_scalar(once, multi, unread_bits, cands)
-        c = self._words[cands]
-        once_w = self._to_words(once)
-        # (once | c) & ~(multi | (once & c))  ==  (once ^ c) & ~multi:
-        # adding c flips exactly-once coverage where c overlaps once, and
-        # creates it where c is fresh — XOR — while the already-multi zone
-        # never counts again.  Two passes instead of five, same bits.
-        zone = self._to_words(~int(multi) & int(unread_bits))
-        return _row_counts((c ^ once_w) & zone)
-
-    def _oracle_scalar(self, once, multi, unread_bits, cands):
-        """The feasible-rule weight on big-ints, one candidate at a time —
-        the :meth:`BitsetWeightOracle.weight_with` expression."""
-        u = int(unread_bits)
-        masks = self._masks
-        out = []
-        for r in cands:
-            c = masks[r]
-            multi_r = multi | (once & c)
-            out.append(bit_count((once | c) & ~multi_r & u))
-        return np.array(out, dtype=np.int64)
 
     def climb_weights_with(self, climb, candidates: Sequence[int]) -> np.ndarray:
         """Generalised (operational-reader) rule: the weight of

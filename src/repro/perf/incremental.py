@@ -1,4 +1,4 @@
-"""Incremental generalised-weight state for the GHC climb.
+"""Incremental generalised-weight state: the one Definition 3 weight engine.
 
 GHC (Section VI) grows an active set ``A`` one reader at a time, each step
 picking the candidate with the largest incremental generalised weight
@@ -35,11 +35,20 @@ the scalar reference: it equals ``system.weight(active + [r], unread)``,
 and ``current_weight()`` equals ``system.weight(active, unread)``
 (property-tested in ``tests/test_perf_kernels.py`` and
 ``tests/test_baselines_hillclimb.py``).
+
+The same climber is the feasible-search engine of the exact
+branch-and-bound, the PTAS, local search, Algorithm 2 and Algorithm 3:
+:meth:`~GeneralizedWeightClimber.push` adds a reader behind an undo log
+that :meth:`~GeneralizedWeightClimber.pop` rewinds, and
+:meth:`~GeneralizedWeightClimber.upper_bound_with` bounds every extension
+of the current set.  Those searches only ever hold feasible sets, on which
+no active reader is silenced, so the generalised weight is Definition 3's
+``popcount(once & unread)`` there.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -62,20 +71,48 @@ class GeneralizedWeightClimber:
 
     The state attributes (``once``, ``multi``, ``active_bits``, ``well``,
     ``silenced``, ``operational`` and :attr:`fresh`) are read by the
-    weight kernels; treat them as read-only.
+    weight kernels; treat them as read-only.  GHC grows its set with
+    :meth:`add`; a branch-and-bound search walks its tree with
+    :meth:`push`/:meth:`pop`.
     """
 
     def __init__(self, system, unread: Optional[np.ndarray] = None):
         packed = system.packed_coverage
-        self._system = system
-        self._packed = packed
-        self._masks = packed.masks
         if unread is None:
-            self._unread = packed.full_mask
+            unread_mask = packed.full_mask
         else:
-            self._unread = packed.pack_mask(unread)
-        self._silencees = silencee_bits(system)
+            unread_mask = packed.pack_mask(unread)
+        self._init(system, packed.masks, unread_mask, silencee_bits(system))
+
+    @classmethod
+    def from_masks(cls, cover: dict, unread_mask: int) -> "GeneralizedWeightClimber":
+        """A climber over ``{reader_id: coverage bitmask}`` with no system.
+
+        Serves a distributed node's local view, assembled from gathered
+        messages: there is no geometry, so no reader silences another and
+        only the feasible-search protocol (``push``/``pop``/``reset``,
+        ``current_weight``, ``solo_weight``, ``weight_of`` and
+        ``upper_bound_with``) applies — :attr:`fresh` and the
+        ``weight_with`` family need a system.
+        """
+        self = cls.__new__(cls)
+        cover = dict(cover)
+        self._init(None, cover, int(unread_mask), dict.fromkeys(cover, 0))
+        return self
+
+    def _init(self, system, masks, unread_mask: int, silencees) -> None:
+        # masks/silencees: reader id -> big-int row (the system's cached
+        # tuples, or dicts for a system-less view); shared, never mutated
+        self._system = system
+        self._masks = masks
+        self._unread = unread_mask
+        self._silencees = silencees
+        self.reset()
+
+    def reset(self) -> None:
+        """Clear the climber back to the empty active set."""
         self._active: List[int] = []
+        self._undo: List[tuple] = []
         self.active_bits = 0
         self.once = 0
         self.multi = 0
@@ -103,11 +140,13 @@ class GeneralizedWeightClimber:
         rows of the tags covered since the previous read — they name
         exactly the readers whose count fell, all overlapping the added
         readers' interrogation disks.  A weight evaluation that never
-        climbs never pays for it."""
+        climbs never pays for it, and :meth:`pop` drops the counts (they
+        only ever subtract) for the next read to rebuild."""
         zone = self.fresh_zone()
         if self._fresh is None:
-            words = bigint_to_words(zone, self._packed.num_words)
-            self._fresh = popcount_words(self._packed.words & words).sum(
+            packed = self._system.packed_coverage
+            words = bigint_to_words(zone, packed.num_words)
+            self._fresh = popcount_words(packed.words & words).sum(
                 axis=1, dtype=np.int64
             )
         elif zone != self._fresh_zone_seen:
@@ -182,22 +221,85 @@ class GeneralizedWeightClimber:
         one per operational reader it silences."""
         r = int(reader)
         c = self._masks[r]
-        zone = c & self.fresh_zone()  # tags only r covers from now on
-        # r moves its exactly-once tags to multi; every operational reader it
-        # silences loses its whole E_i; r reads its fresh tags unless an
-        # active reader silences it (the diagonal is clear: r never
-        # silences itself)
+        bit = 1 << r
+        # r moves its exactly-once tags to multi, and its uncovered tags
+        # become exactly-once: c & once below is what r reads if operational
+        multi = self.multi | (self.once & c)
+        once = (self.once | c) & ~multi
+        # every operational reader r silences loses its whole E_i; r reads
+        # unless an active reader silences it (the diagonal is clear: r
+        # never silences itself)
         hits = self._silencees[r]
         well = self.well & ~c
-        for i in iter_bits(hits & self.operational):
-            well &= ~self._masks[i]
-        self.operational &= ~hits
-        self.silenced |= hits
-        if not self.silenced >> r & 1:
-            well |= zone
-            self.operational |= 1 << r
+        lost = hits & self.operational
+        if lost:
+            for i in iter_bits(lost):
+                well &= ~self._masks[i]
+            self.operational &= ~hits
+        silenced = self.silenced | hits
+        self.silenced = silenced
+        if not silenced & bit:
+            well |= c & once & self._unread
+            self.operational |= bit
         self.well = well
-        self.multi |= self.once & c
-        self.once = (self.once | c) & ~self.multi
+        self.multi = multi
+        self.once = once
         self._active.append(r)
-        self.active_bits |= 1 << r
+        self.active_bits |= bit
+
+    # -- feasible search: undo log and bound ---------------------------------
+    def push(self, reader: int) -> None:
+        """:meth:`add` *reader*, logging the state it replaces for :meth:`pop`."""
+        self._undo.append((
+            self.once, self.multi, self.well,
+            self.silenced, self.operational, self.active_bits,
+        ))
+        self.add(reader)
+
+    def pop(self) -> None:
+        """Undo the most recent :meth:`push`."""
+        if not self._undo:
+            raise IndexError("pop from empty climber stack")
+        (self.once, self.multi, self.well,
+         self.silenced, self.operational, self.active_bits) = self._undo.pop()
+        self._active.pop()
+        self._fresh = None
+
+    @property
+    def depth(self) -> int:
+        """Number of pushed readers not yet popped."""
+        return len(self._undo)
+
+    def solo_weight(self, reader: int) -> int:
+        """Weight of activating *reader* alone."""
+        return bit_count(self._masks[reader] & self._unread)
+
+    def weight_of(self, active: Iterable[int]) -> int:
+        """Weight of the *feasible* set *active*, computed from scratch with
+        no state: ``popcount(once & unread)``, Definition 3's count when no
+        reader is silenced.  Every caller (the PTAS DP, local search,
+        Algorithm 2 and the exact search's warm start) passes a feasible
+        set; an infeasible one needs :meth:`add` and :meth:`current_weight`."""
+        once = 0
+        multi = 0
+        for i in active:
+            c = self._masks[int(i)]
+            multi |= once & c
+            once = (once | c) & ~multi
+        return bit_count(once & self._unread)
+
+    def upper_bound_with(self, candidates: Sequence[int]) -> int:
+        """Upper bound on the weight of any feasible extension of the current
+        feasible set by a subset of *candidates*.
+
+        A tag already covered twice can never count again; a tag covered once
+        stays countable; an uncovered tag is countable iff some candidate
+        covers it.  This bound is monotone along the search tree, making it a
+        sound branch-and-bound prune.
+        """
+        cand_union = 0
+        for i in candidates:
+            cand_union |= self._masks[int(i)]
+        covered = self.once | self.multi
+        potential = (self.once | (cand_union & ~covered)) & self._unread
+        return bit_count(potential)

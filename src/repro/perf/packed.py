@@ -3,7 +3,7 @@
 A boolean ``(m, n)`` coverage matrix is repacked once into an
 ``(n, ceil(m/64))`` array of ``uint64`` words (bit ``t`` of reader *i*'s row
 = tag *t* covered), plus the matching Python big-int masks the
-:class:`~repro.model.weights.BitsetWeightOracle` works on.  Packing is the
+:class:`~repro.perf.incremental.GeneralizedWeightClimber` works on.  Packing is the
 O(n·m) step every solver used to repeat per call; here it happens once per
 system (cached by :attr:`RFIDSystem.packed_coverage`) and everything
 downstream is O(n) or O(m/64).
@@ -102,9 +102,9 @@ class PackedCoverage:
         ``(n, ceil(m/64))`` ``uint64``; bit ``t`` of row ``i`` = tag *t* in
         reader *i*'s interrogation region.
     masks:
-        Per-reader Python big-int of the same bits (the oracle currency),
-        shared read-only by every oracle built from this system, which is
-        what makes oracle construction O(n).
+        Per-reader Python big-int of the same bits (the climber currency),
+        shared read-only by every climber built from this system, which is
+        what makes climber construction O(n).
     full_mask:
         Big-int with all ``m`` tag bits set.
     """

@@ -5,9 +5,9 @@ the scalar references.  Three layers of that contract are pinned here:
 
 * **kernel equivalence** — every ``KERNEL_METHODS`` row returns the same
   integers as its scalar reference on random mask states: the weight
-  batches against :meth:`BitsetWeightOracle.solo_weight`/``weight_with``
-  and :meth:`GeneralizedWeightClimber.weight_with`/``new_coverage``, the
-  conflict filter against the dense ``system.conflict`` matrix.  Frontiers
+  batches against :meth:`GeneralizedWeightClimber.solo_weight`,
+  ``weight_with`` and ``new_coverage``, the conflict filter against the
+  dense ``system.conflict`` matrix.  Frontiers
   cover the edges the batching must not mishandle: empty,
   ``BATCH_MIN − 1``, ``BATCH_MIN``, ``BATCH_MIN + 1`` and wide (with
   duplicates when the system has fewer readers), all-zero unread masks and
@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from repro.core.mcs import greedy_covering_schedule
 from repro.core.oneshot import get_solver
 from repro.faults import FaultPlan, PermanentCrash
-from repro.model.weights import BitsetWeightOracle
 from repro.obs.collectors import RunCollector
 from repro.obs.events import recording
 from repro.perf import cache
@@ -55,9 +54,8 @@ from tests.conftest import make_random_system
 # kernel equivalence on random mask states
 # ---------------------------------------------------------------------------
 def _random_state(system, rng, *, zero_unread=False):
-    """A coherent (climber, oracle, unread) state: a random reader subset
-    committed through both engines, over a random (or all-zero) unread
-    mask."""
+    """A coherent (climber, unread) state: a random reader subset committed
+    to the climber, over a random (or all-zero) unread mask."""
     n, m = system.num_readers, system.num_tags
     if zero_unread:
         unread = np.zeros(m, dtype=bool)
@@ -65,12 +63,10 @@ def _random_state(system, rng, *, zero_unread=False):
         unread = rng.random(m) < 0.7 if m else np.zeros(0, dtype=bool)
     climber = GeneralizedWeightClimber(system, unread)
     climber.fresh  # materialise, so the adds below maintain it
-    oracle = BitsetWeightOracle(system, unread)
     k = int(rng.integers(0, max(n // 2, 1) + 1))
     for r in rng.choice(n, size=k, replace=False) if k else []:
         climber.add(int(r))
-        oracle.push(int(r))  # oracle allows infeasible pushes; fine for math
-    return climber, oracle, unread
+    return climber, unread
 
 
 def _frontiers(n):
@@ -105,7 +101,7 @@ class TestKernelEquivalence:
         system, kernel = self._kernel(n, m, side, seed)
         rng = np.random.default_rng(seed)
         for zero_unread in (False, True):
-            climber, oracle, _unread = _random_state(
+            climber, _unread = _random_state(
                 system, rng, zero_unread=zero_unread
             )
             u = climber.unread_mask
@@ -113,29 +109,16 @@ class TestKernelEquivalence:
             for cands in _frontiers(n):
                 solo = kernel.solo_weights(u, cands)
                 assert solo.dtype == np.int64
-                assert solo.tolist() == [oracle.solo_weight(c) for c in cands]
+                assert solo.tolist() == [climber.solo_weight(c) for c in cands]
                 fresh = kernel.new_coverage_counts(once, multi, u, cands)
                 assert fresh.dtype == np.int64
                 assert fresh.tolist() == [climber.new_coverage(c) for c in cands]
-
-    def test_oracle_weights_with(self, n, m, side, seed):
-        system, kernel = self._kernel(n, m, side, seed)
-        rng = np.random.default_rng(seed + 1)
-        for zero_unread in (False, True):
-            _climber, oracle, _unread = _random_state(
-                system, rng, zero_unread=zero_unread
-            )
-            once, multi, u = oracle._once, oracle._multi, oracle.unread_mask
-            for cands in _frontiers(n):
-                got = kernel.oracle_weights_with(once, multi, u, cands)
-                assert got.dtype == np.int64
-                assert got.tolist() == [oracle.weight_with(c) for c in cands]
 
     def test_climb_weights_with(self, n, m, side, seed):
         system, kernel = self._kernel(n, m, side, seed)
         rng = np.random.default_rng(seed + 2)
         for trial in range(4):
-            climber, _oracle, _unread = _random_state(
+            climber, _unread = _random_state(
                 system, rng, zero_unread=(trial == 3)
             )
             for cands in _frontiers(n):
@@ -149,7 +132,7 @@ class TestKernelEquivalence:
         system, kernel = self._kernel(n, m, side, seed)
         rng = np.random.default_rng(seed + 3)
         conflict = np.asarray(system.conflict, dtype=bool)
-        climber, _oracle, _unread = _random_state(system, rng)
+        climber, _unread = _random_state(system, rng)
         blocked_sets = (
             [], [0], list(rng.choice(n, size=min(n, 4), replace=False)),
             climber.active,
@@ -218,37 +201,32 @@ def test_climb_weights_with_on_climbed_states(
 
 
 def _one_call_per_method(system, size):
-    """``(kernel, {method: args}, (climber, oracle))``: one public call per
+    """``(kernel, {method: args}, climber)``: one public call per
     ``KERNEL_METHODS`` row, with a frontier of *size* candidates, from the
-    non-empty climber/oracle state also returned."""
+    non-empty climber state also returned."""
     kernel = NumpyKernel(system)
     unread = np.random.default_rng(77).random(system.num_tags) < 0.7
     climber = _climbed(system, unread, [True, False, True, False, False], None)
-    oracle = BitsetWeightOracle(system, unread)
-    for r in climber.active:
-        oracle.push(r)
     assert climber.active
     u, cands = climber.unread_mask, list(range(size))
     return kernel, {
         "solo_weights": (u, cands),
-        "oracle_weights_with": (oracle._once, oracle._multi, oracle.unread_mask, cands),
         "climb_weights_with": (climber, cands),
         "new_coverage_counts": (climber.once, climber.multi, u, cands),
         "filter_compatible": (cands, climber.active),
-    }, (climber, oracle)
+    }, climber
 
 
 def test_batch_min_cutoff_is_wallclock_only():
     """Frontiers straddling BATCH_MIN return the scalar references'
     integers on both sides of the scalar-delegation cutoff, for every batch
-    weight method, from a non-empty climber/oracle state."""
+    weight method, from a non-empty climber state."""
     system = make_random_system(BATCH_MIN + 8, 100, 50.0, 9.0, 5.0, 77)
     for size in (BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 1):
-        kernel, calls, (climber, oracle) = _one_call_per_method(system, size)
+        kernel, calls, climber = _one_call_per_method(system, size)
         cands = list(range(size))
         expect = {
-            "solo_weights": [oracle.solo_weight(c) for c in cands],
-            "oracle_weights_with": [oracle.weight_with(c) for c in cands],
+            "solo_weights": [climber.solo_weight(c) for c in cands],
             "climb_weights_with": [climber.weight_with(c) for c in cands],
             "new_coverage_counts": [climber.new_coverage(c) for c in cands],
         }

@@ -201,12 +201,10 @@ class TestGatherPhase:
         # reconstruct what the nodes saw by re-running with node access
         from repro.core.distributed import SchedulerNode
         from repro.distsim.engine import SyncEngine
-        from repro.model import BitsetWeightOracle
-
-        oracle = BitsetWeightOracle(small_system)
+        masks = small_system.packed_coverage.masks
         adj = adjacency_lists(small_system)
         nodes = [
-            SchedulerNode(i, oracle.cover_mask(i), rho=1.3, c=c)
+            SchedulerNode(i, masks[i], rho=1.3, c=c)
             for i in range(small_system.num_readers)
         ]
         engine = SyncEngine([a.tolist() for a in adj], nodes)

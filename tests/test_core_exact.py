@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SearchBudgetExceeded, exact_mwfs
-from repro.model import BitsetWeightOracle
+from repro.perf.incremental import GeneralizedWeightClimber
 from tests.conftest import make_random_system, system_strategy
 
 
@@ -123,7 +123,7 @@ class TestResultHonesty:
         assert result.meta["reported_weight"] == result.weight
 
     def test_oracle_reuse(self, small_system):
-        oracle = BitsetWeightOracle(small_system)
+        oracle = GeneralizedWeightClimber(small_system)
         a = exact_mwfs(small_system, oracle=oracle)
         b = exact_mwfs(small_system, oracle=oracle)
         assert a.weight == b.weight

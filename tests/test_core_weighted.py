@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import exact_mwfs, weighted_mwfs
 from repro.model import WeightedTagOracle
+from repro.perf.incremental import GeneralizedWeightClimber
 from tests.conftest import make_random_system, system_strategy
 
 
@@ -31,10 +32,8 @@ def brute_force_weighted(system, values):
 
 class TestWeightedOracle:
     def test_uniform_matches_bitset(self, system):
-        from repro.model import BitsetWeightOracle
-
         weighted = WeightedTagOracle(system, np.ones(system.num_tags))
-        bitset = BitsetWeightOracle(system)
+        climber = GeneralizedWeightClimber(system)
         rng = np.random.default_rng(0)
         for _ in range(30):
             cand = rng.choice(system.num_readers, size=4, replace=False)
@@ -42,7 +41,7 @@ class TestWeightedOracle:
             for c in cand:
                 if not chosen or not system.conflict[c, chosen].any():
                     chosen.append(int(c))
-            assert weighted.weight_of(chosen) == bitset.weight_of(chosen)
+            assert weighted.weight_of(chosen) == climber.weight_of(chosen)
 
     def test_push_pop_roundtrip(self, system):
         oracle = WeightedTagOracle(system, np.ones(system.num_tags))

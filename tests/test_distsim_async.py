@@ -129,16 +129,16 @@ class TestAlphaSynchronizer:
         """Algorithm 3's scheduler nodes, unmodified, produce the same Red
         set over the asynchronous network."""
         from repro.core.distributed import RED, SchedulerNode, run_distributed_protocol
-        from repro.model import BitsetWeightOracle, adjacency_lists
+        from repro.model import adjacency_lists
         from tests.conftest import make_random_system
 
         system = make_random_system(14, 120, 40, 10, 5, seed=4)
         sync_outcome = run_distributed_protocol(system, rho=1.3, c=2)
 
-        oracle = BitsetWeightOracle(system)
+        masks = system.packed_coverage.masks
         adj = [a.tolist() for a in adjacency_lists(system)]
         inner = [
-            SchedulerNode(i, oracle.cover_mask(i), rho=1.3, c=2)
+            SchedulerNode(i, masks[i], rho=1.3, c=2)
             for i in range(system.num_readers)
         ]
         run_synchronous_over_async(

@@ -6,8 +6,8 @@ engine and the worker pool must reproduce the reference NumPy
 paths bit-for-bit.  This suite pins that contract:
 
 * packed coverage words/masks against naive per-column packing;
-* :class:`BitsetWeightOracle` and :class:`GeneralizedWeightClimber`
-  against :meth:`RFIDSystem.weight` on feasible **and infeasible** sets;
+* :class:`GeneralizedWeightClimber` against :meth:`RFIDSystem.weight` on
+  feasible **and infeasible** sets;
 * ``run_sweep(workers=4)`` byte-identical to the serial run;
 * ``run_bench_matrix(workers=2)`` counter-identical to the serial run;
 * the quick-matrix work counters against the committed BENCH baselines
@@ -23,7 +23,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.model.weights import BitsetWeightOracle
 from repro.perf import (
     GeneralizedWeightClimber,
     PackedCoverage,
@@ -141,7 +140,8 @@ class TestSystemCaches:
 
 
 class TestWeightEquivalence:
-    """Packed oracle == big-int oracle == NumPy ``system.weight``."""
+    """The climber's from-scratch and incremental weights == NumPy
+    ``system.weight``."""
 
     @given(
         system=system_strategy(max_readers=8, max_tags=50),
@@ -158,12 +158,11 @@ class TestWeightEquivalence:
         for r in order:
             if not any(system.conflict[r, f] for f in feasible):
                 feasible.append(int(r))
-        oracle = BitsetWeightOracle(system, unread)
         climber = GeneralizedWeightClimber(system, unread)
+        expected = system.weight(feasible, unread)
+        assert climber.weight_of(feasible) == expected
         for r in feasible:
             climber.add(r)
-        expected = system.weight(feasible, unread)
-        assert oracle.weight_of(feasible) == expected
         assert climber.current_weight() == expected
 
     @given(
@@ -205,16 +204,14 @@ class TestWeightEquivalence:
     @given(system=system_strategy(max_readers=8, max_tags=50))
     @settings(**PROP_SETTINGS)
     def test_oracle_weight_with_equals_push_pop(self, system):
-        oracle = BitsetWeightOracle(system)
-        pushed = []
+        climber = GeneralizedWeightClimber(system)
         for r in range(0, system.num_readers, 2):
-            oracle.push(r)
-            pushed.append(r)
-        for cand in range(system.num_readers):
-            oracle.push(cand)
-            expected = oracle.current_weight()
-            oracle.pop()
-            assert oracle.weight_with(cand) == expected
+            climber.push(r)
+        for cand in range(1, system.num_readers, 2):
+            climber.push(cand)
+            expected = climber.current_weight()
+            climber.pop()
+            assert climber.weight_with(cand) == expected
 
 
 def _measure_for_sweep(value, seed):

@@ -35,9 +35,9 @@ from repro.core.neighborhood import centralized_location_free
 from repro.core.oneshot import make_result
 from repro.core.ptas import ptas_mwfs
 from repro.model.system import ReducedSystems
-from repro.model.weights import BitsetWeightOracle
 from repro.obs.collectors import RunCollector
 from repro.obs.events import recording
+from repro.perf.incremental import GeneralizedWeightClimber
 from repro.perf.slotdelta import ScheduleContext
 from repro.shard import ShardSpec
 from tests.conftest import make_random_system, shrunken_chaos_shard
@@ -318,7 +318,7 @@ def _conflict_fn(system):
 class TestWarmStart:
     def test_warm_start_returns_cold_answer(self):
         system = make_random_system(12, 150, 40, 8, 5, seed=3)
-        oracle = BitsetWeightOracle(system)
+        oracle = GeneralizedWeightClimber(system)
         conflict = _conflict_fn(system)
         candidates = list(range(system.num_readers))
         cold_set, cold_weight, _ = solve_mwfs_masks(
@@ -327,7 +327,7 @@ class TestWarmStart:
         # Warm-start from several feasible subsets of the optimum, from the
         # empty set, and from the optimum itself: same set, same weight.
         for warm in ([], cold_set[:1], cold_set[:2], list(cold_set)):
-            oracle = BitsetWeightOracle(system)
+            oracle = GeneralizedWeightClimber(system)
             warm_set, warm_weight, _ = solve_mwfs_masks(
                 candidates, oracle, conflict, warm_start=warm
             )
@@ -337,12 +337,12 @@ class TestWarmStart:
     def test_warm_start_weight_restored_when_unimproved(self, line_system):
         """Seeding the incumbent one below the warm weight must not leak: if
         the search cannot beat the warm set, the true weight comes back."""
-        oracle = BitsetWeightOracle(line_system)
+        oracle = GeneralizedWeightClimber(line_system)
         conflict = _conflict_fn(line_system)
         best_set, best_weight, _ = solve_mwfs_masks(
             [0, 1, 2], oracle, conflict
         )
-        oracle = BitsetWeightOracle(line_system)
+        oracle = GeneralizedWeightClimber(line_system)
         warm_set, warm_weight, _ = solve_mwfs_masks(
             [0, 1, 2], oracle, conflict, warm_start=best_set
         )
